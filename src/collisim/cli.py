@@ -21,6 +21,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import __version__, qcore, scenarios
+from .collision import check_joint_dim
 from .errors import PropagationError, ResourceCapError, ValidationError
 from .qcore import DensityMatrix, Operator
 from .scenarios import FieldConfig, GaussianEnvelope, TabulatedSpectrum
@@ -435,6 +436,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             text = handle.read()
         cfg = parse_config(text)
         if args.command == "validate":
+            if cfg.scenario == "single_photon":
+                check_joint_dim(cfg.field.rho0.side, cfg.field.truncation, cfg.field.n_steps)
             print(f"config OK: scenario {cfg.scenario}")
             return 0
         path = run(cfg, out_path=args.out, output=args.format)

@@ -207,6 +207,26 @@ def _trace_leading_ancilla(joint: np.ndarray, d_s: int, d_anc: int) -> np.ndarra
     return out.reshape(d_s * rest, d_s * rest)
 
 
+def check_joint_dim(d_sys: int, d_anc: int, n_steps: int,
+                    cap: int = DEFAULT_JOINT_DIM_CAP) -> int:
+    """Dimension d_sys * d_anc^n_steps of the dense correlated joint state.
+
+    Raises ResourceCapError above ``cap``.  Allocates nothing, so callers
+    run it before building anything of that size.
+    """
+    # d_anc >= 2: from cap.bit_length() steps on the cap is surely exceeded,
+    # and the (possibly astronomically large) dimension is not formed
+    joint_dim = d_sys * d_anc**n_steps if n_steps < cap.bit_length() else None
+    if joint_dim is None or joint_dim > cap:
+        raise ResourceCapError(
+            f"joint dimension {d_sys} * {d_anc}^{n_steps} exceeds cap {cap} "
+            f"(dense evolution needs 16 * dim^2 bytes per matrix)",
+            required_dim=joint_dim,
+            cap=cap,
+        )
+    return joint_dim
+
+
 def _run_correlated_raw(spec: CollisionSpec, bath: BathSpec, m0: np.ndarray,
                         n_steps: int) -> list[np.ndarray]:
     """Joint evolution with per-step trace-out; linear in m0, no state checks.
@@ -245,14 +265,7 @@ def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
         raise ValidationError("correlated bath must cover exactly the spec's steps")
     if rho0.dims != spec.h_sys.dims:
         raise ValidationError("initial state on wrong space")
-    joint_dim = rho0.side * bath.d**bath.n_steps
-    if joint_dim > max_joint_dim:
-        raise ResourceCapError(
-            f"joint dimension {joint_dim} exceeds cap {max_joint_dim} "
-            f"(dense evolution would need ~{16 * joint_dim**2 / 1e9:.1f} GB per matrix)",
-            required_dim=joint_dim,
-            cap=max_joint_dim,
-        )
+    check_joint_dim(rho0.side, bath.d, bath.n_steps, max_joint_dim)
 
     marginals = _run_correlated_raw(spec, bath, np.array(rho0.data), spec.n_steps)
     states = [rho0]

@@ -3,9 +3,9 @@
 The generator extracted from a collision specification consists of the
 bath-induced Hamiltonian shift (the ancilla average of the interaction)
 and jump operators built from interaction matrix elements in the ancilla
-eigenbasis, each carrying the emergent rate g^2 dt.  A fixed-step RK4
-integrator provides the independent continuous-time dynamics that the
-discrete collision runs are checked against.
+eigenbasis, each carrying the emergent rate g^2 dt.  Exact propagation
+with the Liouvillian exponential provides the independent continuous-time
+dynamics that the discrete collision runs are checked against.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+import scipy.linalg
 
 from . import qcore
 from .collision import (
@@ -34,6 +35,10 @@ P_FLOOR = 1e-12
 
 # Jump operators that vanish identically are dropped from the generator.
 ZERO_JUMP_TOL = 1e-14
+
+# Propagators of distinct step-table entries are built by one batched expm
+# per this many bytes, so long tables on large systems stay bounded in memory.
+PROPAGATOR_BATCH_BYTES = 32 * 2**20
 
 JumpList = tuple[tuple[Operator, float], ...]
 
@@ -138,10 +143,11 @@ def generator_from_collision(spec: CollisionSpec, eta: DensityMatrix) -> Lindbla
     g = spec.coupling_strength
     h_prime = effective_hamiltonian(g * v, eta)
     h_eff = spec.h_sys + h_prime
-    # The second-order expansion behind the generator is first order in the
-    # system Hamiltonian; warn when it is not small against the coupling.
+    # The generator drops the O(dt^{3/2}) cross term between H_S dt and the
+    # coupling g v dt = sqrt(gamma dt) v; against the kept dissipative term
+    # gamma dt it weighs w0 sqrt(dt / gamma), which is free of time units.
     w0 = float(np.max(np.abs(np.linalg.eigvalsh(spec.h_sys.data))))
-    if w0 * spec.dt > 0.1 * (g * math.sqrt(spec.dt)) ** 2:
+    if w0 * math.sqrt(spec.dt) > 0.1 * math.sqrt(spec.rate):
         warnings.warn(
             f"system frequency scale {w0:.3g} is not small against the "
             f"coupling (g = {g:.3g}); the extracted generator may be inaccurate",
@@ -179,15 +185,28 @@ def apply_generator(gen: LindbladGenerator, rho: DensityMatrix,
     return Operator(_rhs(h_data, compiled, rho.data), rho.dims)
 
 
+def _liouvillian(h: np.ndarray, compiled_jumps) -> np.ndarray:
+    """Superoperator of ``_rhs`` on row-major vec: vec(A X B) = (A (x) B^T) vec(X)."""
+    eye = np.eye(h.shape[0])
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for l, l_dag, l_dag_l, rate in compiled_jumps:
+        out += rate * (np.kron(l, l_dag.T)
+                       - 0.5 * (np.kron(l_dag_l, eye) + np.kron(eye, l_dag_l.T)))
+    return out
+
+
 def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
                  n_substeps: int,
                  observables: Mapping[str, Operator] | None = None) -> Trajectory:
-    """Fixed-step classical RK4 integration of the master equation.
+    """Exact propagation of the master equation on a uniform grid.
 
-    A step-dependent generator is treated as piecewise constant and
-    sampled at the midpoint of every substep.  Stored states are
-    re-symmetrized before the structural checks; a PSD breach beyond the
-    run tolerance aborts.
+    A step-dependent generator is sampled at the midpoint of every
+    substep and held constant over it, so rho_{k+1} = exp(h L_k) rho_k is
+    exact.  Each distinct table entry costs one exponential of its
+    d^2 x d^2 Liouvillian, O(d^6) work, cheap up to CHOI_MAX_SYSTEM_DIM =
+    16; the exponentials are batched.  Stored states are re-symmetrized
+    before the structural checks; a PSD breach beyond the run tolerance
+    aborts.
     """
     if n_substeps < 1:
         raise ValidationError("n_substeps must be >= 1")
@@ -197,25 +216,24 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
         raise ValidationError("generator and state act on different spaces")
 
     h = t_final / n_substeps
-    if gen.step_table is None:
-        static = _compile_term(gen.h_eff, gen.jumps)
-        pick = lambda _t: static
-    else:
-        compiled_table = [_compile_term(hh, jj) for hh, jj in gen.step_table]
-        duration = gen.step_duration
-
-        def pick(t_mid):
-            return compiled_table[min(int(t_mid / duration), len(compiled_table) - 1)]
+    terms = gen.step_table or ((gen.h_eff, gen.jumps),)
+    t_mid = (np.arange(n_substeps) + 0.5) * h
+    idx = np.minimum((t_mid / (gen.step_duration or t_final)).astype(int), len(terms) - 1)
+    used, idx = np.unique(idx, return_inverse=True)
+    d = rho0.side
+    batch = max(1, PROPAGATOR_BATCH_BYTES // (16 * d**4))
 
     rho = np.array(rho0.data)
     states = [rho0]
+    props, lo = (), 0
     for k in range(n_substeps):
-        h_data, jumps = pick((k + 0.5) * h)
-        k1 = _rhs(h_data, jumps, rho)
-        k2 = _rhs(h_data, jumps, rho + 0.5 * h * k1)
-        k3 = _rhs(h_data, jumps, rho + 0.5 * h * k2)
-        k4 = _rhs(h_data, jumps, rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # idx never decreases, so each batch is built once, when first needed
+        if idx[k] >= lo + len(props):
+            lo = idx[k]
+            props = scipy.linalg.expm(h * np.stack(
+                [_liouvillian(*_compile_term(*terms[i])) for i in used[lo:lo + batch]]
+            ))
+        rho = (props[idx[k] - lo] @ rho.reshape(-1)).reshape(d, d)
         rho = 0.5 * (rho + rho.conj().T)
         try:
             states.append(DensityMatrix(Operator(rho, rho0.dims), psd_tol=RUN_PSD_TOL))

@@ -243,12 +243,6 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(Operator(data, kept_dims))
 
 
-def partial_trace_operator(a: Operator, keep: Sequence[int]) -> Operator:
-    data = ptrace_matrix(a.data, a.dims, keep)
-    kept_dims = tuple(a.dims[i] for i in sorted(set(int(k) for k in keep)))
-    return Operator(data, kept_dims)
-
-
 def expm(a: Operator, scale: complex) -> Operator:
     """Matrix exponential exp(scale * a) (scaling-and-squaring Pade kernel)."""
     if scale == 0:

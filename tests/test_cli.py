@@ -169,20 +169,34 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1
 
 
-def test_resource_cap_exits_three(tmp_path, capsys):
-    doc = {
+def single_photon_config(tmp_path, n_steps):
+    return {
         "scenario": "single_photon",
         "field": {
             "kind": "single_photon",
             "gamma": 1.0,
             "t_final": 6.0,
-            "n_steps": 20,
+            "n_steps": n_steps,
             "envelope": {"type": "gaussian", "center": 3.0, "width": 1.0},
         },
         "out_path": str(tmp_path / "sp.csv"),
     }
-    cfg_path = write_config(tmp_path, doc)
+
+
+def test_resource_cap_exits_three(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, single_photon_config(tmp_path, 20))
     assert main(["run", "--config", cfg_path]) == 3
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_oversized_photon_config_exits_three_before_allocating(tmp_path, capsys, command):
+    # 2^100 amplitudes cannot even be allocated: the cap must be checked first
+    cfg_path = write_config(tmp_path, single_photon_config(tmp_path, 100))
+    assert main([command, "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert "resource cap exceeded" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sp.csv").exists()
 
 
 def test_validate_subcommand(tmp_path, capsys):

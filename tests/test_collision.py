@@ -23,6 +23,7 @@ from collisim import (
     step_map_choi,
 )
 from collisim.bath import PRODUCT_STEP_DEPENDENT, BathSpec
+from collisim.collision import check_joint_dim
 
 H2 = Operator(np.zeros((2, 2), dtype=complex), (2,))
 LOWER = annihilator(2)
@@ -232,6 +233,17 @@ def test_correlated_run_rejects_cap_violation():
     bath = single_photon_bath([1.0] * n, n)
     with pytest.raises(ResourceCapError):
         run_correlated(spec, bath, fock_dm(2, 0), max_joint_dim=2**n)
+
+
+def test_joint_dim_check_at_and_beyond_the_cap():
+    assert check_joint_dim(2, 2, 12, cap=8192) == 8192
+    with pytest.raises(ResourceCapError) as exc:
+        check_joint_dim(2, 2, 13, cap=8192)
+    assert exc.value.required_dim == 16384
+    # far beyond the cap the exact dimension is never formed
+    with pytest.raises(ResourceCapError) as exc:
+        check_joint_dim(2, 2, 10**9, cap=8192)
+    assert exc.value.required_dim is None
 
 
 def test_correlated_run_requires_matching_steps():

@@ -1,17 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from collisim import (
     CollisionSpec,
     DensityMatrix,
+    FieldConfig,
     LindbladGenerator,
     Operator,
     ValidationError,
     annihilator,
     apply_generator,
+    bloch_run,
     collision_unitary,
     displacement,
     effective_hamiltonian,
@@ -19,6 +23,8 @@ from collisim import (
     generator_from_collision,
     integrate_me,
     jump_operators,
+    lindblad,
+    spontaneous_emission_run,
 )
 
 LOWER = annihilator(2)
@@ -258,6 +264,23 @@ def test_generator_consistency_with_collision_map():
     assert 1.6 <= ratio <= 2.4
 
 
+def _warns(spec) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        generator_from_collision(spec, fock_dm(2, 0))
+    return bool(caught)
+
+
+@pytest.mark.parametrize("w0, expected", [(0.2, False), (20.0, True)])
+def test_generator_warning_is_independent_of_time_units(w0, expected):
+    # rescaling (h_sys, gamma, dt) -> (h_sys/c, gamma/c, c dt) is a change of
+    # time unit: the physics, and so the verdict, must not move
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    for c in (1e-3, 1.0, 1e3):
+        spec = two_level_spec(gamma=1.0 / c, dt=0.01 * c, h=Operator(w0 / c * sz, (2,)))
+        assert _warns(spec) is expected
+
+
 def test_generator_rejects_negative_rate_and_non_hermitian_h():
     with pytest.raises(ValidationError):
         LindbladGenerator(h_eff=H2, jumps=((LOWER, -0.1),))
@@ -311,7 +334,7 @@ def test_zero_generator_is_constant():
 def test_exponential_decay_endpoint():
     gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
     traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=1000)
-    assert abs(traj.states[-1].data[1, 1].real - math.exp(-1.0)) < 1e-8
+    assert abs(traj.states[-1].data[1, 1].real - math.exp(-1.0)) < 1e-12
 
 
 def test_driven_decay_matches_liouvillian_exponential():
@@ -327,7 +350,7 @@ def test_driven_decay_matches_liouvillian_exponential():
     for k in (1, n // 2, n):
         t = t_final * k / n
         expected = (scipy.linalg.expm(lv * t) @ fock_dm(2, 1).data.reshape(-1)).reshape(2, 2)
-        assert np.max(np.abs(traj.states[k].data - expected)) < 1e-6
+        assert np.max(np.abs(traj.states[k].data - expected)) < 1e-12
 
 
 def test_step_table_sampling_matches_piecewise_exponential():
@@ -342,7 +365,7 @@ def test_step_table_sampling_matches_piecewise_exponential():
     lv2 = liouvillian(h2.data, [(LOWER.data, 0.5)])
     prop = scipy.linalg.expm(lv2 * 0.5) @ scipy.linalg.expm(lv1 * 0.5)
     expected = (prop @ fock_dm(2, 1).data.reshape(-1)).reshape(2, 2)
-    assert np.max(np.abs(traj.states[-1].data - expected)) < 1e-8
+    assert np.max(np.abs(traj.states[-1].data - expected)) < 1e-12
 
 
 def test_long_run_preserves_trace():
@@ -356,3 +379,86 @@ def test_integrate_rejects_bad_substeps():
     gen = LindbladGenerator(h_eff=H2, jumps=())
     with pytest.raises(ValidationError):
         integrate_me(gen, fock_dm(2, 0), t_final=1.0, n_substeps=0)
+
+
+@pytest.mark.parametrize("per_batch", [None, 1, 2])
+def test_step_table_midpoints_off_the_table_grid(monkeypatch, per_batch):
+    # substep 0.1 against entries of 0.3: midpoints 0.05..0.95 pick entries
+    # 0,0,0,1,1,1,2,2,2 and, past the table's end, the clamped last entry;
+    # propagators built in batches of one or two entries give the same run
+    if per_batch is not None:
+        monkeypatch.setattr(lindblad, "PROPAGATOR_BATCH_BYTES", per_batch * 16 * 2**4)
+    hs = [Operator(w * np.array([[0, 1], [1, 0]], dtype=complex), (2,)) for w in (0.4, 1.3, 2.1)]
+    jumps = ((LOWER, 0.6),)
+    gen = LindbladGenerator(h_eff=hs[0], jumps=jumps,
+                            step_table=tuple((h, jumps) for h in hs), step_duration=0.3)
+    traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=10)
+
+    props = [scipy.linalg.expm(0.1 * liouvillian(h.data, [(LOWER.data, 0.6)])) for h in hs]
+    vec = fock_dm(2, 1).data.reshape(-1)
+    for k, entry in enumerate([0, 0, 0, 1, 1, 1, 2, 2, 2, 2], start=1):
+        vec = props[entry] @ vec
+        assert np.max(np.abs(traj.states[k].data - vec.reshape(2, 2))) < 1e-12
+
+
+def _assert_matches_propagator_products(traj, props):
+    vec = traj.states[0].data.reshape(-1)
+    assert len(traj) == len(props) + 1
+    for state, prop in zip(traj.states[1:], props):
+        vec = prop @ vec
+        assert np.max(np.abs(state.data - vec.reshape(2, 2))) < 1e-12
+
+
+def test_spontaneous_emission_me_is_liouvillian_exponential():
+    gamma, n = 0.9, 200
+    cfg = FieldConfig(kind="vacuum", gamma=gamma, t_final=1.5, n_steps=n,
+                      h_sys=H2, coupling=LOWER, rho0=fock_dm(2, 1))
+    _, traj_me, _ = spontaneous_emission_run(cfg)
+    prop = scipy.linalg.expm(cfg.dt * liouvillian(H2.data, [(LOWER.data, gamma)]))
+    _assert_matches_propagator_products(traj_me, [prop] * n)
+
+
+def test_bloch_me_is_product_of_drive_exponentials():
+    # drive of the coherent field at the end of each step, held over the step
+    gamma, z, omega, n, t_final = 1.1, 2.0 * np.exp(0.4j), 1.7, 300, 2.0
+    cfg = FieldConfig(kind="coherent", gamma=gamma, t_final=t_final, n_steps=n,
+                      h_sys=H2, coupling=LOWER, rho0=fock_dm(2, 1), z=z, omega=omega,
+                      d_anc=8)
+    _, traj_me, _ = bloch_run(cfg)
+    dt = t_final / n
+    b = LOWER.data
+    props = []
+    for step in range(1, n + 1):
+        phase = omega * step * dt + np.angle(z)
+        drive = math.sqrt(gamma / (2.0 * math.pi)) * abs(z) * (
+            np.exp(-1j * phase) * b + np.exp(1j * phase) * b.conj().T)
+        props.append(scipy.linalg.expm(dt * liouvillian(drive, [(b, gamma)])))
+    _assert_matches_propagator_products(traj_me, props)
+
+
+def _random_operator(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 3), n_entries=st.integers(1, 4), per_entry=st.integers(1, 3),
+       n_jumps=st.integers(0, 2), t_final=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_substep_refinement_agrees_on_shared_grid(d, n_entries, per_entry, n_jumps,
+                                                  t_final, seed):
+    # the table grid is a subgrid of both substep grids, so n and 2n
+    # substeps propagate the same piecewise-constant generator exactly
+    rng = np.random.default_rng(seed)
+    jumps = tuple((Operator(_random_operator(rng, d), (d,)), float(rng.uniform(0.0, 2.0)))
+                  for _ in range(n_jumps))
+    table = []
+    for _ in range(n_entries):
+        m = _random_operator(rng, d)
+        table.append((Operator(0.5 * (m + m.conj().T), (d,)), jumps))
+    gen = LindbladGenerator(h_eff=table[0][0], jumps=jumps, step_table=tuple(table),
+                            step_duration=t_final / n_entries)
+    rho0 = random_density(rng, d)
+    n = n_entries * per_entry
+    coarse = integrate_me(gen, rho0, t_final, n)
+    fine = integrate_me(gen, rho0, t_final, 2 * n)
+    for k in range(n + 1):
+        assert np.max(np.abs(coarse.states[k].data - fine.states[2 * k].data)) < 1e-12

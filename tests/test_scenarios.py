@@ -6,6 +6,7 @@ import pytest
 from collisim import (
     FieldConfig,
     GaussianEnvelope,
+    ResourceCapError,
     TabulatedSpectrum,
     ValidationError,
     bloch_run,
@@ -186,6 +187,14 @@ def test_single_slot_photon_has_markovian_tail():
     assert all(step == 0 for step in report.revival_steps)
     tail = np.diff(report.distances[1:])
     assert np.all(tail <= 1e-6)
+
+
+def test_oversized_photon_run_is_refused_before_the_bath_is_built():
+    # the joint state of 40 ancillas would take 2^40 amplitudes (16 TiB)
+    cfg = make_cfg(kind="single_photon", t_final=4.0, n_steps=40,
+                   envelope=GaussianEnvelope(center=2.0, width=1.0))
+    with pytest.raises(ResourceCapError):
+        single_photon_run(cfg)
 
 
 def test_identical_inputs_stay_indistinguishable():
