@@ -21,7 +21,6 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import __version__, qcore, scenarios
-from .collision import check_joint_dim
 from .errors import PropagationError, ResourceCapError, ValidationError
 from .qcore import DensityMatrix, Operator
 from .scenarios import FieldConfig, GaussianEnvelope, TabulatedSpectrum
@@ -436,8 +435,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             text = handle.read()
         cfg = parse_config(text)
         if args.command == "validate":
-            if cfg.scenario == "single_photon":
-                check_joint_dim(cfg.field.rho0.side, cfg.field.truncation, cfg.field.n_steps)
+            scenarios.check_resources(cfg.field)
             print(f"config OK: scenario {cfg.scenario}")
             return 0
         path = run(cfg, out_path=args.out, output=args.format)

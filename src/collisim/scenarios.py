@@ -31,9 +31,9 @@ VACUUM = "vacuum"
 COHERENT = "coherent"
 SINGLE_PHOTON = "single_photon"
 
-# The convergence reference samples the drive this many times more finely
-# than the finest collision grid: with omega != 0 the drive is genuinely time
-# dependent.  It is not an accuracy knob; the ME is propagated exactly.
+# The convergence reference samples a drive with omega != 0, which is genuinely
+# time dependent, this many times more finely than the finest collision grid.
+# It is not an accuracy knob; the ME is propagated exactly.
 REFERENCE_DRIVE_REFINE = 10
 
 DEFAULT_COHERENT_TRUNCATION = 8
@@ -219,19 +219,18 @@ def spontaneous_emission_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, 
     traj_cm = coll.run_product(spec, field_bath, cfg.rho0, obs)
     gen = lind.generator_from_collision(spec, field_bath.ancilla_state(1))
     traj_me = lind.integrate_me(gen, cfg.rho0, cfg.t_final, cfg.n_steps, obs)
-    dist = trace_distance_series(traj_cm, traj_me)
-    row = ConvergenceRow(
+    return traj_cm, traj_me, _error_row(cfg, traj_cm, traj_me.states, traj_me.observables)
+
+
+def _error_row(cfg: FieldConfig, traj: Trajectory, ref_states, ref_obs) -> ConvergenceRow:
+    """Largest trace distance to the reference states and endpoint population gap."""
+    pop = "excited_population"
+    return ConvergenceRow(
         n_steps=cfg.n_steps,
         dt=cfg.dt,
-        max_state_error=float(np.max(dist)),
-        endpoint_observable_error=float(
-            np.abs(
-                traj_cm.observables["excited_population"][-1]
-                - traj_me.observables["excited_population"][-1]
-            )
-        ),
+        max_state_error=max(qcore.trace_distance(a, b) for a, b in zip(traj.states, ref_states)),
+        endpoint_observable_error=float(np.abs(traj.observables[pop][-1] - ref_obs[pop][-1])),
     )
-    return traj_cm, traj_me, row
 
 
 def _drive_hamiltonian(cfg: FieldConfig, t: float) -> Operator:
@@ -244,13 +243,12 @@ def _drive_hamiltonian(cfg: FieldConfig, t: float) -> Operator:
 
 
 def _driven_me_generator(cfg: FieldConfig, n_entries: int, duration: float) -> LindbladGenerator:
+    """Decay plus classical drive; a table of drive steps unless omega = 0 makes it static."""
     jumps = ((cfg.coupling, cfg.gamma),)
-    table = tuple(
-        (_drive_hamiltonian(cfg, n * duration), jumps) for n in range(1, n_entries + 1)
-    )
-    return LindbladGenerator(
-        h_eff=table[0][0], jumps=jumps, step_table=table, step_duration=duration
-    )
+    if cfg.omega == 0:
+        return LindbladGenerator(h_eff=_drive_hamiltonian(cfg, 0.0), jumps=jumps)
+    table = tuple((_drive_hamiltonian(cfg, n * duration), jumps) for n in range(1, n_entries + 1))
+    return LindbladGenerator(table[0][0], jumps, step_table=table, step_duration=duration)
 
 
 def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:
@@ -285,6 +283,12 @@ def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:
     return traj_quantum, traj_me, traj_semi
 
 
+def check_resources(cfg: FieldConfig, max_joint_dim: int = coll.DEFAULT_JOINT_DIM_CAP) -> None:
+    """Raise ResourceCapError if the configured run exceeds a cap; allocates nothing."""
+    if cfg.kind == SINGLE_PHOTON:
+        coll.check_joint_dim(cfg.rho0.side, cfg.truncation, cfg.n_steps, max_joint_dim)
+
+
 def _distinguishable_pair(cfg: FieldConfig) -> tuple[DensityMatrix, DensityMatrix]:
     """Orthogonal pair maximizing initial trace distance: extreme eigenvectors of b^dag b."""
     number_op = cfg.coupling.data.conj().T @ cfg.coupling.data
@@ -304,7 +308,7 @@ def single_photon_run(
     """Single-photon field from two distinguishable starts, plus revival witness."""
     if cfg.kind != SINGLE_PHOTON:
         raise ValidationError("single_photon_run needs a single-photon configuration")
-    coll.check_joint_dim(cfg.rho0.side, cfg.truncation, cfg.n_steps, max_joint_dim)
+    check_resources(cfg, max_joint_dim)
     spec, field_bath = discretize_input_output(cfg)
     if rho_a is None or rho_b is None:
         default_a, default_b = _distinguishable_pair(cfg)
@@ -326,15 +330,11 @@ def single_photon_run(
     return traj_a, traj_b, report
 
 
-def _reference_substeps(n_list: Sequence[int]) -> int:
+def _reference_substeps(cfg: FieldConfig, n_list: Sequence[int]) -> int:
+    # a static generator is exact on the common grid; a drive is resolved finer
     base = math.lcm(*n_list)
-    return base * math.ceil(REFERENCE_DRIVE_REFINE * max(n_list) / base)
-
-
-def _reference_generator(cfg: FieldConfig, substeps: int) -> LindbladGenerator:
-    if cfg.kind == VACUUM:
-        return LindbladGenerator(h_eff=cfg.h_sys, jumps=((cfg.coupling, cfg.gamma),))
-    return _driven_me_generator(cfg, substeps, cfg.t_final / substeps)
+    refine = REFERENCE_DRIVE_REFINE if cfg.omega != 0 else 1
+    return base * math.ceil(refine * max(n_list) / base)
 
 
 def convergence_study(
@@ -344,8 +344,9 @@ def convergence_study(
 
     For each step count N the collision run is compared, on its own time
     grid, against a single exactly propagated reference trajectory whose
-    substep count is a common multiple of all the N, at least
-    REFERENCE_DRIVE_REFINE times the largest.  With ``fixed_g`` the
+    substep count is a common multiple of all the N; a drive with
+    omega != 0 is sampled at least REFERENCE_DRIVE_REFINE times finer
+    than the largest.  With ``fixed_g`` the
     coupling is held constant instead of scaling as 1/sqrt(dt); the
     emergent dissipation then dies away with N and the error stops
     shrinking.
@@ -358,15 +359,10 @@ def convergence_study(
     if cfg.kind == SINGLE_PHOTON:
         raise ValidationError("no Lindblad reference exists for single-photon fields")
 
-    substeps = _reference_substeps(n_list)
-    obs_name = "excited_population"
-    reference = lind.integrate_me(
-        _reference_generator(cfg, substeps),
-        cfg.rho0,
-        cfg.t_final,
-        substeps,
-        {obs_name: cfg.coupling.dag() @ cfg.coupling},
-    )
+    substeps = _reference_substeps(cfg, n_list)
+    gen = _driven_me_generator(cfg, substeps, cfg.t_final / substeps)
+    obs = _excited_population(cfg)
+    reference = lind.integrate_me(gen, cfg.rho0, cfg.t_final, substeps, obs)
 
     rows = []
     for n in n_list:
@@ -374,23 +370,9 @@ def convergence_study(
         spec, field_bath = discretize_input_output(cfg_n)
         if fixed_g is not None:
             spec = replace(spec, g=fixed_g, gamma=None)
-        traj = coll.run_product(spec, field_bath, cfg_n.rho0, {obs_name: cfg_n.coupling.dag() @ cfg_n.coupling})
-        stride = substeps // n
-        ref_states = reference.states[::stride]
-        errs = [qcore.trace_distance(a, b) for a, b in zip(traj.states, ref_states)]
-        rows.append(
-            ConvergenceRow(
-                n_steps=n,
-                dt=cfg_n.dt,
-                max_state_error=float(np.max(errs)),
-                endpoint_observable_error=float(
-                    np.abs(
-                        traj.observables[obs_name][-1]
-                        - reference.observables[obs_name][::stride][-1]
-                    )
-                ),
-            )
-        )
+        traj = coll.run_product(spec, field_bath, cfg_n.rho0, obs)
+        ref_states = reference.states[:: substeps // n]
+        rows.append(_error_row(cfg_n, traj, ref_states, reference.observables))
     log_n = np.log([row.n_steps for row in rows])
     log_err = np.log([max(row.max_state_error, 1e-300) for row in rows])
     slope = float(np.polyfit(log_n, log_err, 1)[0])

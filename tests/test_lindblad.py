@@ -323,7 +323,17 @@ def test_generator_output_traceless_hermitian():
 # master-equation integration
 # ---------------------------------------------------------------------------
 
-def test_zero_generator_is_constant():
+@pytest.fixture(params=["dense", "dense, one entry per batch", "series"])
+def propagation(request, monkeypatch):
+    """Run a test with dense propagators, batched or not, and with the Taylor series."""
+    if request.param == "series":
+        monkeypatch.setattr(lindblad, "DENSE_MAX_DIM", 0)
+    elif request.param != "dense":
+        monkeypatch.setattr(lindblad, "PROPAGATOR_BATCH_BYTES", 1)
+    return request.param
+
+
+def test_zero_generator_is_constant(propagation):
     gen = LindbladGenerator(h_eff=H2, jumps=())
     rng = np.random.default_rng(61)
     rho0 = random_density(rng, 2)
@@ -331,13 +341,13 @@ def test_zero_generator_is_constant():
     assert np.max(np.abs(traj.states[-1].data - rho0.data)) < 1e-14
 
 
-def test_exponential_decay_endpoint():
+def test_exponential_decay_endpoint(propagation):
     gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
     traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=1000)
     assert abs(traj.states[-1].data[1, 1].real - math.exp(-1.0)) < 1e-12
 
 
-def test_driven_decay_matches_liouvillian_exponential():
+def test_driven_decay_matches_liouvillian_exponential(propagation):
     # static drive amplitude sqrt(gamma/2pi)|z| with the bare decay jump
     gamma, z = 1.0, 3.0
     amp = math.sqrt(gamma / (2.0 * math.pi)) * abs(z)
@@ -353,7 +363,7 @@ def test_driven_decay_matches_liouvillian_exponential():
         assert np.max(np.abs(traj.states[k].data - expected)) < 1e-12
 
 
-def test_step_table_sampling_matches_piecewise_exponential():
+def test_step_table_sampling_matches_piecewise_exponential(propagation):
     h1 = Operator(0.8 * np.diag([1.0, -1.0]).astype(complex), (2,))
     h2 = Operator(0.3 * np.array([[0, 1], [1, 0]], dtype=complex), (2,))
     jumps = ((LOWER, 0.5),)
@@ -368,7 +378,7 @@ def test_step_table_sampling_matches_piecewise_exponential():
     assert np.max(np.abs(traj.states[-1].data - expected)) < 1e-12
 
 
-def test_long_run_preserves_trace():
+def test_long_run_preserves_trace(propagation):
     gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
     traj = integrate_me(gen, fock_dm(2, 1), t_final=10.0, n_substeps=5000)
     drift = max(abs(np.trace(s.data) - 1.0) for s in traj.states)
@@ -381,13 +391,9 @@ def test_integrate_rejects_bad_substeps():
         integrate_me(gen, fock_dm(2, 0), t_final=1.0, n_substeps=0)
 
 
-@pytest.mark.parametrize("per_batch", [None, 1, 2])
-def test_step_table_midpoints_off_the_table_grid(monkeypatch, per_batch):
+def test_step_table_midpoints_off_the_table_grid(propagation):
     # substep 0.1 against entries of 0.3: midpoints 0.05..0.95 pick entries
-    # 0,0,0,1,1,1,2,2,2 and, past the table's end, the clamped last entry;
-    # propagators built in batches of one or two entries give the same run
-    if per_batch is not None:
-        monkeypatch.setattr(lindblad, "PROPAGATOR_BATCH_BYTES", per_batch * 16 * 2**4)
+    # 0,0,0,1,1,1,2,2,2 and, past the table's end, the clamped last entry
     hs = [Operator(w * np.array([[0, 1], [1, 0]], dtype=complex), (2,)) for w in (0.4, 1.3, 2.1)]
     jumps = ((LOWER, 0.6),)
     gen = LindbladGenerator(h_eff=hs[0], jumps=jumps,
@@ -409,7 +415,7 @@ def _assert_matches_propagator_products(traj, props):
         assert np.max(np.abs(state.data - vec.reshape(2, 2))) < 1e-12
 
 
-def test_spontaneous_emission_me_is_liouvillian_exponential():
+def test_spontaneous_emission_me_is_liouvillian_exponential(propagation):
     gamma, n = 0.9, 200
     cfg = FieldConfig(kind="vacuum", gamma=gamma, t_final=1.5, n_steps=n,
                       h_sys=H2, coupling=LOWER, rho0=fock_dm(2, 1))
@@ -418,7 +424,7 @@ def test_spontaneous_emission_me_is_liouvillian_exponential():
     _assert_matches_propagator_products(traj_me, [prop] * n)
 
 
-def test_bloch_me_is_product_of_drive_exponentials():
+def test_bloch_me_is_product_of_drive_exponentials(propagation):
     # drive of the coherent field at the end of each step, held over the step
     gamma, z, omega, n, t_final = 1.1, 2.0 * np.exp(0.4j), 1.7, 300, 2.0
     cfg = FieldConfig(kind="coherent", gamma=gamma, t_final=t_final, n_steps=n,
@@ -442,9 +448,10 @@ def _random_operator(rng, d):
 
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 3), n_entries=st.integers(1, 4), per_entry=st.integers(1, 3),
-       n_jumps=st.integers(0, 2), t_final=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+       n_jumps=st.integers(0, 2), t_final=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1),
+       dense_max=st.sampled_from([lindblad.DENSE_MAX_DIM, 0]))
 def test_substep_refinement_agrees_on_shared_grid(d, n_entries, per_entry, n_jumps,
-                                                  t_final, seed):
+                                                  t_final, seed, dense_max):
     # the table grid is a subgrid of both substep grids, so n and 2n
     # substeps propagate the same piecewise-constant generator exactly
     rng = np.random.default_rng(seed)
@@ -458,7 +465,51 @@ def test_substep_refinement_agrees_on_shared_grid(d, n_entries, per_entry, n_jum
                             step_duration=t_final / n_entries)
     rho0 = random_density(rng, d)
     n = n_entries * per_entry
-    coarse = integrate_me(gen, rho0, t_final, n)
-    fine = integrate_me(gen, rho0, t_final, 2 * n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "DENSE_MAX_DIM", dense_max)
+        coarse = integrate_me(gen, rho0, t_final, n)
+        fine = integrate_me(gen, rho0, t_final, 2 * n)
     for k in range(n + 1):
         assert np.max(np.abs(coarse.states[k].data - fine.states[2 * k].data)) < 1e-12
+
+
+def test_series_matches_dense_propagators_on_coarse_steps(monkeypatch):
+    # h ||L|| well above 1 on a 5-level system, so the series runs in pieces
+    rng = np.random.default_rng(71)
+    d = 5
+    m = _random_operator(rng, d)
+    jumps = tuple((Operator(_random_operator(rng, d), (d,)), rate) for rate in (0.8, 2.5))
+    gen = LindbladGenerator(h_eff=Operator(m + m.conj().T, (d,)), jumps=jumps)
+    rho0 = random_density(rng, d)
+    monkeypatch.setattr(lindblad, "DENSE_MAX_DIM", d - 1)
+    series = integrate_me(gen, rho0, t_final=3.0, n_substeps=4)
+    monkeypatch.setattr(lindblad, "DENSE_MAX_DIM", d)
+    dense = integrate_me(gen, rho0, t_final=3.0, n_substeps=4)
+    lv = liouvillian(gen.h_eff.data, [(op.data, rate) for op, rate in jumps])
+    vec = rho0.data.reshape(-1)
+    for k in range(1, 5):
+        vec = scipy.linalg.expm(0.75 * lv) @ vec
+        assert np.max(np.abs(dense.states[k].data - vec.reshape(d, d))) < 1e-12
+        assert np.max(np.abs(series.states[k].data - vec.reshape(d, d))) < 1e-12
+
+
+def test_static_drive_needs_one_propagator(monkeypatch):
+    # with omega = 0 the drive does not change: one exponential, not one per step
+    stacks = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: stacks.append(a.shape) or expm(a))
+    cfg = FieldConfig(kind="coherent", gamma=1.0, t_final=1.0, n_steps=50, h_sys=H2,
+                      coupling=LOWER, rho0=fock_dm(2, 1), z=1.5, d_anc=6)
+    bloch_run(cfg)
+    assert [shape for shape in stacks if len(shape) == 3] == [(1, 4, 4)]
+
+
+def test_large_system_is_propagated_without_dense_liouvillians(monkeypatch):
+    # above DENSE_MAX_DIM no d^2 x d^2 propagator is formed (here 400 x 400)
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: pytest.fail("dense expm used"))
+    d = 20
+    b = annihilator(d)
+    gen = LindbladGenerator(h_eff=Operator(np.zeros((d, d), dtype=complex), (d,)),
+                            jumps=((b, 1.0),))
+    traj = integrate_me(gen, fock_dm(d, 1), t_final=0.5, n_substeps=5)
+    assert abs(traj.states[-1].data[1, 1].real - math.exp(-0.5)) < 1e-12

@@ -19,7 +19,8 @@ from collisim import (
     trace_distance_series,
 )
 from collisim.bath import PRODUCT
-from collisim.scenarios import default_emitter
+from collisim import scenarios
+from collisim.scenarios import check_resources, default_emitter
 
 H2, LOWER, EXCITED = default_emitter()
 
@@ -245,3 +246,33 @@ def test_coherent_convergence_runs():
     cfg = make_cfg(kind="coherent", z=1.0, omega=0.0, d_anc=8, t_final=1.0)
     report = convergence_study(cfg, [50, 100, 200])
     assert report.rows[-1].max_state_error < report.rows[0].max_state_error
+
+
+@pytest.mark.parametrize("omega, substeps", [(0.0, 400), (1.3, 4000)])
+def test_convergence_reference_grid(monkeypatch, omega, substeps):
+    # a static generator is exact on the common grid of the step counts;
+    # only a moving drive (omega != 0) is sampled REFERENCE_DRIVE_REFINE times finer
+    grids = []
+    integrate = scenarios.lind.integrate_me
+    monkeypatch.setattr(scenarios.lind, "integrate_me",
+                        lambda gen, rho0, t, n, obs: grids.append(n) or integrate(gen, rho0, t, n, obs))
+    cfg = make_cfg(kind="coherent", z=1.0, omega=omega, d_anc=8)
+    convergence_study(cfg, [100, 200, 400])
+    assert grids == [substeps]
+
+
+def test_static_reference_on_common_grid_matches_a_finer_one(monkeypatch):
+    cfg = make_cfg(kind="coherent", z=1.0, d_anc=8)
+    coarse = convergence_study(cfg, [20, 40, 80])
+    monkeypatch.setattr(scenarios, "_reference_substeps", lambda cfg, n_list: 800)
+    fine = convergence_study(cfg, [20, 40, 80])
+    for a, b in zip(coarse.rows, fine.rows):
+        assert abs(a.max_state_error - b.max_state_error) < 1e-12
+        assert abs(a.endpoint_observable_error - b.endpoint_observable_error) < 1e-12
+
+
+def test_resource_check_refuses_only_oversized_correlated_runs():
+    check_resources(make_cfg(n_steps=10**6))  # product baths hold no joint state
+    with pytest.raises(ResourceCapError):
+        check_resources(make_cfg(kind="single_photon", t_final=4.0, n_steps=14,
+                                 envelope=GaussianEnvelope(center=2.0, width=1.0)))
