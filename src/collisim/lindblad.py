@@ -201,21 +201,21 @@ def _expm_series(step: float, g: np.ndarray, g_dag: np.ndarray, compiled_jumps,
     """exp(step L) m by Taylor series, summed to round-off.
 
     In the Frobenius norm ||L|| <= 2 ||G||_2 + sum ||l||_2^2, each spectral
-    norm bounded by sqrt(||a||_1 ||a||_inf).  Pieces bring x = step ||L|| /
-    pieces to at most 1; a sum stops once the first dropped term's bound
-    x^(j+1) / (j+1)!, at least half the dropped tail, is below round-off.
+    norm bounded by sqrt(||a||_1 ||a||_inf).  In pieces of step ||L|| <= 1
+    every term is at most 1/j of the one before, so the tail left after a
+    term is smaller than that term; a sum stops at a term below round-off.
     """
     norm = lambda a: math.sqrt(np.abs(a).sum(axis=0).max() * np.abs(a).sum(axis=1).max())
     bound = 2 * norm(g) + sum(norm(l) ** 2 for l, _ in compiled_jumps)
     pieces = max(1, math.ceil(step * bound))
-    x, tau = step * bound / pieces, step / pieces
     for _ in range(pieces):
-        term, m, j, tail = m, m.copy(), 0, x
-        while tail > np.finfo(float).eps / 2:
+        term, m, j = m, m.copy(), 0
+        stop = (np.finfo(float).eps / 2) ** 2 * np.vdot(m, m).real
+        while np.vdot(term, term).real > stop:
             j += 1
-            term = (tau / j) * _rhs(g, g_dag, compiled_jumps, term)
+            term = _rhs(g, g_dag, compiled_jumps, term)
+            term *= step / pieces / j
             m += term
-            tail *= x / (j + 1)
     return m
 
 
