@@ -323,66 +323,70 @@ def test_generator_output_traceless_hermitian():
 # master-equation integration
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(params=["dense", "dense, one entry per batch", "series"])
-def propagation(request, monkeypatch):
-    """Run a test with dense propagators, batched or not, and with the Taylor series."""
-    if request.param == "series":
-        monkeypatch.setattr(lindblad, "DENSE_MAX_DIM", 0)
-    elif request.param != "dense":
-        monkeypatch.setattr(lindblad, "PROPAGATOR_BATCH_BYTES", 1)
-    return request.param
+def propagations(monkeypatch):
+    """Run the loop body with dense propagators, with one entry per batch, and with the series."""
+    for name, value in [(None, None), ("PROPAGATOR_BATCH_BYTES", 1), ("DENSE_MAX_DIM", 0)]:
+        monkeypatch.undo()
+        if name is not None:
+            monkeypatch.setattr(lindblad, name, value)
+        yield
 
 
-def test_zero_generator_is_constant(propagation):
-    gen = LindbladGenerator(h_eff=H2, jumps=())
-    rng = np.random.default_rng(61)
-    rho0 = random_density(rng, 2)
-    traj = integrate_me(gen, rho0, t_final=1.0, n_substeps=50)
-    assert np.max(np.abs(traj.states[-1].data - rho0.data)) < 1e-14
+def test_zero_generator_is_constant(monkeypatch):
+    for _ in propagations(monkeypatch):
+        gen = LindbladGenerator(h_eff=H2, jumps=())
+        rng = np.random.default_rng(61)
+        rho0 = random_density(rng, 2)
+        traj = integrate_me(gen, rho0, t_final=1.0, n_substeps=50)
+        assert np.max(np.abs(traj.states[-1].data - rho0.data)) < 1e-14
 
 
-def test_exponential_decay_endpoint(propagation):
-    gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
-    traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=1000)
-    assert abs(traj.states[-1].data[1, 1].real - math.exp(-1.0)) < 1e-12
+def test_exponential_decay_endpoint(monkeypatch):
+    for _ in propagations(monkeypatch):
+        gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
+        traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=1000)
+        assert abs(traj.states[-1].data[1, 1].real - math.exp(-1.0)) < 1e-12
 
 
-def test_driven_decay_matches_liouvillian_exponential(propagation):
+def test_driven_decay_matches_liouvillian_exponential(monkeypatch):
     # static drive amplitude sqrt(gamma/2pi)|z| with the bare decay jump
-    gamma, z = 1.0, 3.0
-    amp = math.sqrt(gamma / (2.0 * math.pi)) * abs(z)
-    h = Operator(amp * (LOWER.data + LOWER.data.conj().T), (2,))
-    gen = LindbladGenerator(h_eff=h, jumps=((LOWER, gamma),))
-    t_final, n = 2.0, 2000
-    traj = integrate_me(gen, fock_dm(2, 1), t_final, n)
+    for _ in propagations(monkeypatch):
+        gamma, z = 1.0, 3.0
+        amp = math.sqrt(gamma / (2.0 * math.pi)) * abs(z)
+        h = Operator(amp * (LOWER.data + LOWER.data.conj().T), (2,))
+        gen = LindbladGenerator(h_eff=h, jumps=((LOWER, gamma),))
+        t_final, n = 2.0, 2000
+        traj = integrate_me(gen, fock_dm(2, 1), t_final, n)
 
-    lv = liouvillian(h.data, [(LOWER.data, gamma)])
-    for k in (1, n // 2, n):
-        t = t_final * k / n
-        expected = (scipy.linalg.expm(lv * t) @ fock_dm(2, 1).data.reshape(-1)).reshape(2, 2)
-        assert np.max(np.abs(traj.states[k].data - expected)) < 1e-12
-
-
-def test_step_table_sampling_matches_piecewise_exponential(propagation):
-    h1 = Operator(0.8 * np.diag([1.0, -1.0]).astype(complex), (2,))
-    h2 = Operator(0.3 * np.array([[0, 1], [1, 0]], dtype=complex), (2,))
-    jumps = ((LOWER, 0.5),)
-    gen = LindbladGenerator(h_eff=h1, jumps=jumps,
-                            step_table=((h1, jumps), (h2, jumps)), step_duration=0.5)
-    traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=2000)
-
-    lv1 = liouvillian(h1.data, [(LOWER.data, 0.5)])
-    lv2 = liouvillian(h2.data, [(LOWER.data, 0.5)])
-    prop = scipy.linalg.expm(lv2 * 0.5) @ scipy.linalg.expm(lv1 * 0.5)
-    expected = (prop @ fock_dm(2, 1).data.reshape(-1)).reshape(2, 2)
-    assert np.max(np.abs(traj.states[-1].data - expected)) < 1e-12
+        lv = liouvillian(h.data, [(LOWER.data, gamma)])
+        for k in (1, n // 2, n):
+            t = t_final * k / n
+            expected = (scipy.linalg.expm(lv * t) @ fock_dm(2, 1).data.reshape(-1)).reshape(2, 2)
+            assert np.max(np.abs(traj.states[k].data - expected)) < 1e-12
 
 
-def test_long_run_preserves_trace(propagation):
-    gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
-    traj = integrate_me(gen, fock_dm(2, 1), t_final=10.0, n_substeps=5000)
-    drift = max(abs(np.trace(s.data) - 1.0) for s in traj.states)
-    assert drift < 1e-9
+def test_step_table_sampling_matches_piecewise_exponential(monkeypatch):
+    for _ in propagations(monkeypatch):
+        h1 = Operator(0.8 * np.diag([1.0, -1.0]).astype(complex), (2,))
+        h2 = Operator(0.3 * np.array([[0, 1], [1, 0]], dtype=complex), (2,))
+        jumps = ((LOWER, 0.5),)
+        gen = LindbladGenerator(h_eff=h1, jumps=jumps,
+                                step_table=((h1, jumps), (h2, jumps)), step_duration=0.5)
+        traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=2000)
+
+        lv1 = liouvillian(h1.data, [(LOWER.data, 0.5)])
+        lv2 = liouvillian(h2.data, [(LOWER.data, 0.5)])
+        prop = scipy.linalg.expm(lv2 * 0.5) @ scipy.linalg.expm(lv1 * 0.5)
+        expected = (prop @ fock_dm(2, 1).data.reshape(-1)).reshape(2, 2)
+        assert np.max(np.abs(traj.states[-1].data - expected)) < 1e-12
+
+
+def test_long_run_preserves_trace(monkeypatch):
+    for _ in propagations(monkeypatch):
+        gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
+        traj = integrate_me(gen, fock_dm(2, 1), t_final=10.0, n_substeps=5000)
+        drift = max(abs(np.trace(s.data) - 1.0) for s in traj.states)
+        assert drift < 1e-9
 
 
 def test_integrate_rejects_bad_substeps():
@@ -391,20 +395,21 @@ def test_integrate_rejects_bad_substeps():
         integrate_me(gen, fock_dm(2, 0), t_final=1.0, n_substeps=0)
 
 
-def test_step_table_midpoints_off_the_table_grid(propagation):
+def test_step_table_midpoints_off_the_table_grid(monkeypatch):
     # substep 0.1 against entries of 0.3: midpoints 0.05..0.95 pick entries
     # 0,0,0,1,1,1,2,2,2 and, past the table's end, the clamped last entry
-    hs = [Operator(w * np.array([[0, 1], [1, 0]], dtype=complex), (2,)) for w in (0.4, 1.3, 2.1)]
-    jumps = ((LOWER, 0.6),)
-    gen = LindbladGenerator(h_eff=hs[0], jumps=jumps,
-                            step_table=tuple((h, jumps) for h in hs), step_duration=0.3)
-    traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=10)
+    for _ in propagations(monkeypatch):
+        hs = [Operator(w * np.array([[0, 1], [1, 0]], dtype=complex), (2,)) for w in (0.4, 1.3, 2.1)]
+        jumps = ((LOWER, 0.6),)
+        gen = LindbladGenerator(h_eff=hs[0], jumps=jumps,
+                                step_table=tuple((h, jumps) for h in hs), step_duration=0.3)
+        traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=10)
 
-    props = [scipy.linalg.expm(0.1 * liouvillian(h.data, [(LOWER.data, 0.6)])) for h in hs]
-    vec = fock_dm(2, 1).data.reshape(-1)
-    for k, entry in enumerate([0, 0, 0, 1, 1, 1, 2, 2, 2, 2], start=1):
-        vec = props[entry] @ vec
-        assert np.max(np.abs(traj.states[k].data - vec.reshape(2, 2))) < 1e-12
+        props = [scipy.linalg.expm(0.1 * liouvillian(h.data, [(LOWER.data, 0.6)])) for h in hs]
+        vec = fock_dm(2, 1).data.reshape(-1)
+        for k, entry in enumerate([0, 0, 0, 1, 1, 1, 2, 2, 2, 2], start=1):
+            vec = props[entry] @ vec
+            assert np.max(np.abs(traj.states[k].data - vec.reshape(2, 2))) < 1e-12
 
 
 def _assert_matches_propagator_products(traj, props):
@@ -415,31 +420,33 @@ def _assert_matches_propagator_products(traj, props):
         assert np.max(np.abs(state.data - vec.reshape(2, 2))) < 1e-12
 
 
-def test_spontaneous_emission_me_is_liouvillian_exponential(propagation):
-    gamma, n = 0.9, 200
-    cfg = FieldConfig(kind="vacuum", gamma=gamma, t_final=1.5, n_steps=n,
-                      h_sys=H2, coupling=LOWER, rho0=fock_dm(2, 1))
-    _, traj_me, _ = spontaneous_emission_run(cfg)
-    prop = scipy.linalg.expm(cfg.dt * liouvillian(H2.data, [(LOWER.data, gamma)]))
-    _assert_matches_propagator_products(traj_me, [prop] * n)
+def test_spontaneous_emission_me_is_liouvillian_exponential(monkeypatch):
+    for _ in propagations(monkeypatch):
+        gamma, n = 0.9, 200
+        cfg = FieldConfig(kind="vacuum", gamma=gamma, t_final=1.5, n_steps=n,
+                          h_sys=H2, coupling=LOWER, rho0=fock_dm(2, 1))
+        _, traj_me, _ = spontaneous_emission_run(cfg)
+        prop = scipy.linalg.expm(cfg.dt * liouvillian(H2.data, [(LOWER.data, gamma)]))
+        _assert_matches_propagator_products(traj_me, [prop] * n)
 
 
-def test_bloch_me_is_product_of_drive_exponentials(propagation):
+def test_bloch_me_is_product_of_drive_exponentials(monkeypatch):
     # drive of the coherent field at the end of each step, held over the step
-    gamma, z, omega, n, t_final = 1.1, 2.0 * np.exp(0.4j), 1.7, 300, 2.0
-    cfg = FieldConfig(kind="coherent", gamma=gamma, t_final=t_final, n_steps=n,
-                      h_sys=H2, coupling=LOWER, rho0=fock_dm(2, 1), z=z, omega=omega,
-                      d_anc=8)
-    _, traj_me, _ = bloch_run(cfg)
-    dt = t_final / n
-    b = LOWER.data
-    props = []
-    for step in range(1, n + 1):
-        phase = omega * step * dt + np.angle(z)
-        drive = math.sqrt(gamma / (2.0 * math.pi)) * abs(z) * (
-            np.exp(-1j * phase) * b + np.exp(1j * phase) * b.conj().T)
-        props.append(scipy.linalg.expm(dt * liouvillian(drive, [(b, gamma)])))
-    _assert_matches_propagator_products(traj_me, props)
+    for _ in propagations(monkeypatch):
+        gamma, z, omega, n, t_final = 1.1, 2.0 * np.exp(0.4j), 1.7, 300, 2.0
+        cfg = FieldConfig(kind="coherent", gamma=gamma, t_final=t_final, n_steps=n,
+                          h_sys=H2, coupling=LOWER, rho0=fock_dm(2, 1), z=z, omega=omega,
+                          d_anc=8)
+        _, traj_me, _ = bloch_run(cfg)
+        dt = t_final / n
+        b = LOWER.data
+        props = []
+        for step in range(1, n + 1):
+            phase = omega * step * dt + np.angle(z)
+            drive = math.sqrt(gamma / (2.0 * math.pi)) * abs(z) * (
+                np.exp(-1j * phase) * b + np.exp(1j * phase) * b.conj().T)
+            props.append(scipy.linalg.expm(dt * liouvillian(drive, [(b, gamma)])))
+        _assert_matches_propagator_products(traj_me, props)
 
 
 def _random_operator(rng, d):
