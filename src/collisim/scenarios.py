@@ -346,10 +346,9 @@ def convergence_study(
     grid, against a single exactly propagated reference trajectory whose
     substep count is a common multiple of all the N; a drive with
     omega != 0 is sampled at least REFERENCE_DRIVE_REFINE times finer
-    than the largest.  With ``fixed_g`` the
-    coupling is held constant instead of scaling as 1/sqrt(dt); the
-    emergent dissipation then dies away with N and the error stops
-    shrinking.
+    than the largest.  With ``fixed_g`` the coupling is held constant
+    instead of scaling as 1/sqrt(dt); the emergent dissipation then dies
+    away with N and the error stops shrinking.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 3:
