@@ -4,7 +4,8 @@ The generator extracted from a collision specification consists of the
 bath-induced Hamiltonian shift (the ancilla average of the interaction)
 and jump operators built from interaction matrix elements in the ancilla
 eigenbasis, each carrying the emergent rate g^2 dt.  Exact propagation
-with the Liouvillian exponential provides the independent continuous-time
+with the Liouvillian exponential (dense, or as a Taylor series of its
+action on larger systems) provides the independent continuous-time
 dynamics that the discrete collision runs are checked against.
 """
 
