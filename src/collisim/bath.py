@@ -117,11 +117,14 @@ def coherent_bath(z: complex, omega: float, dt: float, n: int, d: int) -> BathSp
             f"increase the ancilla dimension (need d > {4.0 * max_sq:.1f})"
         )
 
-    vacuum = qcore.fock_dm(d, 0).data
-    etas = []
-    for x in xi:
-        disp = qcore.displacement(complex(x), d)
-        etas.append(DensityMatrix(Operator(disp.data @ vacuum @ disp.data.conj().T, (d,))))
+    # D(xi)|0> = diag(e^{i k theta}) exp(-i r H)|0> for xi = r e^{i theta}, H = i(a^dag - a): one
+    # eigendecomposition serves all steps; columns are renormalized so round-off cannot build up
+    a = qcore.annihilator(d).data
+    lam, vecs = np.linalg.eigh(1j * (a.T - a))
+    cols = vecs @ (np.exp(-1j * np.outer(lam, np.abs(xi))) * vecs[0].conj()[:, None])
+    cols *= np.exp(1j * np.outer(np.arange(d), np.angle(xi)))
+    cols /= np.linalg.norm(cols, axis=0)
+    etas = [DensityMatrix(Operator(np.outer(c, c.conj()), (d,))) for c in cols.T]
     worst = qcore.truncation_fidelity(math.sqrt(max_sq), d)
     return BathSpec(
         kind=PRODUCT_STEP_DEPENDENT,

@@ -282,14 +282,13 @@ def _execute(cfg: RunConfig) -> tuple[list[tuple[str, Sequence]], dict]:
 
     if cfg.scenario == "spontaneous_emission":
         traj_cm, traj_me, row = scenarios.spontaneous_emission_run(field)
-        dist = scenarios.trace_distance_series(traj_cm, traj_me)
         meta["max_state_error"] = row.max_state_error
         meta["endpoint_observable_error"] = row.endpoint_observable_error
         columns = [
             ("step", np.arange(len(traj_cm))),
             ("t", traj_cm.times),
             ("excited_population", traj_cm.observables["excited_population"]),
-            ("trace_distance_cm_vs_me", dist),
+            ("trace_distance_cm_vs_me", row.state_errors),
         ]
         return columns, meta
 

@@ -1,19 +1,22 @@
 """Collision dynamics: per-step unitaries, reduced evolution, CP checks.
 
-Two propagation paths are provided.  Product baths evolve the reduced
-system state one collision at a time (each ancilla is met fresh and traced
-out immediately).  Correlated baths evolve the joint density matrix of the
-system and all not-yet-collided ancillas; the ancilla just collided with is
-traced out exactly, since nothing interacts with it again.
+Two propagation paths are provided.  Against a product bath each collision
+is a fixed map E_n(rho) = Tr_a[U_n (rho (x) eta_n) U_n^dag], formed only by
+``_operator_sums``.  Correlated baths evolve the joint density matrix of
+the system and all not-yet-collided ancillas; the ancilla just collided
+with is traced out exactly.  A run keeps its states as one read-only
+(T, d, d) array, checked once at the end.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import bath as bath_mod
 from . import qcore
@@ -90,27 +93,25 @@ class CollisionSpec:
             return self.gamma
         return self.g * self.g * self.dt
 
-    def h_for_step(self, step: int) -> Operator:
-        if self.h_sys_table is not None:
-            return self.h_sys_table[step - 1]
-        return self.h_sys
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded reduced states and expectation values on a strict time grid."""
+    """Reduced states, one read-only (T, d, d) array, and expectations on a time grid."""
 
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    states: np.ndarray
     observables: dict[str, np.ndarray]
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if len(self.states) != times.shape[0]:
-            raise ValidationError("times and states lengths differ")
+        states = np.asarray(self.states, dtype=complex).view()  # read-only view, no copy
+        states.setflags(write=False)
+        if states.ndim != 3 or states.shape[1] != states.shape[2] or len(states) != len(times):
+            raise ValidationError(f"states of shape {states.shape} are not one (d, d) per time")
         if np.any(np.diff(times) <= 0):
             raise ValidationError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -122,18 +123,56 @@ def interaction_operator(spec: CollisionSpec) -> Operator:
     return qcore.tensor(spec.coupling, a.dag()) + qcore.tensor(spec.coupling.dag(), a)
 
 
+def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[np.ndarray]:
+    """Yield U_k = exp(-i (H_S (x) I + g v) dt) for the 1-based collisions k in ``steps``: a
+    static spec's one U each time, else per-step ones in batches of qcore.STACK_CHUNK_BYTES."""
+    table = spec.h_sys_table
+    hs = (spec.h_sys,) if table is None else [table[k - 1] for k in steps]
+    side = spec.d_sys * spec.d_anc
+    batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * side * side))
+    for lo in range(0, len(hs), batch):
+        h = np.stack([entry.data for entry in hs[lo:lo + batch]])
+        h = np.einsum("nij,ab->niajb", h, np.eye(spec.d_anc)).reshape(-1, side, side)  # H (x) I
+        gens = h + spec.coupling_strength * interaction_operator(spec).data
+        for u in scipy.linalg.expm(-1j * spec.dt * gens):
+            yield from itertools.repeat(u, len(steps) if table is None else 1)
+
+
+def _operator_sums(us: Iterable[np.ndarray], etas: Iterable[np.ndarray]):
+    """Collision maps E_k(rho) = Tr_a[U_k (rho (x) eta_k) U_k^dag] = sum_x W_x rho V_x,
+    one (W, V) pair per (U_k, eta_k), each of shape (d_a^2, d, d): for x = (c, a),
+    V_x = <a|U_k|c>^dag and W_x = sum_b <a|U_k|b> eta_bc.  A step costs O(d_a^2 d^3);
+    a part is rebuilt only when U_k or eta_k is another object than at the step before."""
+    u_prev = eta_prev = None
+    for u, eta in zip(us, etas):
+        d_a, d = len(eta), len(u) // len(eta)
+        if u is not u_prev:
+            blocks = u.reshape(d, d_a, d, d_a).transpose(3, 1, 0, 2)  # [b, a] = <a|U|b>
+            v = np.ascontiguousarray(blocks.transpose(0, 1, 3, 2).conj()).reshape(-1, d, d)
+            by_b = np.ascontiguousarray(blocks).reshape(d_a, -1)
+        if u is not u_prev or eta is not eta_prev:
+            w = (eta.T @ by_b).reshape(-1, d, d)
+        u_prev, eta_prev = u, eta
+        yield w, v
+
+
+def _collide(w: np.ndarray, v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_x W_x m V_x, as two matrix products."""
+    d = m.shape[0]
+    wm = (w.reshape(-1, d) @ m).reshape(-1, d, d)
+    return wm.transpose(1, 0, 2).reshape(d, -1) @ v.reshape(-1, d)
+
+
+def _map_superoperator(spec: CollisionSpec, step: int, eta: np.ndarray) -> np.ndarray:
+    """Row-major d^2 x d^2 matrix of collision `step` against ancilla state eta,
+    from vec(W m V) = (W (x) V^T) vec(m)."""
+    w, v = next(_operator_sums(_unitaries(spec, [step]), [eta]))
+    return np.einsum("xij,xlk->ikjl", w, v).reshape(w.shape[-1] ** 2, -1)
+
+
 def collision_unitary(spec: CollisionSpec, step: int = 1) -> Operator:
     """U = exp(-i (H_S (x) I + g v) dt) for the collision at `step` (1-based)."""
-    h = spec.h_for_step(step)
-    gen = qcore.tensor(h, qcore.identity(spec.d_anc)) + spec.coupling_strength * interaction_operator(spec)
-    return qcore.expm(gen, -1j * spec.dt)
-
-
-def _collide_matrix(m: np.ndarray, eta: np.ndarray, u: np.ndarray,
-                    s_dims: tuple[int, ...], a_dims: tuple[int, ...]) -> np.ndarray:
-    """One collision applied to a raw system matrix (not necessarily a state)."""
-    joint = u @ np.kron(m, eta) @ u.conj().T
-    return qcore.ptrace_matrix(joint, s_dims + a_dims, keep=range(len(s_dims)))
+    return Operator(next(_unitaries(spec, [step])), spec.h_sys.dims + (spec.d_anc,))
 
 
 def collide_once(rho: DensityMatrix, eta: DensityMatrix, u: Operator) -> DensityMatrix:
@@ -142,25 +181,19 @@ def collide_once(rho: DensityMatrix, eta: DensityMatrix, u: Operator) -> Density
         raise ValidationError(
             f"unitary dims {u.dims} do not match system {rho.dims} + ancilla {eta.dims}"
         )
-    out = _collide_matrix(rho.data, eta.data, u.data, rho.dims, eta.dims)
-    return DensityMatrix(Operator(out, rho.dims))
+    w, v = next(_operator_sums([u.data], [eta.data]))
+    return DensityMatrix(Operator(_collide(w, v, rho.data), rho.dims))
 
 
-def _as_state(m: np.ndarray, dims: tuple[int, ...], step: int) -> DensityMatrix:
-    try:
-        return DensityMatrix(Operator(m, dims), psd_tol=RUN_PSD_TOL)
-    except ValidationError as exc:
-        raise PropagationError(f"state invariant breached at step {step}: {exc}", step=step) from exc
-
-
-def _observable_series(observables: Mapping[str, Operator] | None,
-                       states: Sequence[DensityMatrix]) -> dict[str, np.ndarray]:
-    if not observables:
-        return {}
-    return {
-        name: np.array([np.trace(op.data @ s.data) for s in states], dtype=complex)
-        for name, op in observables.items()
-    }
+def _checked_trajectory(dt: float, states: np.ndarray,
+                        observables: Mapping[str, Operator] | None) -> Trajectory:
+    """Trajectory on the grid k dt; PropagationError names the first non-state (RUN_PSD_TOL)."""
+    bad = qcore.first_invalid_state(states, RUN_PSD_TOL)
+    if bad is not None:
+        step, reason = bad
+        raise PropagationError(f"state invariant breached at step {step}: {reason}", step=step)
+    obs = {name: np.einsum("ij,tji->t", op.data, states) for name, op in (observables or {}).items()}
+    return Trajectory(np.arange(len(states)) * dt, states, obs)
 
 
 def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
@@ -175,17 +208,13 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
     if rho0.dims != spec.h_sys.dims:
         raise ValidationError("initial state on wrong space")
 
-    u_static = None if spec.h_sys_table is not None else collision_unitary(spec)
-    states = [rho0]
-    rho = rho0
-    for step in range(1, spec.n_steps + 1):
-        u = u_static if u_static is not None else collision_unitary(spec, step)
-        eta = bath.ancilla_state(step)
-        out = _collide_matrix(rho.data, eta.data, u.data, rho.dims, eta.dims)
-        rho = _as_state(out, rho.dims, step)
-        states.append(rho)
-    times = np.arange(spec.n_steps + 1) * spec.dt
-    return Trajectory(times, tuple(states), _observable_series(observables, states))
+    n, d = spec.n_steps, rho0.side
+    etas = (bath.ancilla_state(k).data for k in range(1, n + 1))
+    states = np.empty((n + 1, d, d), dtype=complex)
+    states[0] = rho0.data
+    for k, (w, v) in enumerate(_operator_sums(_unitaries(spec, range(1, n + 1)), etas)):
+        states[k + 1] = _collide(w, v, states[k])
+    return _checked_trajectory(spec.dt, states, observables)
 
 
 def _apply_pair_unitary(joint: np.ndarray, u: np.ndarray, d_pair: int) -> np.ndarray:
@@ -227,30 +256,17 @@ def check_joint_dim(d_sys: int, d_anc: int, n_steps: int,
     return joint_dim
 
 
-def _run_correlated_raw(spec: CollisionSpec, bath: BathSpec, m0: np.ndarray,
-                        n_steps: int) -> list[np.ndarray]:
-    """Joint evolution with per-step trace-out; linear in m0, no state checks.
-
-    Returns the system-block marginal after 0..n_steps collisions.
-    """
-    d_s = spec.d_sys
+def _run_correlated_raw(us: Iterable[np.ndarray], bath: BathSpec, m0: np.ndarray) -> np.ndarray:
+    """System marginals, shape (n + 1, d_S, d_S), before and after each of the n collisions
+    with unitaries ``us``: joint evolution with per-step trace-out, linear in m0, unchecked."""
+    d_s, d_a = m0.shape[0], bath.d
     psi = bath.joint.amplitudes
     joint = np.kron(m0, np.outer(psi, psi.conj()))
-    u_static = None if spec.h_sys_table is not None else collision_unitary(spec)
-    marginals = [m0.copy()]
-    remaining = bath.n_steps
-    for step in range(1, n_steps + 1):
-        u = u_static if u_static is not None else collision_unitary(spec, step)
-        joint = _apply_pair_unitary(joint, u.data, d_s * spec.d_anc)
-        joint = _trace_leading_ancilla(joint, d_s, spec.d_anc)
-        remaining -= 1
-        if remaining:
-            marginals.append(
-                qcore.ptrace_matrix(joint, (d_s,) + (spec.d_anc,) * remaining, keep=(0,))
-            )
-        else:
-            marginals.append(joint)
-    return marginals
+    marginals = [m0]
+    for step, u in enumerate(us, start=1):
+        joint = _trace_leading_ancilla(_apply_pair_unitary(joint, u, d_s * d_a), d_s, d_a)
+        marginals.append(qcore.ptrace_matrix(joint, (d_s,) + (d_a,) * (bath.n_steps - step), keep=(0,)))
+    return np.stack(marginals)
 
 
 def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
@@ -267,12 +283,8 @@ def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
         raise ValidationError("initial state on wrong space")
     check_joint_dim(rho0.side, bath.d, bath.n_steps, max_joint_dim)
 
-    marginals = _run_correlated_raw(spec, bath, np.array(rho0.data), spec.n_steps)
-    states = [rho0]
-    for step, m in enumerate(marginals[1:], start=1):
-        states.append(_as_state(m, rho0.dims, step))
-    times = np.arange(spec.n_steps + 1) * spec.dt
-    return Trajectory(times, tuple(states), _observable_series(observables, states))
+    states = _run_correlated_raw(_unitaries(spec, range(1, spec.n_steps + 1)), bath, rho0.data)
+    return _checked_trajectory(spec.dt, states, observables)
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +301,9 @@ def choi_of_collision(spec: CollisionSpec, eta: DensityMatrix) -> Operator:
     d_s = spec.d_sys
     if d_s > CHOI_MAX_SYSTEM_DIM:
         raise ValidationError(f"system dimension {d_s} too large for Choi check")
-    u = collision_unitary(spec)
-    s_dims = spec.h_sys.dims
-    cols = np.empty((d_s * d_s, d_s * d_s), dtype=complex)
-    for k in range(d_s * d_s):
-        e = np.zeros((d_s, d_s), dtype=complex)
-        e[k // d_s, k % d_s] = 1.0
-        cols[:, k] = _collide_matrix(e, eta.data, u.data, s_dims, eta.dims).reshape(-1)
-    return Operator(_choi_from_superoperator(cols, d_s), (d_s, d_s))
+    if eta.side != spec.d_anc:
+        raise ValidationError(f"ancilla state of side {eta.side} != spec d_anc {spec.d_anc}")
+    return Operator(_choi_from_superoperator(_map_superoperator(spec, 1, eta.data), d_s), (d_s, d_s))
 
 
 def _choi_from_superoperator(m: np.ndarray, d: int) -> np.ndarray:
@@ -305,40 +312,27 @@ def _choi_from_superoperator(m: np.ndarray, d: int) -> np.ndarray:
 
 
 def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np.ndarray:
-    """Tomographic reconstruction of the map rho_{step-1} -> rho_{step}.
+    """The map rho_{step-1} -> rho_{step} as a row-major superoperator.
 
-    The d_S^2 matrix units are propagated jointly through collisions
-    1..step, and the earlier map is divided out.  For product baths this
-    reproduces the single-collision map; for correlated baths the result
-    is one convention for "the" step map and need not be completely
-    positive.
+    For a product bath this is the collision map of that step itself.  For
+    a correlated bath it is reconstructed by tomography: the d_S^2 matrix
+    units are propagated jointly through collisions 1..step, and the
+    earlier map is divided out; the result is one convention for "the"
+    step map and need not be completely positive.
     """
     if not 1 <= step <= spec.n_steps:
         raise ValidationError(f"step {step} outside 1..{spec.n_steps}")
     d_s = spec.d_sys
     if d_s > CHOI_MAX_SYSTEM_DIM:
         raise ValidationError(f"system dimension {d_s} too large for tomography")
-    before = np.empty((d_s * d_s, d_s * d_s), dtype=complex)
-    after = np.empty_like(before)
-    s_dims = spec.h_sys.dims
-    for k in range(d_s * d_s):
-        e = np.zeros((d_s, d_s), dtype=complex)
-        e[k // d_s, k % d_s] = 1.0
-        if bath.is_product():
-            seq = [e]
-            m = e
-            u_static = None if spec.h_sys_table is not None else collision_unitary(spec)
-            for s in range(1, step + 1):
-                u = u_static if u_static is not None else collision_unitary(spec, s)
-                eta = bath.ancilla_state(s)
-                m = _collide_matrix(m, eta.data, u.data, s_dims, eta.dims)
-                seq.append(m)
-        else:
-            seq = _run_correlated_raw(spec, bath, e, step)
-        before[:, k] = seq[step - 1].reshape(-1)
-        after[:, k] = seq[step].reshape(-1)
-    # after = L @ before, column by column
-    return np.linalg.solve(before.T, after.T).T
+    if bath.is_product():
+        return _map_superoperator(spec, step, bath.ancilla_state(step).data)
+    us = list(_unitaries(spec, range(1, step + 1)))
+    units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
+    runs = np.stack([_run_correlated_raw(us, bath, e)[-2:] for e in units])
+    # row k of runs[:, j] is matrix unit k after step - 1 + j collisions; after = L before
+    before, after = (runs[:, j].reshape(d_s * d_s, -1) for j in (0, 1))
+    return np.linalg.solve(before, after).T
 
 
 def step_map_choi(spec: CollisionSpec, bath: BathSpec, step: int) -> Operator:

@@ -6,7 +6,8 @@ and jump operators built from interaction matrix elements in the ancilla
 eigenbasis, each carrying the emergent rate g^2 dt.  Exact propagation
 with the Liouvillian exponential (dense, or as a Taylor series of its
 action on larger systems) provides the independent continuous-time
-dynamics that the discrete collision runs are checked against.
+dynamics that the discrete collision runs are checked against.  Its
+trajectory, like a collision run's, is one (T, d, d) array checked once.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import qcore
-from .collision import (
-    CollisionSpec,
-    Trajectory,
-    _as_state,
-    _observable_series,
-    interaction_operator,
-)
+from .collision import CollisionSpec, Trajectory, _checked_trajectory, interaction_operator
 from .errors import ValidationError
 from .qcore import DensityMatrix, Operator
 
@@ -63,8 +58,8 @@ class LindbladGenerator:
     def __post_init__(self):
         entries = [(self.h_eff, self.jumps)]
         if self.step_table is not None:
-            if self.step_duration is None or self.step_duration <= 0:
-                raise ValidationError("step-dependent generator needs a positive step_duration")
+            if not self.step_table or self.step_duration is None or self.step_duration <= 0:
+                raise ValidationError("step_table must be non-empty and step_duration positive")
             entries.extend(self.step_table)
         for h, jumps in entries:
             if not h.is_hermitian():
@@ -230,8 +225,8 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     exact.  Up to DENSE_MAX_DIM the table entries in use are exponentiated
     as d^2 x d^2 Liouvillians, batched; above it exp(h L_k) rho_k is summed
     as a Taylor series to round-off, O(d^3) work per term and O(d^2)
-    memory.  Stored states are re-symmetrized before the structural
-    checks; a PSD breach beyond the run tolerance aborts.
+    memory.  States are re-symmetrized as they are stored, then checked
+    once; a PSD breach beyond the run tolerance aborts.
     """
     if n_substeps < 1:
         raise ValidationError("n_substeps must be >= 1")
@@ -248,8 +243,8 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     d = rho0.side
     batch = max(1, PROPAGATOR_BATCH_BYTES // (16 * d**4))
 
-    rho = np.array(rho0.data)
-    states = [rho0]
+    states = np.empty((n_substeps + 1, d, d), dtype=complex)
+    states[0] = rho = rho0.data
     props, lo = (), 0
     for k in range(n_substeps):
         if d > DENSE_MAX_DIM:
@@ -262,7 +257,5 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
                     [_liouvillian(*_compile_term(*terms[i])) for i in used[lo:lo + batch]]
                 ))
             rho = (props[idx[k] - lo] @ rho.reshape(-1)).reshape(d, d)
-        rho = 0.5 * (rho + rho.conj().T)
-        states.append(_as_state(rho, rho0.dims, k + 1))
-    times = np.arange(n_substeps + 1) * h
-    return Trajectory(times, tuple(states), _observable_series(observables, states))
+        rho = states[k + 1] = 0.5 * (rho + rho.conj().T)
+    return _checked_trajectory(h, states, observables)

@@ -2,15 +2,15 @@
 
 Everything here is a pure function of immutable values: operators and states
 carry read-only numpy arrays plus an ordered list of subsystem dimensions, so
-they can be shared freely across concurrent workers.
+they can be shared freely across concurrent workers.  ``first_invalid_state``
+defines a density matrix, for one (``DensityMatrix``) or a (T, d, d) stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
-from functools import reduce
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -22,6 +22,9 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = -1e-9
 NORM_TOL = 1e-10
+
+# Work on stacks of matrices (checks, distances, unitaries) is batched in pieces of this many bytes.
+STACK_CHUNK_BYTES = 2 * 2**20
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -62,9 +65,6 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.data.conj().T, self.dims)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.data))
-
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
 
@@ -95,28 +95,36 @@ class Operator:
             )
 
 
+def first_invalid_state(stack: np.ndarray, psd_tol: float = PSD_TOL) -> tuple[int, str] | None:
+    """(index, reason) of the first matrix of a (T, d, d) stack that is not finite,
+    Hermitian, of unit trace and with min eigenvalue >= psd_tol; None if all are."""
+    step = max(1, STACK_CHUNK_BYTES // (16 * stack.shape[-1] ** 2))
+    for lo in range(0, len(stack), step):
+        part = stack[lo:lo + step]
+        finite = np.isfinite(part).all(axis=(1, 2))
+        part = np.where(finite[:, None, None], part, 0.0)  # eigvalsh needs finite input
+        herm = np.abs(part - part.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        trace = np.trace(part, axis1=1, axis2=2)
+        min_eig = np.linalg.eigvalsh(part)[:, 0]
+        bad = ~finite | (herm > HERMITICITY_TOL) | (abs(trace - 1.0) > TRACE_TOL) | (min_eig < psd_tol)
+        if bad.any():
+            k = int(np.argmax(bad))
+            return lo + k, "non-finite entries" if not finite[k] else (
+                f"not a density matrix: Hermiticity deviation {herm[k]:.3e}, trace "
+                f"{trace[k]:.12g}, min eigenvalue {min_eig[k]:.3e} (floor {psd_tol})")
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator.
-
-    Validated on construction; ``psd_tol`` can be loosened by propagation
-    code that tolerates accumulated round-off (see collision module).
-    """
+    """Hermitian, unit-trace, positive-semidefinite operator, validated on construction."""
 
     op: Operator
-    psd_tol: InitVar[float] = PSD_TOL
 
-    def __post_init__(self, psd_tol: float):
-        data = self.op.data
-        herm = float(np.max(np.abs(data - data.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise ValidationError(f"not Hermitian: max deviation {herm:.3e}")
-        tr = complex(np.trace(data))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        min_eig = float(np.linalg.eigvalsh(data)[0])
-        if min_eig < psd_tol:
-            raise ValidationError(f"not PSD: min eigenvalue {min_eig:.3e} < {psd_tol}")
+    def __post_init__(self):
+        bad = first_invalid_state(self.op.data[None])
+        if bad is not None:
+            raise ValidationError(bad[1])
 
     @property
     def data(self) -> np.ndarray:
@@ -212,14 +220,6 @@ def tensor(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.data, b.data), a.dims + b.dims)
 
 
-def tensor_all(ops: Iterable[Operator]) -> Operator:
-    """Left-fold tensor product (fixed evaluation order for reproducibility)."""
-    ops = list(ops)
-    if not ops:
-        raise ValidationError("tensor_all needs at least one operator")
-    return reduce(tensor, ops)
-
-
 def ptrace_matrix(data: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Partial trace of a raw square matrix over the subsystems not in keep."""
     dims = tuple(int(d) for d in dims)
@@ -256,5 +256,11 @@ def expect(observable: Operator, rho: DensityMatrix) -> complex:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """(1/2)||a - b||_1 via the eigenvalues of the Hermitian difference."""
-    eigs = np.linalg.eigvalsh(a.data - b.data)
-    return 0.5 * float(np.sum(np.abs(eigs)))
+    return float(trace_distances(a.data[None], b.data[None])[0])
+
+
+def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise trace distances of two (T, d, d) stacks, by batched eigvalsh."""
+    step = max(1, STACK_CHUNK_BYTES // (16 * a.shape[-1] ** 2))
+    diffs = (a[lo:lo + step] - b[lo:lo + step] for lo in range(0, len(a), step))
+    return np.concatenate([0.5 * np.abs(np.linalg.eigvalsh(m)).sum(axis=1) for m in diffs])

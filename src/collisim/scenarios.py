@@ -127,12 +127,18 @@ class FieldConfig:
         return DEFAULT_COHERENT_TRUNCATION if self.kind == COHERENT else 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceRow:
+    """Trace distance to the reference at every grid point, and endpoint population gap."""
+
     n_steps: int
     dt: float
-    max_state_error: float
+    state_errors: np.ndarray
     endpoint_observable_error: float
+
+    @property
+    def max_state_error(self) -> float:
+        return float(np.max(self.state_errors))
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,7 @@ def trace_distance_series(a: Trajectory, b: Trajectory) -> np.ndarray:
     """Pointwise trace distance between two trajectories on the same grid."""
     if len(a) != len(b):
         raise ValidationError("trajectories have different lengths")
-    return np.array([qcore.trace_distance(x, y) for x, y in zip(a.states, b.states)])
+    return qcore.trace_distances(a.states, b.states)
 
 
 def _excited_population(cfg: FieldConfig) -> dict[str, Operator]:
@@ -209,8 +215,8 @@ def spontaneous_emission_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, 
     """Vacuum-field decay: collision run vs. the emergent master equation.
 
     Both trajectories are returned on the collision grid together with a
-    row recording their maximum trace distance and endpoint observable
-    discrepancy.
+    row recording their trace distance at every grid point and endpoint
+    observable discrepancy.
     """
     if cfg.kind != VACUUM:
         raise ValidationError("spontaneous_emission_run needs a vacuum configuration")
@@ -223,12 +229,12 @@ def spontaneous_emission_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, 
 
 
 def _error_row(cfg: FieldConfig, traj: Trajectory, ref_states, ref_obs) -> ConvergenceRow:
-    """Largest trace distance to the reference states and endpoint population gap."""
+    """Trace distances to the reference states and endpoint population gap."""
     pop = "excited_population"
     return ConvergenceRow(
         n_steps=cfg.n_steps,
         dt=cfg.dt,
-        max_state_error=max(qcore.trace_distance(a, b) for a, b in zip(traj.states, ref_states)),
+        state_errors=qcore.trace_distances(traj.states, ref_states),
         endpoint_observable_error=float(np.abs(traj.observables[pop][-1] - ref_obs[pop][-1])),
     )
 
@@ -318,9 +324,7 @@ def single_photon_run(
     traj_a = coll.run_correlated(spec, field_bath, rho_a, obs, max_joint_dim=max_joint_dim)
     traj_b = coll.run_correlated(spec, field_bath, rho_b, obs, max_joint_dim=max_joint_dim)
     dist = trace_distance_series(traj_a, traj_b)
-    revivals = tuple(
-        int(n) for n in range(len(dist) - 1) if dist[n + 1] - dist[n] > revival_threshold
-    )
+    revivals = tuple(int(n) for n in np.flatnonzero(np.diff(dist) > revival_threshold))
     report = MemoryWitnessReport(
         times=traj_a.times,
         distances=dist,

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from collisim import __version__
+from collisim import __version__, qcore
 from collisim.cli import ConfigError, main, parse_config
 
 
@@ -167,6 +167,34 @@ def test_bad_config_exits_one(tmp_path, capsys):
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1
+
+
+@pytest.mark.parametrize("gamma", [1e20, 1e100])
+def test_numeric_blowup_exits_two(tmp_path, capsys, gamma):
+    # 1e20 breaks the trace at step 1; 1e100 makes the state non-finite there
+    doc = vacuum_config()
+    doc["field"].update(gamma=gamma, n_steps=10)
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "step 1:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_max_state_error_is_the_maximum_of_the_distance_column(tmp_path, monkeypatch):
+    calls = []
+    distances = qcore.trace_distances
+    monkeypatch.setattr(qcore, "trace_distances", lambda a, b: calls.append(1) or distances(a, b))
+    doc = vacuum_config()
+    doc["field"]["n_steps"] = 300
+    out = tmp_path / "vac.csv"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert len(calls) == 1  # the CM-vs-ME distance series is computed once
+    lines = out.read_text().splitlines()
+    meta = json.loads(lines[2][len("# meta: "):])
+    column = lines[3].split(",").index("trace_distance_cm_vs_me")
+    assert meta["max_state_error"] == max(float(row.split(",")[column]) for row in lines[4:])
 
 
 def single_photon_config(tmp_path, n_steps):

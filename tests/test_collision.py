@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from collisim import (
     CollisionSpec,
     DensityMatrix,
     Operator,
+    PropagationError,
     ResourceCapError,
     Trajectory,
     ValidationError,
@@ -23,7 +25,7 @@ from collisim import (
     step_map_choi,
 )
 from collisim.bath import PRODUCT_STEP_DEPENDENT, BathSpec
-from collisim.collision import check_joint_dim
+from collisim.collision import check_joint_dim, step_map_superoperator
 
 H2 = Operator(np.zeros((2, 2), dtype=complex), (2,))
 LOWER = annihilator(2)
@@ -140,7 +142,7 @@ def test_run_with_zero_steps_returns_initial_state():
     bath = product_bath(fock_dm(2, 0), 1)
     traj = run_product(spec, bath, fock_dm(2, 1))
     assert len(traj) == 1
-    assert np.array_equal(traj.states[0].data, fock_dm(2, 1).data)
+    assert np.array_equal(traj.states[0], fock_dm(2, 1).data)
 
 
 def test_spontaneous_emission_endpoint():
@@ -152,7 +154,7 @@ def test_spontaneous_emission_endpoint():
     final = traj.observables["excited_population"][-1].real
     assert abs(final - math.exp(-1.0)) < 5e-3
     # trace holds along the whole run
-    assert all(abs(np.trace(s.data) - 1.0) < 1e-10 for s in traj.states)
+    assert all(abs(np.trace(s) - 1.0) < 1e-10 for s in traj.states)
 
 
 def test_homogeneous_run_satisfies_semigroup_composition():
@@ -164,9 +166,27 @@ def test_homogeneous_run_satisfies_semigroup_composition():
         spec_m = two_level_spec(gamma=0.7, dt=0.02, n_steps=m)
         spec_rest = two_level_spec(gamma=0.7, dt=0.02, n_steps=n - m)
         direct = run_product(spec_n, bath, rho0).states[-1]
-        mid = run_product(spec_m, bath, rho0).states[-1]
+        mid = DensityMatrix(Operator(run_product(spec_m, bath, rho0).states[-1], (2,)))
         composed = run_product(spec_rest, bath, mid).states[-1]
-        assert np.max(np.abs(direct.data - composed.data)) < 1e-12
+        assert np.max(np.abs(direct - composed)) < 1e-12
+
+
+def test_run_states_are_one_read_only_array():
+    spec = two_level_spec(gamma=1.0, dt=0.1, n_steps=5)
+    traj = run_product(spec, product_bath(fock_dm(2, 0), 5), fock_dm(2, 1))
+    assert traj.states.shape == (6, 2, 2)
+    with pytest.raises(ValueError):
+        traj.states[1, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("gamma", [1e20, 1e100])
+def test_run_product_reports_the_first_failing_step(gamma):
+    # 1e20 breaks the trace at step 1; 1e100 makes the state non-finite there
+    spec = two_level_spec(gamma=gamma, dt=0.1, n_steps=10)
+    with pytest.raises(PropagationError) as exc:
+        run_product(spec, product_bath(fock_dm(2, 0), 10), fock_dm(2, 1))
+    assert exc.value.step == 1
+    assert "step 1:" in str(exc.value)
 
 
 def test_run_product_rejects_short_bath():
@@ -183,14 +203,19 @@ def test_single_slot_envelope_matches_step_dependent_product():
     # photon localized on ancilla 1: correlated machinery must reproduce a
     # product run whose first ancilla is |1><1| and the rest vacuum
     n, g, dt = 4, 0.9, 0.25
-    spec = two_level_spec(g=g, dt=dt, n_steps=n)
+    # a per-step Hamiltonian must act at the same step on both paths
+    table = tuple(Operator(w * np.array([[0, 1], [1, 0]], dtype=complex), (2,))
+                  for w in (0.3, 1.1, 2.0, 0.7))
+    driven = CollisionSpec(h_sys=H2, coupling=LOWER, dt=dt, n_steps=n, d_anc=2, g=g,
+                           h_sys_table=table)
     corr = single_photon_bath([1.0, 0.0, 0.0, 0.0], n)
     etas = (fock_dm(2, 1),) + tuple(fock_dm(2, 0) for _ in range(n - 1))
     prod = BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=n, etas=etas)
-    traj_corr = run_correlated(spec, corr, fock_dm(2, 0))
-    traj_prod = run_product(spec, prod, fock_dm(2, 0))
-    for a, b in zip(traj_corr.states, traj_prod.states):
-        assert np.max(np.abs(a.data - b.data)) < 1e-12
+    for spec in (two_level_spec(g=g, dt=dt, n_steps=n), driven):
+        traj_corr = run_correlated(spec, corr, fock_dm(2, 0))
+        traj_prod = run_product(spec, prod, fock_dm(2, 0))
+        for a, b in zip(traj_corr.states, traj_prod.states):
+            assert np.max(np.abs(a - b)) < 1e-12
 
 
 def _embed_pair_unitary(u: np.ndarray, n_anc: int, target: int) -> np.ndarray:
@@ -224,7 +249,7 @@ def test_per_step_traceout_matches_no_discard_evolution():
     sigma = u2 @ u1 @ sigma @ u1.conj().T @ u2.conj().T
     t = sigma.reshape(2, 4, 2, 4)
     rho_final = np.einsum("abcb->ac", t)
-    assert np.max(np.abs(traj.states[-1].data - rho_final)) < 1e-12
+    assert np.max(np.abs(traj.states[-1] - rho_final)) < 1e-12
 
 
 def test_correlated_run_rejects_cap_violation():
@@ -315,6 +340,17 @@ def test_step_two_map_of_product_control_is_cp():
     assert float(np.linalg.eigvalsh(choi.data)[0]) >= -1e-9
 
 
+def test_correlated_step_map_builds_its_unitaries_once(monkeypatch):
+    # one exponential per call, not one per matrix unit (9 for three levels)
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    spec = CollisionSpec(h_sys=Operator(np.diag([0.0, 1.0, 2.0]).astype(complex), (3,)),
+                         coupling=annihilator(3), dt=0.3, n_steps=2, d_anc=2, g=1.0)
+    step_map_superoperator(spec, single_photon_bath([1.0, 1.0], 2), 2)
+    assert calls == [(1, 6, 6)]
+
+
 def test_tomography_reproduces_single_collision_choi_for_product_bath():
     rng = np.random.default_rng(17)
     spec = random_spec(rng, 2)
@@ -332,7 +368,7 @@ def test_tomography_reproduces_single_collision_choi_for_product_bath():
 # ---------------------------------------------------------------------------
 
 def test_trajectory_requires_increasing_times():
-    states = (fock_dm(2, 0), fock_dm(2, 0))
+    states = np.stack([fock_dm(2, 0).data] * 2)
     with pytest.raises(ValidationError):
         Trajectory(np.array([0.0, 0.0]), states, {})
     with pytest.raises(ValidationError):

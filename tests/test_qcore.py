@@ -19,7 +19,8 @@ from collisim import (
     trace_distance,
     truncation_fidelity,
 )
-from collisim.qcore import tensor_all
+from collisim import qcore
+from collisim.qcore import first_invalid_state
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,6 +65,41 @@ def test_density_matrix_rejects_bad_states():
         DensityMatrix(Operator(np.diag([1.5, -0.5]).astype(complex), (2,)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # every comparison with NaN is False, so finiteness must be checked explicitly
+    with pytest.raises(ValidationError, match="non-finite"):
+        DensityMatrix(Operator(np.array([[bad, 0.0], [0.0, 1.0]]), (2,)))
+    with pytest.raises(ValidationError, match="non-finite"):
+        DensityMatrix(Operator(np.full((2, 2), bad, dtype=complex), (2,)))
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 3 * 64])
+def test_stack_check_reports_the_first_failing_matrix(monkeypatch, chunk_bytes):
+    # with 3 * 64 bytes a chunk holds three 2 x 2 states, so indices cross chunks
+    if chunk_bytes is not None:
+        monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", chunk_bytes)
+    good = fock_dm(2, 0).data
+    stack = np.stack([good] * 12)
+    assert first_invalid_state(stack) is None
+    stack[10] = np.nan
+    assert first_invalid_state(stack) == (10, "non-finite entries")
+    stack[7] = np.diag([1.5, -0.5])
+    index, reason = first_invalid_state(stack)
+    assert index == 7 and "min eigenvalue -5.000e-01" in reason
+    # a looser eigenvalue floor admits what the default rejects
+    stack[7] = np.diag([1.0 + 1e-8, -1e-8])
+    assert first_invalid_state(stack[:8])[0] == 7
+    assert first_invalid_state(stack[:8], psd_tol=-1e-7) is None
+    stack[4] = np.diag([0.7, 0.2])
+    assert first_invalid_state(stack)[0] == 4
+    rng = np.random.default_rng(5)
+    a, b = (np.stack([random_density(rng, 2).data for _ in range(8)]) for _ in range(2))
+    pairwise = [trace_distance(DensityMatrix(Operator(x, (2,))), DensityMatrix(Operator(y, (2,))))
+                for x, y in zip(a, b)]
+    assert np.array_equal(qcore.trace_distances(a, b), pairwise)
+
+
 def test_pure_state_requires_normalization():
     with pytest.raises(ValidationError):
         PureState(np.array([1.0, 1.0]), (2,))
@@ -92,13 +128,6 @@ def test_tensor_mixed_product_identity():
     lhs = tensor(a, b) @ tensor(c, d)
     rhs = tensor(a @ c, b @ d)
     assert np.max(np.abs(lhs.data - rhs.data)) < 1e-12
-
-
-def test_tensor_all_is_left_fold():
-    rng = np.random.default_rng(8)
-    ops = [random_operator(rng, 2) for _ in range(3)]
-    folded = tensor(tensor(ops[0], ops[1]), ops[2])
-    assert np.array_equal(tensor_all(ops).data, folded.data)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_ground_state_is_dark():
     cm, me, row = spontaneous_emission_run(make_cfg(n_steps=50, rho0=fock_dm(2, 0)))
     for traj in (cm, me):
         for s in traj.states:
-            assert np.max(np.abs(s.data - fock_dm(2, 0).data)) < 1e-12
+            assert np.max(np.abs(s - fock_dm(2, 0).data)) < 1e-12
     assert row.max_state_error < 1e-12
 
 
