@@ -19,7 +19,7 @@ from .collision import (
     run_product,
     step_map_choi,
 )
-from .errors import PropagationError, ResourceCapError, ValidationError
+from .errors import PropagationError, ValidationError
 from .lindblad import (
     LindbladGenerator,
     apply_generator,
@@ -72,7 +72,6 @@ __all__ = [
     "Operator",
     "PropagationError",
     "PureState",
-    "ResourceCapError",
     "TabulatedSpectrum",
     "Trajectory",
     "ValidationError",

@@ -3,7 +3,8 @@
 Three bath families are supported: a homogeneous product bath (one state
 shared by every ancilla), a step-dependent product bath of displaced vacua
 (coherent input field), and a correlated pure bath carrying exactly one
-excitation spread over all ancillas (single-photon input field).
+excitation spread over all ancillas (single-photon input field).  The
+correlated bath is held as its N amplitudes, never as a 2^N joint state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import qcore
 from .errors import ValidationError
-from .qcore import DensityMatrix, Operator, PureState
+from .qcore import DensityMatrix, Operator
 
 PRODUCT = "product"
 PRODUCT_STEP_DEPENDENT = "product_step_dependent"
@@ -32,9 +33,9 @@ class BathSpec:
     """Per-step description of the ancilla stream.
 
     ``eta`` holds the shared state for the homogeneous product kind,
-    ``etas`` the per-step states for the step-dependent kind, and
-    ``joint``/``phi`` the joint single-excitation pure state and its
-    per-step amplitudes for the correlated kind.
+    ``etas`` the per-step states for the step-dependent kind, and ``phi``
+    the amplitudes of the joint state sum_k phi_k |1_k> for the correlated
+    kind.
     """
 
     kind: str
@@ -42,7 +43,7 @@ class BathSpec:
     n_steps: int
     eta: DensityMatrix | None = None
     etas: tuple[DensityMatrix, ...] | None = None
-    joint: PureState | None = None
+    joint: None = None  # always None; bench/tracer.py still reads it
     phi: np.ndarray | None = None
     xi: np.ndarray | None = None
     diagnostics: Mapping[str, float] = field(default_factory=dict)
@@ -61,10 +62,8 @@ class BathSpec:
             if any(eta.side != self.d for eta in self.etas):
                 raise ValidationError("step-dependent bath state on wrong space")
         else:
-            if self.joint is None or self.phi is None or self.d != 2:
-                raise ValidationError(
-                    "correlated bath needs the joint state and qubit amplitudes"
-                )
+            if self.phi is None or self.d != 2:
+                raise ValidationError("correlated bath needs qubit amplitudes")
             norm_sq = float(np.sum(np.abs(self.phi) ** 2))
             if abs(norm_sq - 1.0) > SINGLE_EXCITATION_NORM_TOL:
                 raise ValidationError(
@@ -142,7 +141,9 @@ def single_photon_bath(envelope: Envelope, n: int) -> BathSpec:
     ``envelope`` gives the per-step amplitudes phi_1..phi_n, either as a
     sequence or as a callable of the 1-based step index.  Amplitudes are
     renormalized to unit total weight; the applied factor is recorded in
-    the diagnostics.  Each ancilla is a qubit (truncation d=2).
+    the diagnostics.  Each ancilla is a qubit (truncation d=2); the joint
+    state sum_k phi_k |1_k> is kept as its n amplitudes, and runs propagate
+    it in the one-excitation sector (``collision.run_correlated``).
     """
     if n < 1:
         raise ValidationError("step count must be >= 1")
@@ -156,18 +157,10 @@ def single_photon_bath(envelope: Envelope, n: int) -> BathSpec:
     if norm_sq == 0.0:
         raise ValidationError("envelope is identically zero")
     phi = phi / math.sqrt(norm_sq)
-
-    amps = np.zeros(2**n, dtype=complex)
-    for j in range(n):
-        # ancilla j+1 is the (j+1)-th tensor factor; its excited bit sits at
-        # position n-1-j from the least-significant end
-        amps[1 << (n - 1 - j)] = phi[j]
-    joint = PureState(amps, (2,) * n)
     return BathSpec(
         kind=CORRELATED_PURE,
         d=2,
         n_steps=n,
-        joint=joint,
         phi=phi,
         diagnostics={"envelope_norm": norm_sq},
     )

@@ -5,7 +5,9 @@ written as CSV or JSON with the full config echoed for provenance.  All
 runs are deterministic: identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or filesystem problem, 2 numeric or
-invariant failure during a run, 3 resource cap exceeded.
+invariant failure during a run.  No run has a size cap: a single-photon
+field is propagated in its one-excitation sector, whose cost grows
+linearly with the step count.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import __version__, qcore, scenarios
-from .errors import PropagationError, ResourceCapError, ValidationError
+from .errors import PropagationError, ValidationError
 from .qcore import DensityMatrix, Operator
 from .scenarios import FieldConfig, GaussianEnvelope, TabulatedSpectrum
 
@@ -399,8 +401,7 @@ def run(cfg: RunConfig, out_path: str | None = None, output: str | None = None) 
     """Execute the configured scenario and write the artifact file.
 
     Returns the path written.  Raises ConfigError / ValidationError for
-    input problems, PropagationError for numeric failures and
-    ResourceCapError when a cap is exceeded.
+    input problems and PropagationError for numeric failures.
     """
     path = out_path or cfg.out_path
     if path is None:
@@ -434,7 +435,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             text = handle.read()
         cfg = parse_config(text)
         if args.command == "validate":
-            scenarios.check_resources(cfg.field)
             print(f"config OK: scenario {cfg.scenario}")
             return 0
         path = run(cfg, out_path=args.out, output=args.format)
@@ -443,9 +443,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ResourceCapError as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return 3
     except PropagationError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,14 @@
 """Collision dynamics: per-step unitaries, reduced evolution, CP checks.
 
-Two propagation paths are provided.  Against a product bath each collision
-is a fixed map E_n(rho) = Tr_a[U_n (rho (x) eta_n) U_n^dag], formed only by
-``_operator_sums``.  Correlated baths evolve the joint density matrix of
-the system and all not-yet-collided ancillas; the ancilla just collided
-with is traced out exactly.  A run keeps its states as one read-only
-(T, d, d) array, checked once at the end.
+Both bath families run on one kernel: a collision map
+E(M) = Tr_a[U_n (M (x) X) U_n^dag], formed only by ``_operator_sums`` and
+applied by ``_collide``.  Against a product bath X is the ancilla state
+eta_n.  Against a single-photon bath the joint state never leaves the span
+of the vacuum and the not-yet-collided part of the photon, so four d_S x d_S
+blocks, each moved by the maps with X = |i><j|, carry it exactly (the
+discrete Fock-state master-equation hierarchy; Baragiola et al., PRA 86,
+013811 (2012)).  A run keeps its states as one read-only (T, d, d) array,
+checked once at the end.
 """
 
 from __future__ import annotations
@@ -21,16 +24,12 @@ import scipy.linalg
 from . import bath as bath_mod
 from . import qcore
 from .bath import BathSpec
-from .errors import PropagationError, ResourceCapError, ValidationError
+from .errors import PropagationError, ValidationError
 from .qcore import DensityMatrix, Operator
 
 # Looser PSD tolerance while propagating: absorbs round-off accumulated over
 # long runs; anything beyond it is treated as a numeric failure, not noise.
 RUN_PSD_TOL = -1e-7
-
-# Dense correlated-bath evolution holds a (d_S * 2^N)-dimensional density
-# matrix; 8192 keeps the largest intermediate near 1 GiB.
-DEFAULT_JOINT_DIM_CAP = 8192
 
 CHOI_MAX_SYSTEM_DIM = 16
 
@@ -127,6 +126,10 @@ def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[np.ndarray
     """Yield U_k = exp(-i (H_S (x) I + g v) dt) for the 1-based collisions k in ``steps``: a
     static spec's one U each time, else per-step ones in batches of qcore.STACK_CHUNK_BYTES."""
     table = spec.h_sys_table
+    if table is not None:
+        for k in steps:
+            if not 1 <= k <= len(table):
+                raise ValidationError(f"step {k} outside 1..{len(table)} of h_sys_table")
     hs = (spec.h_sys,) if table is None else [table[k - 1] for k in steps]
     side = spec.d_sys * spec.d_anc
     batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * side * side))
@@ -217,62 +220,37 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
     return _checked_trajectory(spec.dt, states, observables)
 
 
-def _apply_pair_unitary(joint: np.ndarray, u: np.ndarray, d_pair: int) -> np.ndarray:
-    """Apply u acting on the leading d_pair block of a joint density matrix."""
-    rest = joint.shape[0] // d_pair
-    t = joint.reshape(d_pair, rest, d_pair, rest)
-    t1 = np.tensordot(u, t, axes=(1, 0))            # [a, j, d, k]
-    del t
-    t2 = np.tensordot(t1, u.conj(), axes=(2, 1))    # [a, j, k, c]
-    del t1
-    out = np.ascontiguousarray(np.moveaxis(t2, 3, 2))
-    return out.reshape(d_pair * rest, d_pair * rest)
-
-
-def _trace_leading_ancilla(joint: np.ndarray, d_s: int, d_anc: int) -> np.ndarray:
-    rest = joint.shape[0] // (d_s * d_anc)
-    t = joint.reshape(d_s, d_anc, rest, d_s, d_anc, rest)
-    out = np.trace(t, axis1=1, axis2=4)
-    return out.reshape(d_s * rest, d_s * rest)
-
-
-def check_joint_dim(d_sys: int, d_anc: int, n_steps: int,
-                    cap: int = DEFAULT_JOINT_DIM_CAP) -> int:
-    """Dimension d_sys * d_anc^n_steps of the dense correlated joint state.
-
-    Raises ResourceCapError above ``cap``.  Allocates nothing, so callers
-    run it before building anything of that size.
-    """
-    # d_anc >= 2: from cap.bit_length() steps on the cap is surely exceeded,
-    # and the (possibly astronomically large) dimension is not formed
-    joint_dim = d_sys * d_anc**n_steps if n_steps < cap.bit_length() else None
-    if joint_dim is None or joint_dim > cap:
-        raise ResourceCapError(
-            f"joint dimension {d_sys} * {d_anc}^{n_steps} exceeds cap {cap} "
-            f"(dense evolution needs 16 * dim^2 bytes per matrix)",
-            required_dim=joint_dim,
-            cap=cap,
-        )
-    return joint_dim
-
-
-def _run_correlated_raw(us: Iterable[np.ndarray], bath: BathSpec, m0: np.ndarray) -> np.ndarray:
+def _run_correlated_raw(us: Iterable[np.ndarray], phi: np.ndarray, m0: np.ndarray) -> np.ndarray:
     """System marginals, shape (n + 1, d_S, d_S), before and after each of the n collisions
-    with unitaries ``us``: joint evolution with per-step trace-out, linear in m0, unchecked."""
-    d_s, d_a = m0.shape[0], bath.d
-    psi = bath.joint.amplitudes
-    joint = np.kron(m0, np.outer(psi, psi.conj()))
+    with unitaries ``us`` against the one-photon bath sum_k phi_k |1_k>: linear in m0, unchecked.
+
+    The joint state after n collisions stays A (x) |v><v| + B (x) |P_n><v| + B' (x) |v><P_n|
+    + C (x) |P_n><P_n|, with |v> the vacuum and |P_n> = sum_{k>n} phi_k |1_k> unnormalised, and
+    its marginal is A + w_n C with w_n = <P_n|P_n>.  The four blocks go through the maps
+    E_ij(M) = Tr_a[U (M (x) |i><j|) U^dag]; B' is not B^dag when m0 is not Hermitian."""
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)  # |0><0|, |0><1|, |1><0|, |1><1|
+    maps = zip(*(_operator_sums(us_x, itertools.repeat(x))
+                 for us_x, x in zip(itertools.tee(us, 4), units)))
+    tail = np.append(np.cumsum(np.abs(phi[::-1]) ** 2)[::-1], 0.0)  # w_n
+    a = b = bp = np.zeros_like(m0, dtype=complex)
+    c = m0
     marginals = [m0]
-    for step, u in enumerate(us, start=1):
-        joint = _trace_leading_ancilla(_apply_pair_unitary(joint, u, d_s * d_a), d_s, d_a)
-        marginals.append(qcore.ptrace_matrix(joint, (d_s,) + (d_a,) * (bath.n_steps - step), keep=(0,)))
+    for (e00, e01, e10, e11), p, w in zip(maps, phi, tail[1:]):
+        a, b, bp, c = (
+            _collide(*e00, a) + p * _collide(*e10, b) + p.conjugate() * _collide(*e01, bp)
+            + abs(p) ** 2 * _collide(*e11, c),
+            _collide(*e00, b) + p.conjugate() * _collide(*e01, c),
+            _collide(*e00, bp) + p * _collide(*e10, c),
+            _collide(*e00, c),
+        )
+        marginals.append(a + w * c)
     return np.stack(marginals)
 
 
 def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
-                   observables: Mapping[str, Operator] | None = None,
-                   max_joint_dim: int = DEFAULT_JOINT_DIM_CAP) -> Trajectory:
-    """Collision stream against a correlated pure bath (memory-carrying)."""
+                   observables: Mapping[str, Operator] | None = None) -> Trajectory:
+    """Collision stream against a single-photon bath (memory-carrying), in its
+    one-excitation sector: O(d_S^3) per step, whatever the number of ancillas."""
     if bath.kind != bath_mod.CORRELATED_PURE:
         raise ValidationError("run_correlated requires a correlated pure bath")
     if bath.d != spec.d_anc:
@@ -281,9 +259,8 @@ def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
         raise ValidationError("correlated bath must cover exactly the spec's steps")
     if rho0.dims != spec.h_sys.dims:
         raise ValidationError("initial state on wrong space")
-    check_joint_dim(rho0.side, bath.d, bath.n_steps, max_joint_dim)
 
-    states = _run_correlated_raw(_unitaries(spec, range(1, spec.n_steps + 1)), bath, rho0.data)
+    states = _run_correlated_raw(_unitaries(spec, range(1, spec.n_steps + 1)), bath.phi, rho0.data)
     return _checked_trajectory(spec.dt, states, observables)
 
 
@@ -316,7 +293,7 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
 
     For a product bath this is the collision map of that step itself.  For
     a correlated bath it is reconstructed by tomography: the d_S^2 matrix
-    units are propagated jointly through collisions 1..step, and the
+    units are propagated through collisions 1..step, and the
     earlier map is divided out; the result is one convention for "the"
     step map and need not be completely positive.
     """
@@ -329,7 +306,7 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
         return _map_superoperator(spec, step, bath.ancilla_state(step).data)
     us = list(_unitaries(spec, range(1, step + 1)))
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
-    runs = np.stack([_run_correlated_raw(us, bath, e)[-2:] for e in units])
+    runs = np.stack([_run_correlated_raw(us, bath.phi, e)[-2:] for e in units])
     # row k of runs[:, j] is matrix unit k after step - 1 + j collisions; after = L before
     before, after = (runs[:, j].reshape(d_s * d_s, -1) for j in (0, 1))
     return np.linalg.solve(before, after).T

@@ -11,12 +11,3 @@ class PropagationError(RuntimeError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
-
-
-class ResourceCapError(RuntimeError):
-    """A run would exceed the configured joint-dimension cap."""
-
-    def __init__(self, message, required_dim=None, cap=None):
-        super().__init__(message)
-        self.required_dim = required_dim
-        self.cap = cap

@@ -289,12 +289,6 @@ def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:
     return traj_quantum, traj_me, traj_semi
 
 
-def check_resources(cfg: FieldConfig, max_joint_dim: int = coll.DEFAULT_JOINT_DIM_CAP) -> None:
-    """Raise ResourceCapError if the configured run exceeds a cap; allocates nothing."""
-    if cfg.kind == SINGLE_PHOTON:
-        coll.check_joint_dim(cfg.rho0.side, cfg.truncation, cfg.n_steps, max_joint_dim)
-
-
 def _distinguishable_pair(cfg: FieldConfig) -> tuple[DensityMatrix, DensityMatrix]:
     """Orthogonal pair maximizing initial trace distance: extreme eigenvectors of b^dag b."""
     number_op = cfg.coupling.data.conj().T @ cfg.coupling.data
@@ -309,20 +303,18 @@ def single_photon_run(
     rho_a: DensityMatrix | None = None,
     rho_b: DensityMatrix | None = None,
     revival_threshold: float = REVIVAL_THRESHOLD,
-    max_joint_dim: int = coll.DEFAULT_JOINT_DIM_CAP,
 ) -> tuple[Trajectory, Trajectory, MemoryWitnessReport]:
     """Single-photon field from two distinguishable starts, plus revival witness."""
     if cfg.kind != SINGLE_PHOTON:
         raise ValidationError("single_photon_run needs a single-photon configuration")
-    check_resources(cfg, max_joint_dim)
     spec, field_bath = discretize_input_output(cfg)
     if rho_a is None or rho_b is None:
         default_a, default_b = _distinguishable_pair(cfg)
         rho_a = rho_a if rho_a is not None else default_a
         rho_b = rho_b if rho_b is not None else default_b
     obs = _excited_population(cfg)
-    traj_a = coll.run_correlated(spec, field_bath, rho_a, obs, max_joint_dim=max_joint_dim)
-    traj_b = coll.run_correlated(spec, field_bath, rho_b, obs, max_joint_dim=max_joint_dim)
+    traj_a = coll.run_correlated(spec, field_bath, rho_a, obs)
+    traj_b = coll.run_correlated(spec, field_bath, rho_b, obs)
     dist = trace_distance_series(traj_a, traj_b)
     revivals = tuple(int(n) for n in np.flatnonzero(np.diff(dist) > revival_threshold))
     report = MemoryWitnessReport(

@@ -6,6 +6,7 @@ import pytest
 from collisim import (
     DensityMatrix,
     Operator,
+    PureState,
     ValidationError,
     coherent_bath,
     displacement,
@@ -15,6 +16,7 @@ from collisim import (
     single_photon_bath,
 )
 from collisim.bath import CORRELATED_PURE, PRODUCT, PRODUCT_STEP_DEPENDENT
+from oracles import one_photon_amplitudes
 
 
 def test_product_bath_vacuum():
@@ -97,7 +99,7 @@ def test_single_photon_single_slot_is_one_hot_product():
     assert bath.kind == CORRELATED_PURE
     assert bath.d == 2
     # joint state is |1000>, i.e. amplitude 1 on the first ancilla's excited slot
-    amps = bath.joint.amplitudes
+    amps = one_photon_amplitudes(bath.phi)
     assert abs(amps[1 << (n - 1)] - 1.0) < 1e-15
     assert np.sum(np.abs(amps) > 1e-15) == 1
     first = bath.ancilla_state(1)
@@ -111,7 +113,7 @@ def test_single_photon_gaussian_envelope_marginals():
     phi = np.exp(-((t - 1.5) ** 2) / 4.0)
     bath = single_photon_bath(phi, n)
     assert abs(np.sum(np.abs(bath.phi) ** 2) - 1.0) < 1e-12
-    joint = bath.joint.density_matrix()
+    joint = PureState(one_photon_amplitudes(bath.phi), (2,) * n).density_matrix()
     for step in range(1, n + 1):
         reduced = partial_trace(joint, keep=[step - 1])
         p = abs(bath.phi[step - 1]) ** 2

@@ -9,7 +9,6 @@ from collisim import (
     DensityMatrix,
     Operator,
     PropagationError,
-    ResourceCapError,
     Trajectory,
     ValidationError,
     annihilator,
@@ -25,7 +24,8 @@ from collisim import (
     step_map_choi,
 )
 from collisim.bath import PRODUCT_STEP_DEPENDENT, BathSpec
-from collisim.collision import check_joint_dim, step_map_superoperator
+from collisim.collision import step_map_superoperator
+from oracles import embed_pair_unitary, one_photon_amplitudes
 
 H2 = Operator(np.zeros((2, 2), dtype=complex), (2,))
 LOWER = annihilator(2)
@@ -99,6 +99,16 @@ def test_collision_unitary_is_unitary(d_anc):
     rng = np.random.default_rng(d_anc)
     u = collision_unitary(random_spec(rng, d_anc))
     assert np.max(np.abs(u.data.conj().T @ u.data - np.eye(2 * d_anc))) < 1e-9
+
+
+@pytest.mark.parametrize("step", [0, 4])
+def test_collision_unitary_rejects_steps_off_the_table(step):
+    # step 0 used to wrap around to the last entry, step 4 raised a bare IndexError
+    table = tuple(Operator(w * np.eye(2, dtype=complex), (2,)) for w in (0.1, 0.2, 0.3))
+    spec = CollisionSpec(h_sys=H2, coupling=LOWER, dt=0.1, n_steps=3, d_anc=2, g=1.0,
+                         h_sys_table=table)
+    with pytest.raises(ValidationError, match=f"step {step} outside 1..3"):
+        collision_unitary(spec, step)
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +228,6 @@ def test_single_slot_envelope_matches_step_dependent_product():
             assert np.max(np.abs(a - b)) < 1e-12
 
 
-def _embed_pair_unitary(u: np.ndarray, n_anc: int, target: int) -> np.ndarray:
-    """Unitary on S (x) anc_1..anc_N acting as u on (S, anc_target)."""
-    dims = [2] * (1 + n_anc)
-    full = np.kron(u, np.eye(2 ** (n_anc - 1)))
-    # full acts on ordering (S, target, others); permute into place
-    order = [0, target] + [k for k in range(1, n_anc + 1) if k != target]
-    perm = np.argsort(order)
-    t = full.reshape(dims + dims)
-    t = np.transpose(t, list(perm) + [p + len(dims) for p in perm])
-    side = 2 ** (1 + n_anc)
-    return t.reshape(side, side)
-
-
 def test_per_step_traceout_matches_no_discard_evolution():
     # evolve the full joint state without intermediate trace-outs and
     # compare the final reduced state against the per-step-discard path
@@ -242,33 +239,14 @@ def test_per_step_traceout_matches_no_discard_evolution():
     traj = run_correlated(spec, bath, rho0)
 
     u = collision_unitary(spec).data
-    psi = bath.joint.amplitudes
+    psi = one_photon_amplitudes(bath.phi)
     sigma = np.kron(rho0.data, np.outer(psi, psi.conj()))
-    u1 = _embed_pair_unitary(u, 2, 1)
-    u2 = _embed_pair_unitary(u, 2, 2)
+    u1 = embed_pair_unitary(u, 2, 1)
+    u2 = embed_pair_unitary(u, 2, 2)
     sigma = u2 @ u1 @ sigma @ u1.conj().T @ u2.conj().T
     t = sigma.reshape(2, 4, 2, 4)
     rho_final = np.einsum("abcb->ac", t)
     assert np.max(np.abs(traj.states[-1] - rho_final)) < 1e-12
-
-
-def test_correlated_run_rejects_cap_violation():
-    n = 6
-    spec = two_level_spec(gamma=1.0, dt=0.1, n_steps=n)
-    bath = single_photon_bath([1.0] * n, n)
-    with pytest.raises(ResourceCapError):
-        run_correlated(spec, bath, fock_dm(2, 0), max_joint_dim=2**n)
-
-
-def test_joint_dim_check_at_and_beyond_the_cap():
-    assert check_joint_dim(2, 2, 12, cap=8192) == 8192
-    with pytest.raises(ResourceCapError) as exc:
-        check_joint_dim(2, 2, 13, cap=8192)
-    assert exc.value.required_dim == 16384
-    # far beyond the cap the exact dimension is never formed
-    with pytest.raises(ResourceCapError) as exc:
-        check_joint_dim(2, 2, 10**9, cap=8192)
-    assert exc.value.required_dim is None
 
 
 def test_correlated_run_requires_matching_steps():

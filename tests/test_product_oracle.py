@@ -9,7 +9,6 @@ the product branch of step_map_superoperator must all agree with it.
 import math
 
 import numpy as np
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,6 @@ from collisim import (
     CollisionSpec,
     DensityMatrix,
     Operator,
-    annihilator,
     choi_of_collision,
     coherent_bath,
     collide_once,
@@ -28,17 +26,9 @@ from collisim import (
     run_product,
 )
 from collisim.collision import step_map_superoperator
+from oracles import oracle_unitary
 
 TOL = 1e-12
-
-
-def oracle_unitary(spec, step):
-    h = spec.h_sys if spec.h_sys_table is None else spec.h_sys_table[step - 1]
-    a = annihilator(spec.d_anc).data
-    b = spec.coupling.data
-    v = np.kron(b, a.conj().T) + np.kron(b.conj().T, a)
-    gen = np.kron(h.data, np.eye(spec.d_anc)) + spec.coupling_strength * v
-    return scipy.linalg.expm(-1j * spec.dt * gen)
 
 
 def oracle_collide(m, eta, u):
