@@ -211,6 +211,19 @@ def single_photon_config(tmp_path, n_steps):
     }
 
 
+def test_twenty_step_photon_run_writes_every_step(tmp_path, capsys):
+    # 2 * 2^20 joint amplitudes once exceeded the cap; the sector path writes all rows
+    cfg_path = write_config(tmp_path, single_photon_config(tmp_path, 20))
+    assert main(["run", "--config", cfg_path]) == 0
+    lines = (tmp_path / "sp.csv").read_text().splitlines()
+    header = lines[3].split(",")
+    rows = [row.split(",") for row in lines[4:]]
+    assert [int(row[0]) for row in rows] == list(range(21))
+    for name in ("excited_population_a_re", "excited_population_b_re"):
+        column = [float(row[header.index(name)]) for row in rows]
+        assert all(-1e-12 <= p <= 1.0 + 1e-12 for p in column)
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_large_photon_config_exits_zero(tmp_path, capsys, command):
     # a dense joint state would need 2^100 amplitudes; the sector path needs none
