@@ -34,7 +34,6 @@ from .qcore import (
     PureState,
     annihilator,
     displacement,
-    expect,
     expm,
     fock,
     fock_dm,
@@ -87,7 +86,6 @@ __all__ = [
     "discretize_input_output",
     "displacement",
     "effective_hamiltonian",
-    "expect",
     "expm",
     "fock",
     "fock_dm",

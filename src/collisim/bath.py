@@ -4,6 +4,7 @@ Three bath families are supported: a homogeneous product bath (one state
 shared by every ancilla), a step-dependent product bath of displaced vacua
 (coherent input field), and a correlated pure bath carrying exactly one
 excitation spread over all ancillas (single-photon input field).  The
+step-dependent states are one read-only (N, d, d) stack, checked once; the
 correlated bath is held as its N amplitudes, never as a 2^N joint state.
 """
 
@@ -35,14 +36,15 @@ class BathSpec:
     ``eta`` holds the shared state for the homogeneous product kind,
     ``etas`` the per-step states for the step-dependent kind, and ``phi``
     the amplitudes of the joint state sum_k phi_k |1_k> for the correlated
-    kind.
+    kind.  ``etas`` is given as one (N, d, d) stack, checked once and kept
+    as a tuple of its read-only rows.
     """
 
     kind: str
     d: int
     n_steps: int
     eta: DensityMatrix | None = None
-    etas: tuple[DensityMatrix, ...] | None = None
+    etas: tuple[np.ndarray, ...] | None = None
     joint: None = None  # always None; bench/tracer.py still reads it
     phi: np.ndarray | None = None
     xi: np.ndarray | None = None
@@ -57,21 +59,18 @@ class BathSpec:
             if self.eta is None or self.eta.side != self.d:
                 raise ValidationError("product bath needs a shared ancilla state of side d")
         elif self.kind == PRODUCT_STEP_DEPENDENT:
-            if self.etas is None or len(self.etas) != self.n_steps:
-                raise ValidationError("step-dependent bath needs one state per step")
-            if any(eta.side != self.d for eta in self.etas):
-                raise ValidationError("step-dependent bath state on wrong space")
+            stack = qcore.checked_stack(self.etas, self.d, "ancilla state")
+            if len(stack) != self.n_steps:
+                raise ValidationError(f"bath needs {self.n_steps} ancilla states, got {len(stack)}")
+            object.__setattr__(self, "etas", tuple(stack))
         else:
             if self.phi is None or self.d != 2:
                 raise ValidationError("correlated bath needs qubit amplitudes")
             norm_sq = float(np.sum(np.abs(self.phi) ** 2))
-            if abs(norm_sq - 1.0) > SINGLE_EXCITATION_NORM_TOL:
+            if not abs(norm_sq - 1.0) <= SINGLE_EXCITATION_NORM_TOL:
                 raise ValidationError(
                     f"single-excitation amplitudes have norm^2 {norm_sq}, expected 1"
                 )
-
-    def is_product(self) -> bool:
-        return self.kind in (PRODUCT, PRODUCT_STEP_DEPENDENT)
 
     def ancilla_state(self, step: int) -> DensityMatrix:
         """State (marginal, for the correlated kind) of the ancilla met at `step` (1-based)."""
@@ -80,7 +79,7 @@ class BathSpec:
         if self.kind == PRODUCT:
             return self.eta
         if self.kind == PRODUCT_STEP_DEPENDENT:
-            return self.etas[step - 1]
+            return DensityMatrix(Operator(self.etas[step - 1], (self.d,)))
         p = float(np.abs(self.phi[step - 1]) ** 2)
         return DensityMatrix(Operator(np.diag([1.0 - p, p]).astype(complex), (2,)))
 
@@ -123,13 +122,14 @@ def coherent_bath(z: complex, omega: float, dt: float, n: int, d: int) -> BathSp
     cols = vecs @ (np.exp(-1j * np.outer(lam, np.abs(xi))) * vecs[0].conj()[:, None])
     cols *= np.exp(1j * np.outer(np.arange(d), np.angle(xi)))
     cols /= np.linalg.norm(cols, axis=0)
-    etas = [DensityMatrix(Operator(np.outer(c, c.conj()), (d,))) for c in cols.T]
+    kets = np.ascontiguousarray(cols.T)
+    etas = kets[:, :, None] * kets.conj()[:, None, :]  # |c_n><c_n|, one C-ordered (n, d, d) stack
     worst = qcore.truncation_fidelity(math.sqrt(max_sq), d)
     return BathSpec(
         kind=PRODUCT_STEP_DEPENDENT,
         d=d,
         n_steps=n,
-        etas=tuple(etas),
+        etas=etas,
         xi=xi,
         diagnostics={"truncation_fidelity": worst, "max_abs_xi": math.sqrt(max_sq)},
     )
@@ -154,6 +154,8 @@ def single_photon_bath(envelope: Envelope, n: int) -> BathSpec:
     if phi.shape != (n,):
         raise ValidationError(f"envelope must supply {n} amplitudes, got shape {phi.shape}")
     norm_sq = float(np.sum(np.abs(phi) ** 2))
+    if not math.isfinite(norm_sq):
+        raise ValidationError(f"envelope amplitudes must have a finite total weight, got {norm_sq}")
     if norm_sq == 0.0:
         raise ValidationError("envelope is identically zero")
     phi = phi / math.sqrt(norm_sq)

@@ -341,58 +341,39 @@ def _execute(cfg: RunConfig) -> tuple[list[tuple[str, Sequence]], dict]:
     return columns, meta
 
 
-def _jsonify(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
-def _format_csv_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.16e}"
-
-
 def _render_csv(cfg: RunConfig, columns, meta) -> str:
-    lines = [f"# collisim {__version__}"]
-    lines.append("# config: " + json.dumps(cfg.echo, sort_keys=True))
-    lines.append("# meta: " + json.dumps(meta, sort_keys=True))
-    header = []
-    split_cols = []
+    """Integer cells as integers, real cells as %.16e; a complex column becomes two, _re and _im."""
+    header, cols, fmts = [], [], []
     for name, values in columns:
-        values = np.asarray(values)
-        if np.iscomplexobj(values):
-            header.extend([f"{name}_re", f"{name}_im"])
-            split_cols.extend([values.real, values.imag])
-        else:
-            header.append(name)
-            split_cols.append(values)
-    lines.append(",".join(header))
-    n_rows = len(split_cols[0])
-    for i in range(n_rows):
-        lines.append(",".join(_format_csv_cell(col[i]) for col in split_cols))
+        arr = np.asarray(values)
+        parts = {"_re": arr.real, "_im": arr.imag} if np.iscomplexobj(arr) else {"": arr}
+        for suffix, col in parts.items():
+            header.append(name + suffix)
+            cols.append(col)
+            fmts.append("{}" if col.dtype.kind in "iu" else "{:.16e}")
+    lines = [f"# collisim {__version__}", "# config: " + json.dumps(cfg.echo, sort_keys=True),
+             "# meta: " + json.dumps(meta, sort_keys=True), ",".join(header)]
+    row = ",".join(fmts)
+    lines += (row.format(*cells) for cells in zip(*cols))  # row by row: no per-cell lists held
     return "\n".join(lines) + "\n"
 
 
+def _json_column(values) -> list:
+    """One artifact column as JSON values: complex entries as {"re", "im"} objects."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        return [{"re": re, "im": im} for re, im in zip(arr.real.tolist(), arr.imag.tolist())]
+    return arr.tolist()
+
+
 def _render_json(cfg: RunConfig, columns, meta) -> str:
-    rows = []
     names = [name for name, _ in columns]
-    arrays = [np.asarray(values) for _, values in columns]
-    for i in range(len(arrays[0])):
-        row = {}
-        for name, arr in zip(names, arrays):
-            value = arr[i]
-            row[name] = _jsonify(complex(value)) if np.iscomplexobj(arr) else _jsonify(value)
-        rows.append(row)
+    cells = zip(*(_json_column(values) for _, values in columns))
     doc = {
         "version": __version__,
         "config": cfg.echo,
-        "meta": {k: _jsonify(v) for k, v in meta.items()},
-        "rows": rows,
+        "meta": meta,
+        "rows": [dict(zip(names, row)) for row in cells],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -7,8 +7,9 @@ eta_n.  Against a single-photon bath the joint state never leaves the span
 of the vacuum and the not-yet-collided part of the photon, so four d_S x d_S
 blocks, each moved by the maps with X = |i><j|, carry it exactly (the
 discrete Fock-state master-equation hierarchy; Baragiola et al., PRA 86,
-013811 (2012)).  A run keeps its states as one read-only (T, d, d) array,
-checked once at the end.
+013811 (2012)).  Step-indexed inputs (the per-step system Hamiltonians, the
+ancilla states) are read as raw (N, d, d) arrays, each checked once where it
+is built; a run keeps its states the same way, checked once at the end.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ class CollisionSpec:
 
     The coupling strength is given either directly (``g``) or through a
     target decay rate (``gamma``), in which case g = sqrt(gamma/dt) and the
-    emergent rate g^2 dt reproduces gamma exactly.  ``h_sys_table``
-    optionally overrides the system Hamiltonian per step (1-based), which
+    emergent rate g^2 dt reproduces gamma exactly.  ``h_sys_table``, an
+    (N, d, d) array of Hermitian matrices kept read-only, optionally
+    overrides the system Hamiltonian per step (row k - 1 at step k), which
     is how externally driven systems are expressed.
     """
 
@@ -52,7 +54,7 @@ class CollisionSpec:
     d_anc: int
     g: float | None = None
     gamma: float | None = None
-    h_sys_table: tuple[Operator, ...] | None = None
+    h_sys_table: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -68,11 +70,11 @@ class CollisionSpec:
         if self.h_sys.dims != self.coupling.dims:
             raise ValidationError("h_sys and coupling act on different spaces")
         if self.h_sys_table is not None:
-            if len(self.h_sys_table) < self.n_steps:
+            table = qcore.checked_stack(self.h_sys_table, self.h_sys.side, "h_sys_table",
+                                        qcore.first_non_hermitian)
+            if len(table) < self.n_steps:
                 raise ValidationError("h_sys_table shorter than n_steps")
-            for h in self.h_sys_table:
-                if h.dims != self.h_sys.dims:
-                    raise ValidationError("h_sys_table entry on wrong space")
+            object.__setattr__(self, "h_sys_table", table)
 
     @property
     def d_sys(self) -> int:
@@ -125,18 +127,17 @@ def interaction_operator(spec: CollisionSpec) -> Operator:
 def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[np.ndarray]:
     """Yield U_k = exp(-i (H_S (x) I + g v) dt) for the 1-based collisions k in ``steps``: a
     static spec's one U each time, else per-step ones in batches of qcore.STACK_CHUNK_BYTES."""
-    table = spec.h_sys_table
-    if table is not None:
-        for k in steps:
-            if not 1 <= k <= len(table):
-                raise ValidationError(f"step {k} outside 1..{len(table)} of h_sys_table")
-    hs = (spec.h_sys,) if table is None else [table[k - 1] for k in steps]
+    table, rows = spec.h_sys_table, np.asarray(steps, dtype=int) - 1
+    off = [] if table is None else rows[(rows < 0) | (rows >= len(table))]
+    if len(off):
+        raise ValidationError(f"step {off[0] + 1} outside 1..{len(table)} of h_sys_table")
+    hs = spec.h_sys.data[None] if table is None else table[rows]
     side = spec.d_sys * spec.d_anc
     batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * side * side))
+    coupling = spec.coupling_strength * interaction_operator(spec).data
     for lo in range(0, len(hs), batch):
-        h = np.stack([entry.data for entry in hs[lo:lo + batch]])
-        h = np.einsum("nij,ab->niajb", h, np.eye(spec.d_anc)).reshape(-1, side, side)  # H (x) I
-        gens = h + spec.coupling_strength * interaction_operator(spec).data
+        h = np.einsum("nij,ab->niajb", hs[lo:lo + batch], np.eye(spec.d_anc))
+        gens = h.reshape(-1, side, side) + coupling  # H (x) I + g v
         for u in scipy.linalg.expm(-1j * spec.dt * gens):
             yield from itertools.repeat(u, len(steps) if table is None else 1)
 
@@ -202,7 +203,7 @@ def _checked_trajectory(dt: float, states: np.ndarray,
 def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
                 observables: Mapping[str, Operator] | None = None) -> Trajectory:
     """Iterated collisions against a product (possibly step-dependent) bath."""
-    if not bath.is_product():
+    if bath.kind == bath_mod.CORRELATED_PURE:
         raise ValidationError("run_product requires a product bath")
     if bath.n_steps < spec.n_steps:
         raise ValidationError(f"bath covers {bath.n_steps} steps, spec wants {spec.n_steps}")
@@ -212,7 +213,7 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
         raise ValidationError("initial state on wrong space")
 
     n, d = spec.n_steps, rho0.side
-    etas = (bath.ancilla_state(k).data for k in range(1, n + 1))
+    etas = bath.etas if bath.etas is not None else itertools.repeat(bath.eta.data)
     states = np.empty((n + 1, d, d), dtype=complex)
     states[0] = rho0.data
     for k, (w, v) in enumerate(_operator_sums(_unitaries(spec, range(1, n + 1)), etas)):
@@ -302,7 +303,7 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
     d_s = spec.d_sys
     if d_s > CHOI_MAX_SYSTEM_DIM:
         raise ValidationError(f"system dimension {d_s} too large for tomography")
-    if bath.is_product():
+    if bath.kind != bath_mod.CORRELATED_PURE:
         return _map_superoperator(spec, step, bath.ancilla_state(step).data)
     us = list(_unitaries(spec, range(1, step + 1)))
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)

@@ -6,8 +6,9 @@ and jump operators built from interaction matrix elements in the ancilla
 eigenbasis, each carrying the emergent rate g^2 dt.  Exact propagation
 with the Liouvillian exponential (dense, or as a Taylor series of its
 action on larger systems) provides the independent continuous-time
-dynamics that the discrete collision runs are checked against.  Its
-trajectory, like a collision run's, is one (T, d, d) array checked once.
+dynamics that the discrete collision runs are checked against.  A
+step-dependent generator holds its Hamiltonians as one (L, d, d) table and
+its trajectory as one (T, d, d) array, each checked once.
 """
 
 from __future__ import annotations
@@ -45,37 +46,39 @@ JumpList = tuple[tuple[Operator, float], ...]
 class LindbladGenerator:
     """Effective Hamiltonian plus (jump operator, rate) pairs.
 
-    A step-dependent generator additionally carries a per-step table of
-    (h_eff, jumps) entries, piecewise constant over intervals of length
-    ``step_duration``; the static fields then hold the first entry.
+    A step-dependent generator also carries ``h_table``, a read-only
+    (L, d, d) stack of Hamiltonians: row k holds over [k, k + 1)
+    ``step_duration``, the last row from then on, with the same jumps.
     """
 
     h_eff: Operator
     jumps: JumpList
-    step_table: tuple[tuple[Operator, JumpList], ...] | None = None
+    h_table: np.ndarray | None = None
     step_duration: float | None = None
 
     def __post_init__(self):
-        entries = [(self.h_eff, self.jumps)]
-        if self.step_table is not None:
-            if not self.step_table or self.step_duration is None or self.step_duration <= 0:
-                raise ValidationError("step_table must be non-empty and step_duration positive")
-            entries.extend(self.step_table)
-        for h, jumps in entries:
-            if not h.is_hermitian():
-                raise ValidationError("effective Hamiltonian is not Hermitian")
-            for op, rate in jumps:
-                if rate < 0:
-                    raise ValidationError(f"negative jump rate {rate}")
-                if op.dims != h.dims:
-                    raise ValidationError("jump operator on wrong space")
+        if not self.h_eff.is_hermitian():
+            raise ValidationError("effective Hamiltonian is not Hermitian")
+        for op, rate in self.jumps:
+            if rate < 0:
+                raise ValidationError(f"negative jump rate {rate}")
+            if op.dims != self.h_eff.dims:
+                raise ValidationError("jump operator on wrong space")
+        if self.h_table is not None:
+            if self.step_duration is None or self.step_duration <= 0:
+                raise ValidationError("a generator with h_table needs a positive step_duration")
+            table = qcore.checked_stack(self.h_table, self.h_eff.side, "h_table",
+                                        qcore.first_non_hermitian)
+            object.__setattr__(self, "h_table", table)
 
     def term_for_time(self, t: float) -> tuple[Operator, JumpList]:
-        """Generator in force at time t (piecewise constant over the table)."""
-        if self.step_table is None:
+        """Generator in force at time t >= 0 (piecewise constant over the table)."""
+        if not t >= 0:
+            raise ValidationError(f"generator time must be >= 0, got {t}")
+        if self.h_table is None:
             return self.h_eff, self.jumps
-        idx = min(int(t / self.step_duration), len(self.step_table) - 1)
-        return self.step_table[idx]
+        row = min(int(t / self.step_duration), len(self.h_table) - 1)
+        return Operator(self.h_table[row], self.h_eff.dims), self.jumps
 
 
 def _fix_eigenvector_phases(vecs: np.ndarray) -> np.ndarray:
@@ -155,12 +158,11 @@ def generator_from_collision(spec: CollisionSpec, eta: DensityMatrix) -> Lindbla
     return LindbladGenerator(h_eff=h_eff, jumps=tuple(jumps))
 
 
-def _compile_term(h: Operator, jumps: JumpList):
-    """(G, G^dag, [(l, l^dag)]) with the rates folded into l = sqrt(rate) L_j and
-    G = -i h - (1/2) sum l^dag l, so that L(X) = G X + X G^dag + sum l X l^dag."""
+def _compile_jumps(jumps: JumpList):
+    """([(l, l^dag)], (1/2) sum l^dag l) with the rates folded into l = sqrt(rate) L_j, so
+    that L(X) = G X + X G^dag + sum l X l^dag with G = -i h - (1/2) sum l^dag l for any h."""
     compiled = [(math.sqrt(r) * op.data, math.sqrt(r) * op.data.conj().T) for op, r in jumps]
-    g = -1j * h.data - 0.5 * sum(l_dag @ l for l, l_dag in compiled)
-    return g, g.conj().T, compiled
+    return compiled, 0.5 * sum(l_dag @ l for l, l_dag in compiled)
 
 
 def _rhs(g: np.ndarray, g_dag: np.ndarray, compiled_jumps, m: np.ndarray) -> np.ndarray:
@@ -180,13 +182,18 @@ def apply_generator(gen: LindbladGenerator, rho: DensityMatrix,
     h, jumps = gen.term_for_time(t) if t is not None else (gen.h_eff, gen.jumps)
     if h.dims != rho.dims:
         raise ValidationError("generator and state act on different spaces")
-    return Operator(_rhs(*_compile_term(h, jumps), rho.data), rho.dims)
+    compiled, damping = _compile_jumps(jumps)
+    g = -1j * h.data - damping
+    return Operator(_rhs(g, g.conj().T, compiled, rho.data), rho.dims)
 
 
-def _liouvillian(g: np.ndarray, g_dag: np.ndarray, compiled_jumps) -> np.ndarray:
-    """Superoperator of ``_rhs`` on row-major vec: vec(A X B) = (A (x) B^T) vec(X)."""
-    eye = np.eye(g.shape[0])
-    out = np.kron(g, eye) + np.kron(eye, g_dag.T)
+def _liouvillian(gs: np.ndarray, compiled_jumps) -> np.ndarray:
+    """Superoperators of ``_rhs`` for a (n, d, d) stack of G, on row-major vec:
+    vec(A X B) = (A (x) B^T) vec(X), with X G^dag giving I (x) conj(G)."""
+    n, d, _ = gs.shape
+    eye = np.eye(d)
+    out = np.einsum("nij,kl->nikjl", gs, eye) + np.einsum("ij,nkl->nikjl", eye, gs.conj())
+    out = out.reshape(n, d * d, d * d)
     for l, l_dag in compiled_jumps:
         out += np.kron(l, l_dag.T)
     return out
@@ -236,9 +243,10 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
         raise ValidationError("generator and state act on different spaces")
 
     h = t_final / n_substeps
-    terms = gen.step_table or ((gen.h_eff, gen.jumps),)
+    compiled, damping = _compile_jumps(gen.jumps)
+    hs = gen.h_eff.data[None] if gen.h_table is None else gen.h_table
     t_mid = (np.arange(n_substeps) + 0.5) * h
-    idx = np.minimum((t_mid / (gen.step_duration or t_final)).astype(int), len(terms) - 1)
+    idx = np.minimum((t_mid / (gen.step_duration or t_final)).astype(int), len(hs) - 1)
     used, idx = np.unique(idx, return_inverse=True)
     d = rho0.side
     batch = max(1, PROPAGATOR_BATCH_BYTES // (16 * d**4))
@@ -248,14 +256,14 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     props, lo = (), 0
     for k in range(n_substeps):
         if d > DENSE_MAX_DIM:
-            rho = _expm_series(h, *_compile_term(*terms[used[idx[k]]]), rho)
+            g = -1j * hs[used[idx[k]]] - damping
+            rho = _expm_series(h, g, g.conj().T, compiled, rho)
         else:
             # idx never decreases, so each batch is built once, when first needed
             if idx[k] >= lo + len(props):
                 lo = idx[k]
-                props = scipy.linalg.expm(h * np.stack(
-                    [_liouvillian(*_compile_term(*terms[i])) for i in used[lo:lo + batch]]
-                ))
+                gs = -1j * hs[used[lo:lo + batch]] - damping
+                props = scipy.linalg.expm(h * _liouvillian(gs, compiled))
             rho = (props[idx[k] - lo] @ rho.reshape(-1)).reshape(d, d)
         rho = states[k + 1] = 0.5 * (rho + rho.conj().T)
     return _checked_trajectory(h, states, observables)

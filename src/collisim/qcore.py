@@ -3,7 +3,7 @@
 Everything here is a pure function of immutable values: operators and states
 carry read-only numpy arrays plus an ordered list of subsystem dimensions, so
 they can be shared freely across concurrent workers.  ``first_invalid_state``
-defines a density matrix, for one (``DensityMatrix``) or a (T, d, d) stack.
+defines a density matrix and ``first_non_hermitian`` a Hamiltonian, for one or a (T, d, d) stack.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class Operator:
         return Operator(self.data.conj().T, self.dims)
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
+        return first_non_hermitian(self.data[None], tol) is None
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_same_space(other)
@@ -75,9 +75,6 @@ class Operator:
     def __sub__(self, other: "Operator") -> "Operator":
         self._check_same_space(other)
         return Operator(self.data - other.data, self.dims)
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.data, self.dims)
 
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.data * scalar, self.dims)
@@ -93,6 +90,14 @@ class Operator:
             raise ValidationError(
                 f"operators act on different spaces: {self.dims} vs {other.dims}"
             )
+
+
+def first_non_hermitian(stack: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[int, str] | None:
+    """(index, reason) of the first matrix of a (T, d, d) stack that deviates from Hermitian
+    by more than tol, or is not finite; None if none does."""
+    dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(~(dev <= tol))  # NaN compares False, so it counts as a deviation
+    return (int(bad[0]), f"not Hermitian: deviation {dev[bad[0]]:.3e}") if bad.size else None
 
 
 def first_invalid_state(stack: np.ndarray, psd_tol: float = PSD_TOL) -> tuple[int, str] | None:
@@ -113,6 +118,20 @@ def first_invalid_state(stack: np.ndarray, psd_tol: float = PSD_TOL) -> tuple[in
                 f"not a density matrix: Hermiticity deviation {herm[k]:.3e}, trace "
                 f"{trace[k]:.12g}, min eigenvalue {min_eig[k]:.3e} (floor {psd_tol})")
     return None
+
+
+def checked_stack(data, side: int, what: str, first_bad=first_invalid_state) -> np.ndarray:
+    """Step-indexed input as a read-only C-ordered complex (N >= 1, side, side) stack, copied only
+    if needed; ValidationError names ``what`` and the first step (1-based) ``first_bad`` rejects."""
+    stack = np.asarray(data)
+    if stack.ndim != 3 or not len(stack) or stack.shape[1:] != (side, side):
+        raise ValidationError(f"{what} of shape {stack.shape} is not (N, {side}, {side})")
+    stack = np.ascontiguousarray(stack, dtype=complex).view()
+    stack.setflags(write=False)
+    bad = first_bad(stack)
+    if bad is not None:
+        raise ValidationError(f"{what} at step {bad[0] + 1}: {bad[1]}")
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +267,6 @@ def expm(a: Operator, scale: complex) -> Operator:
     if scale == 0:
         return identity(*a.dims)
     return Operator(scipy.linalg.expm(scale * a.data), a.dims)
-
-
-def expect(observable: Operator, rho: DensityMatrix) -> complex:
-    return complex(np.trace(observable.data @ rho.data))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -115,6 +115,8 @@ class FieldConfig:
             raise ValidationError("single-photon ancillas are qubits (d_anc = 2)")
         if self.h_sys.dims != self.coupling.dims or self.rho0.dims != self.h_sys.dims:
             raise ValidationError("system operators and initial state on mismatched spaces")
+        if not self.h_sys.is_hermitian():
+            raise ValidationError("h_sys is not Hermitian")
 
     @property
     def dt(self) -> float:
@@ -174,7 +176,8 @@ def _single_photon_amplitudes(cfg: FieldConfig) -> np.ndarray:
         return np.exp(-((t - env.center) ** 2) / (4.0 * env.width**2)).astype(complex)
     d_omega = env.omegas[1] - env.omegas[0]
     phases = np.exp(-1j * np.outer(t, env.omegas))
-    return math.sqrt(cfg.dt) / math.sqrt(2.0 * math.pi) * d_omega * (phases @ env.amplitudes)
+    with np.errstate(over="ignore", invalid="ignore"):  # single_photon_bath rejects non-finite sums
+        return math.sqrt(cfg.dt) / math.sqrt(2.0 * math.pi) * d_omega * (phases @ env.amplitudes)
 
 
 def discretize_input_output(cfg: FieldConfig) -> tuple[CollisionSpec, BathSpec]:
@@ -239,22 +242,20 @@ def _error_row(cfg: FieldConfig, traj: Trajectory, ref_states, ref_obs) -> Conve
     )
 
 
-def _drive_hamiltonian(cfg: FieldConfig, t: float) -> Operator:
-    """Semiclassical driving Hamiltonian matching the coherent field at time t."""
+def _drive_hamiltonian(cfg: FieldConfig, times: np.ndarray) -> np.ndarray:
+    """Semiclassical driving Hamiltonians matching the coherent field, one (d, d) per time."""
     amp = math.sqrt(cfg.gamma / (2.0 * math.pi)) * abs(cfg.z)
-    phase = cfg.omega * t + np.angle(cfg.z)
-    drive = amp * (np.exp(-1j * phase) * cfg.coupling.data
-                   + np.exp(1j * phase) * cfg.coupling.data.conj().T)
-    return Operator(cfg.h_sys.data + drive, cfg.h_sys.dims)
+    phase = (cfg.omega * times + np.angle(cfg.z))[:, None, None]
+    b = cfg.coupling.data
+    return cfg.h_sys.data + amp * (np.exp(-1j * phase) * b + np.exp(1j * phase) * b.conj().T)
 
 
-def _driven_me_generator(cfg: FieldConfig, n_entries: int, duration: float) -> LindbladGenerator:
-    """Decay plus classical drive; a table of drive steps unless omega = 0 makes it static."""
-    jumps = ((cfg.coupling, cfg.gamma),)
-    if cfg.omega == 0:
-        return LindbladGenerator(h_eff=_drive_hamiltonian(cfg, 0.0), jumps=jumps)
-    table = tuple((_drive_hamiltonian(cfg, n * duration), jumps) for n in range(1, n_entries + 1))
-    return LindbladGenerator(table[0][0], jumps, step_table=table, step_duration=duration)
+def _driven_me_generator(cfg: FieldConfig, drive: np.ndarray, duration: float) -> LindbladGenerator:
+    """Decay plus the classical drive: row k of ``drive`` held over the k-th interval of
+    ``duration``, or its first row throughout when omega = 0 makes the drive static."""
+    h0, jumps = Operator(drive[0], cfg.h_sys.dims), ((cfg.coupling, cfg.gamma),)
+    table = None if cfg.omega == 0 else drive
+    return LindbladGenerator(h0, jumps, h_table=table, step_duration=duration)
 
 
 def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:
@@ -271,19 +272,11 @@ def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:
     obs = _excited_population(cfg)
     traj_quantum = coll.run_product(spec, field_bath, cfg.rho0, obs)
 
-    gen = _driven_me_generator(cfg, cfg.n_steps, cfg.dt)
+    drive = _drive_hamiltonian(cfg, np.arange(1, cfg.n_steps + 1) * cfg.dt)
+    gen = _driven_me_generator(cfg, drive, cfg.dt)
     traj_me = lind.integrate_me(gen, cfg.rho0, cfg.t_final, cfg.n_steps, obs)
 
-    driven_table = tuple(_drive_hamiltonian(cfg, n * cfg.dt) for n in range(1, cfg.n_steps + 1))
-    spec_semi = CollisionSpec(
-        h_sys=cfg.h_sys,
-        coupling=cfg.coupling,
-        dt=cfg.dt,
-        n_steps=cfg.n_steps,
-        d_anc=2,
-        gamma=cfg.gamma,
-        h_sys_table=driven_table,
-    )
+    spec_semi = replace(spec, d_anc=2, h_sys_table=drive)
     vacuum = bath_mod.product_bath(qcore.fock_dm(2, 0), cfg.n_steps)
     traj_semi = coll.run_product(spec_semi, vacuum, cfg.rho0, obs)
     return traj_quantum, traj_me, traj_semi
@@ -355,7 +348,9 @@ def convergence_study(
         raise ValidationError("no Lindblad reference exists for single-photon fields")
 
     substeps = _reference_substeps(cfg, n_list)
-    gen = _driven_me_generator(cfg, substeps, cfg.t_final / substeps)
+    h = cfg.t_final / substeps
+    drive = _drive_hamiltonian(cfg, np.arange(1, substeps + 1) * h)
+    gen = _driven_me_generator(cfg, drive, h)
     obs = _excited_population(cfg)
     reference = lind.integrate_me(gen, cfg.rho0, cfg.t_final, substeps, obs)
 

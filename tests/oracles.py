@@ -14,11 +14,11 @@ from collisim import annihilator
 
 def oracle_unitary(spec, step):
     """U = exp(-i (H (x) I + g (b (x) a^dag + b^dag (x) a)) dt) for 1-based `step`."""
-    h = spec.h_sys if spec.h_sys_table is None else spec.h_sys_table[step - 1]
+    h = spec.h_sys.data if spec.h_sys_table is None else spec.h_sys_table[step - 1]
     a = annihilator(spec.d_anc).data
     b = spec.coupling.data
     v = np.kron(b, a.conj().T) + np.kron(b.conj().T, a)
-    gen = np.kron(h.data, np.eye(spec.d_anc)) + spec.coupling_strength * v
+    gen = np.kron(h, np.eye(spec.d_anc)) + spec.coupling_strength * v
     return scipy.linalg.expm(-1j * spec.dt * gen)
 
 

@@ -15,7 +15,7 @@ from collisim import (
     product_bath,
     single_photon_bath,
 )
-from collisim.bath import CORRELATED_PURE, PRODUCT, PRODUCT_STEP_DEPENDENT
+from collisim.bath import CORRELATED_PURE, PRODUCT, PRODUCT_STEP_DEPENDENT, BathSpec
 from oracles import one_photon_amplitudes
 
 
@@ -76,6 +76,36 @@ def test_coherent_bath_states_are_displaced_vacua():
         disp = displacement(xi, d)
         expected = disp.data @ fock_dm(d, 0).data @ disp.data.conj().T
         assert np.max(np.abs(bath.ancilla_state(step).data - expected)) < 1e-12
+
+
+def test_coherent_bath_is_one_read_only_stack():
+    bath = coherent_bath(0.8, omega=2.0, dt=0.05, n=5, d=6)
+    assert isinstance(bath.etas, tuple) and len(bath.etas) == 5
+    assert all(eta.shape == (6, 6) and not eta.flags.writeable for eta in bath.etas)
+    start = bath.etas[0].__array_interface__["data"][0]
+    for k, eta in enumerate(bath.etas):  # row views of one C-ordered stack
+        assert eta.flags.c_contiguous and eta.__array_interface__["data"][0] == start + 16 * 36 * k
+
+
+def test_step_dependent_bath_names_the_first_ancilla_that_is_not_a_state():
+    etas = np.array([fock_dm(2, 0).data] * 4)
+    etas[2] = np.diag([0.7, 0.2])
+    etas[3] = np.diag([1.5, -0.5])
+    with pytest.raises(ValidationError, match="ancilla state at step 3: .*trace 0.9"):
+        BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=4, etas=etas)
+    etas[2] = np.nan
+    with pytest.raises(ValidationError, match="ancilla state at step 3: non-finite"):
+        BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=4, etas=etas)
+
+
+def test_step_dependent_bath_needs_one_state_per_step():
+    vacua = np.array([fock_dm(2, 0).data] * 3)
+    for etas in (None, vacua[:2], vacua[:, :1], [fock_dm(2, 0)] * 3):
+        with pytest.raises(ValidationError, match="ancilla state of shape|needs 3 ancilla states"):
+            BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=3, etas=etas)
+    bath = BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=3, etas=vacua)
+    assert vacua.flags.writeable  # the caller's array is not frozen, only the bath's view
+    assert np.array_equal(bath.ancilla_state(3).data, vacua[2])
 
 
 def test_coherent_bath_truncation_guard():
@@ -148,6 +178,16 @@ def test_single_photon_accepts_callable_envelope():
 def test_single_photon_rejects_zero_envelope():
     with pytest.raises(ValidationError):
         single_photon_bath([0.0, 0.0, 0.0], 3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("envelope", [[math.nan, 1.0], [math.inf, 1.0], [1e200, 1.0]])
+def test_single_photon_rejects_non_finite_envelope(envelope):
+    # NaN used to pass the norm check (abs(nan - 1) > tol is False) and give phi all NaN
+    with pytest.raises(ValidationError, match="finite total weight"):
+        single_photon_bath(envelope, 2)
+    with pytest.raises(ValidationError, match="norm"):
+        BathSpec(kind=CORRELATED_PURE, d=2, n_steps=2, phi=np.array([math.nan, 1.0]))
 
 
 def test_single_photon_records_renormalization():

@@ -1,10 +1,12 @@
+import collections
 import json
 import math
 
+import numpy as np
 import pytest
 
 from collisim import __version__, qcore
-from collisim.cli import ConfigError, main, parse_config
+from collisim.cli import ConfigError, _render_csv, _render_json, main, parse_config
 
 
 def vacuum_config(**overrides):
@@ -103,6 +105,22 @@ def test_parse_rejects_invalid_rho0():
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("h_sys", [[[0, 1], [0, 0]], [[0, 0.01], [0, 0]]])
+@pytest.mark.parametrize("scenario", ["spontaneous_emission", "single_photon"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_non_hermitian_h_sys_exits_one(tmp_path, capsys, command, scenario, h_sys):
+    # a non-Hermitian h_sys used to run and fail the trace check (exit 2)
+    doc = single_photon_config(tmp_path, 10)  # writes sp.csv
+    if scenario == "spontaneous_emission":
+        doc = vacuum_config(out_path=doc["out_path"])
+    doc["field"]["system"] = {"h_sys": h_sys, "coupling": [[0, 1], [0, 0]],
+                              "rho0": [[0, 0], [0, 1]]}
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "h_sys is not Hermitian" in err and "Traceback" not in err
+    assert not (tmp_path / "sp.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
@@ -147,6 +165,40 @@ def test_json_output_encodes_complex_as_re_im(tmp_path):
     first = report["rows"][0]["excited_population"]
     assert set(first) == {"re", "im"}
     assert first["re"] == pytest.approx(1.0)
+
+
+# an int, a real and a complex column, with a signed zero
+RENDER_COLUMNS = [("step", np.arange(3)), ("t", np.array([0.0, 0.5, 1.0])),
+                  ("pop", np.array([1.0 + 0j, 0.1 - 2.5e-17j, complex(-0.0, 1 / 3)]))]
+
+
+def test_csv_rows_are_rendered_to_the_exact_bytes():
+    cfg = parse_config(json.dumps(vacuum_config()))
+    assert _render_csv(cfg, RENDER_COLUMNS, {"dt": 0.5}).split("\n") == [
+        f"# collisim {__version__}",
+        "# config: " + json.dumps(cfg.echo, sort_keys=True),
+        '# meta: {"dt": 0.5}',
+        "step,t,pop_re,pop_im",
+        "0,0.0000000000000000e+00,1.0000000000000000e+00,0.0000000000000000e+00",
+        "1,5.0000000000000000e-01,1.0000000000000001e-01,-2.4999999999999999e-17",
+        "2,1.0000000000000000e+00,-0.0000000000000000e+00,3.3333333333333331e-01",
+        "",
+    ]
+
+
+def test_json_rows_are_rendered_to_the_exact_bytes():
+    cfg = parse_config(json.dumps(vacuum_config()))
+    text = _render_json(cfg, RENDER_COLUMNS, {"dt": 0.5})
+    rows = [
+        '{"pop": {"im": 0.0, "re": 1.0}, "step": 0, "t": 0.0}',
+        '{"pop": {"im": -2.5e-17, "re": 0.1}, "step": 1, "t": 0.5}',
+        '{"pop": {"im": 0.3333333333333333, "re": -0.0}, "step": 2, "t": 1.0}',
+    ]
+    expected = json.dumps({"config": cfg.echo, "meta": {"dt": 0.5}, "rows": "ROWS",
+                           "version": __version__}, sort_keys=True, indent=2)
+    indented = json.dumps([json.loads(row) for row in rows], sort_keys=True, indent=2)
+    assert text == expected.replace('"ROWS"', indented.replace("\n", "\n  ")) + "\n"
+    assert '"re": -0.0' in text and '"step": 2,' in text  # ints stay ints, -0.0 keeps its sign
 
 
 def test_missing_output_directory_exits_one(tmp_path, capsys):
@@ -222,6 +274,38 @@ def test_twenty_step_photon_run_writes_every_step(tmp_path, capsys):
     for name in ("excited_population_a_re", "excited_population_b_re"):
         column = [float(row[header.index(name)]) for row in rows]
         assert all(-1e-12 <= p <= 1.0 + 1e-12 for p in column)
+
+
+def test_overflowing_photon_envelope_exits_one(tmp_path, capsys):
+    # finite config values whose spectral sum overflows used to fail at step 1 with exit 2
+    doc = single_photon_config(tmp_path, 10)
+    doc["field"]["envelope"] = {"type": "tabulated", "omega": [0, 0.001], "psi": [1e308, 1e308]}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "envelope amplitudes must have a finite total weight" in err
+    assert "Traceback" not in err and not (tmp_path / "sp.csv").exists()
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.7])
+def test_bloch_run_builds_no_value_type_per_step(tmp_path, monkeypatch, omega):
+    # the bath, the drive table and the ME table are (N, d, d) arrays, not one
+    # validated DensityMatrix or Operator per step
+    counts = []
+    for n_steps in (400, 4000):
+        built = collections.Counter()
+        for cls in (qcore.Operator, qcore.DensityMatrix):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, check=check: built.update([type(self)]) or check(self))
+        field = {"kind": "coherent", "gamma": 1.0, "t_final": 2.0, "n_steps": n_steps,
+                 "z": 3.0, "omega": omega, "d_anc": 12}
+        doc = {"scenario": "bloch", "field": field, "output": "json"}
+        out = str(tmp_path / "bloch.json")
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+        monkeypatch.undo()
+        counts.append(built)
+    assert counts[0] == counts[1]
+    assert counts[0][qcore.DensityMatrix] < 10 and counts[0][qcore.Operator] < 50
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

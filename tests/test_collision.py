@@ -13,6 +13,7 @@ from collisim import (
     ValidationError,
     annihilator,
     choi_of_collision,
+    coherent_bath,
     collide_once,
     collision_unitary,
     fock_dm,
@@ -23,6 +24,7 @@ from collisim import (
     single_photon_bath,
     step_map_choi,
 )
+from collisim import collision
 from collisim.bath import PRODUCT_STEP_DEPENDENT, BathSpec
 from collisim.collision import step_map_superoperator
 from oracles import embed_pair_unitary, one_photon_amplitudes
@@ -104,11 +106,41 @@ def test_collision_unitary_is_unitary(d_anc):
 @pytest.mark.parametrize("step", [0, 4])
 def test_collision_unitary_rejects_steps_off_the_table(step):
     # step 0 used to wrap around to the last entry, step 4 raised a bare IndexError
-    table = tuple(Operator(w * np.eye(2, dtype=complex), (2,)) for w in (0.1, 0.2, 0.3))
+    table = np.array([w * np.eye(2, dtype=complex) for w in (0.1, 0.2, 0.3)])
     spec = CollisionSpec(h_sys=H2, coupling=LOWER, dt=0.1, n_steps=3, d_anc=2, g=1.0,
                          h_sys_table=table)
     with pytest.raises(ValidationError, match=f"step {step} outside 1..3"):
         collision_unitary(spec, step)
+
+
+def test_spec_checks_its_h_sys_table_once():
+    table = np.array([w * np.eye(2, dtype=complex) for w in (0.1, 0.2, 0.3)])
+    spec = CollisionSpec(h_sys=H2, coupling=LOWER, dt=0.1, n_steps=3, d_anc=2, g=1.0,
+                         h_sys_table=table)
+    assert not spec.h_sys_table.flags.writeable and table.flags.writeable
+    for bad_row in (0.5j * np.eye(2), np.full((2, 2), np.nan)):
+        with pytest.raises(ValidationError, match="h_sys_table at step 2: not Hermitian"):
+            CollisionSpec(h_sys=H2, coupling=LOWER, dt=0.1, n_steps=3, d_anc=2, g=1.0,
+                          h_sys_table=np.array([table[0], bad_row, table[2]]))
+    for bad in (table[:2], table[:, :1], np.zeros((3, 3, 3))):
+        with pytest.raises(ValidationError, match="h_sys_table"):
+            CollisionSpec(h_sys=H2, coupling=LOWER, dt=0.1, n_steps=3, d_anc=2, g=1.0,
+                          h_sys_table=bad)
+
+
+def test_run_product_reads_the_bath_arrays_directly(monkeypatch):
+    # one array object for a homogeneous bath lets _operator_sums form its blocks once;
+    # a step-dependent bath hands over its rows, not copies
+    seen = []
+    sums = collision._operator_sums
+    monkeypatch.setattr(collision, "_operator_sums",
+                        lambda us, etas: sums(us, (seen.append(eta) or eta for eta in etas)))
+    run_product(two_level_spec(g=1.0, n_steps=5), product_bath(fock_dm(2, 0), 5), fock_dm(2, 1))
+    assert len(seen) == 5 and all(eta is seen[0] for eta in seen)
+    bath = coherent_bath(0.5, omega=1.0, dt=0.1, n=5, d=2)
+    seen.clear()
+    run_product(two_level_spec(g=1.0, n_steps=5), bath, fock_dm(2, 1))
+    assert all(eta is row for eta, row in zip(seen, bath.etas, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +246,11 @@ def test_single_slot_envelope_matches_step_dependent_product():
     # product run whose first ancilla is |1><1| and the rest vacuum
     n, g, dt = 4, 0.9, 0.25
     # a per-step Hamiltonian must act at the same step on both paths
-    table = tuple(Operator(w * np.array([[0, 1], [1, 0]], dtype=complex), (2,))
-                  for w in (0.3, 1.1, 2.0, 0.7))
+    table = np.array([w * np.array([[0, 1], [1, 0]], dtype=complex) for w in (0.3, 1.1, 2.0, 0.7)])
     driven = CollisionSpec(h_sys=H2, coupling=LOWER, dt=dt, n_steps=n, d_anc=2, g=g,
                            h_sys_table=table)
     corr = single_photon_bath([1.0, 0.0, 0.0, 0.0], n)
-    etas = (fock_dm(2, 1),) + tuple(fock_dm(2, 0) for _ in range(n - 1))
+    etas = np.array([fock_dm(2, 1).data] + [fock_dm(2, 0).data] * (n - 1))
     prod = BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=n, etas=etas)
     for spec in (two_level_spec(g=g, dt=dt, n_steps=n), driven):
         traj_corr = run_correlated(spec, corr, fock_dm(2, 0))

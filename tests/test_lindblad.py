@@ -292,7 +292,27 @@ def test_generator_rejects_negative_rate_and_non_hermitian_h():
 def test_generator_rejects_empty_step_table():
     # an empty table used to pass here and fail later with a bare IndexError
     with pytest.raises(ValidationError):
-        LindbladGenerator(h_eff=H2, jumps=(), step_table=(), step_duration=0.1)
+        LindbladGenerator(h_eff=H2, jumps=(), h_table=np.zeros((0, 2, 2)), step_duration=0.1)
+
+
+def test_generator_rejects_non_hermitian_table_row():
+    table = np.array([np.diag([0.5, -0.5]), [[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+    with pytest.raises(ValidationError, match="h_table at step 2: not Hermitian"):
+        LindbladGenerator(h_eff=H2, jumps=(), h_table=table, step_duration=0.5)
+    with pytest.raises(ValidationError, match=r"h_table of shape \(2, 3, 3\)"):
+        LindbladGenerator(h_eff=H2, jumps=(), h_table=np.zeros((2, 3, 3)), step_duration=0.5)
+
+
+@pytest.mark.parametrize("t", [-0.6, -5.0, -1e-12, math.nan])
+def test_term_for_time_rejects_negative_times(t):
+    # -0.6 used to select the last entry silently, -5 raised a bare IndexError
+    table = np.array([np.diag([0.5, -0.5]), 0.3 * np.array([[0, 1], [1, 0]])], dtype=complex)
+    gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 0.5),), h_table=table, step_duration=0.5)
+    with pytest.raises(ValidationError, match="time must be >= 0"):
+        apply_generator(gen, fock_dm(2, 1), t=t)
+    for time, row in [(0.0, 0), (0.49, 0), (0.5, 1), (7.0, 1)]:
+        h, jumps = gen.term_for_time(time)
+        assert np.array_equal(h.data, table[row]) and jumps == gen.jumps
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +397,7 @@ def test_step_table_sampling_matches_piecewise_exponential(monkeypatch):
         h2 = Operator(0.3 * np.array([[0, 1], [1, 0]], dtype=complex), (2,))
         jumps = ((LOWER, 0.5),)
         gen = LindbladGenerator(h_eff=h1, jumps=jumps,
-                                step_table=((h1, jumps), (h2, jumps)), step_duration=0.5)
+                                h_table=np.array([h1.data, h2.data]), step_duration=0.5)
         traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=2000)
 
         lv1 = liouvillian(h1.data, [(LOWER.data, 0.5)])
@@ -408,7 +428,7 @@ def test_step_table_midpoints_off_the_table_grid(monkeypatch):
         hs = [Operator(w * np.array([[0, 1], [1, 0]], dtype=complex), (2,)) for w in (0.4, 1.3, 2.1)]
         jumps = ((LOWER, 0.6),)
         gen = LindbladGenerator(h_eff=hs[0], jumps=jumps,
-                                step_table=tuple((h, jumps) for h in hs), step_duration=0.3)
+                                h_table=np.array([h.data for h in hs]), step_duration=0.3)
         traj = integrate_me(gen, fock_dm(2, 1), t_final=1.0, n_substeps=10)
 
         props = [scipy.linalg.expm(0.1 * liouvillian(h.data, [(LOWER.data, 0.6)])) for h in hs]
@@ -473,8 +493,8 @@ def test_substep_refinement_agrees_on_shared_grid(d, n_entries, per_entry, n_jum
     table = []
     for _ in range(n_entries):
         m = _random_operator(rng, d)
-        table.append((Operator(0.5 * (m + m.conj().T), (d,)), jumps))
-    gen = LindbladGenerator(h_eff=table[0][0], jumps=jumps, step_table=tuple(table),
+        table.append(0.5 * (m + m.conj().T))
+    gen = LindbladGenerator(h_eff=Operator(table[0], (d,)), jumps=jumps, h_table=np.array(table),
                             step_duration=t_final / n_entries)
     rho0 = random_density(rng, d)
     n = n_entries * per_entry

@@ -263,13 +263,20 @@ def test_coherent_convergence_runs():
 def test_convergence_reference_grid(monkeypatch, omega, substeps):
     # a static generator is exact on the common grid of the step counts;
     # only a moving drive (omega != 0) is sampled REFERENCE_DRIVE_REFINE times finer
-    grids = []
+    grids, gens = [], []
     integrate = scenarios.lind.integrate_me
-    monkeypatch.setattr(scenarios.lind, "integrate_me",
-                        lambda gen, rho0, t, n, obs: grids.append(n) or integrate(gen, rho0, t, n, obs))
+    monkeypatch.setattr(scenarios.lind, "integrate_me", lambda gen, rho0, t, n, obs:
+                        grids.append(n) or gens.append(gen) or integrate(gen, rho0, t, n, obs))
     cfg = make_cfg(kind="coherent", z=1.0, omega=omega, d_anc=8)
     convergence_study(cfg, [100, 200, 400])
     assert grids == [substeps]
+    # the drive held over substep k is the field's at the substep's end, (k + 1) t / substeps
+    t = np.arange(1, substeps + 1)[:, None, None] * cfg.t_final / substeps
+    b = LOWER.data
+    drive = math.sqrt(cfg.gamma / (2 * math.pi)) * (np.exp(-1j * omega * t) * b
+                                                     + np.exp(1j * omega * t) * b.conj().T)
+    table = gens[0].h_eff.data[None] if omega == 0 else gens[0].h_table
+    assert np.max(np.abs(table - drive[:len(table)])) < 1e-14
 
 
 def test_static_reference_on_common_grid_matches_a_finer_one(monkeypatch):

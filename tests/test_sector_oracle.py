@@ -30,7 +30,7 @@ def photon_runs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = None
     if with_table:
-        table = tuple(Operator(random_hermitian(rng, d_s), (d_s,)) for _ in range(n))
+        table = np.array([random_hermitian(rng, d_s) for _ in range(n)])
     spec = CollisionSpec(
         h_sys=Operator(random_hermitian(rng, d_s), (d_s,)),
         coupling=Operator(rng.standard_normal((d_s, d_s)) + 1j * rng.standard_normal((d_s, d_s)), (d_s,)),
