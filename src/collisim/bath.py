@@ -4,8 +4,8 @@ Three bath families are supported: a homogeneous product bath (one state
 shared by every ancilla), a step-dependent product bath of displaced vacua
 (coherent input field), and a correlated pure bath carrying exactly one
 excitation spread over all ancillas (single-photon input field).  The
-step-dependent states are one read-only (N, d, d) stack, checked once; the
-correlated bath is held as its N amplitudes, never as a 2^N joint state.
+step-dependent ancillas are one read-only (N, d) stack of kets, checked once;
+the correlated bath is held as its N amplitudes, never as a 2^N joint state.
 """
 
 from __future__ import annotations
@@ -34,17 +34,17 @@ class BathSpec:
     """Per-step description of the ancilla stream.
 
     ``eta`` holds the shared state for the homogeneous product kind,
-    ``etas`` the per-step states for the step-dependent kind, and ``phi``
+    ``etas`` the per-step kets |c_n> for the step-dependent kind, and ``phi``
     the amplitudes of the joint state sum_k phi_k |1_k> for the correlated
-    kind.  ``etas`` is given as one (N, d, d) stack, checked once and kept
-    as a tuple of its read-only rows.
+    kind.  ``etas`` is given as one (N, d) stack, checked once for finite unit
+    norm and kept as a tuple of its read-only rows.
     """
 
     kind: str
     d: int
     n_steps: int
     eta: DensityMatrix | None = None
-    etas: tuple[np.ndarray, ...] | None = None
+    etas: tuple[np.ndarray, ...] | None = None  # kets
     joint: None = None  # always None; bench/tracer.py still reads it
     phi: np.ndarray | None = None
     xi: np.ndarray | None = None
@@ -59,18 +59,16 @@ class BathSpec:
             if self.eta is None or self.eta.side != self.d:
                 raise ValidationError("product bath needs a shared ancilla state of side d")
         elif self.kind == PRODUCT_STEP_DEPENDENT:
-            stack = qcore.checked_stack(self.etas, self.d, "ancilla state")
-            if len(stack) != self.n_steps:
-                raise ValidationError(f"bath needs {self.n_steps} ancilla states, got {len(stack)}")
-            object.__setattr__(self, "etas", tuple(stack))
+            kets = qcore.checked_stack(self.etas, (self.d,), "ancilla state", qcore.first_non_unit)
+            if len(kets) != self.n_steps:
+                raise ValidationError(f"bath needs {self.n_steps} ancilla states, got {len(kets)}")
+            object.__setattr__(self, "etas", tuple(kets))
         else:
             if self.phi is None or self.d != 2:
                 raise ValidationError("correlated bath needs qubit amplitudes")
-            norm_sq = float(np.sum(np.abs(self.phi) ** 2))
-            if not abs(norm_sq - 1.0) <= SINGLE_EXCITATION_NORM_TOL:
-                raise ValidationError(
-                    f"single-excitation amplitudes have norm^2 {norm_sq}, expected 1"
-                )
+            bad = qcore.first_non_unit(self.phi[None], SINGLE_EXCITATION_NORM_TOL)
+            if bad is not None:
+                raise ValidationError(f"single-excitation amplitudes: {bad[1]}")
 
     def ancilla_state(self, step: int) -> DensityMatrix:
         """State (marginal, for the correlated kind) of the ancilla met at `step` (1-based)."""
@@ -79,7 +77,7 @@ class BathSpec:
         if self.kind == PRODUCT:
             return self.eta
         if self.kind == PRODUCT_STEP_DEPENDENT:
-            return DensityMatrix(Operator(self.etas[step - 1], (self.d,)))
+            return qcore.PureState(self.etas[step - 1], (self.d,)).density_matrix()
         p = float(np.abs(self.phi[step - 1]) ** 2)
         return DensityMatrix(Operator(np.diag([1.0 - p, p]).astype(complex), (2,)))
 
@@ -99,7 +97,7 @@ def coherent_bath(z: complex, omega: float, dt: float, n: int, d: int) -> BathSp
     """
     if n < 1:
         raise ValidationError("step count must be >= 1")
-    if dt <= 0:
+    if not dt > 0:  # NaN fails too
         raise ValidationError("step duration must be positive")
     if d < 2:
         raise ValidationError(f"truncation dimension must be >= 2, got {d}")
@@ -122,14 +120,12 @@ def coherent_bath(z: complex, omega: float, dt: float, n: int, d: int) -> BathSp
     cols = vecs @ (np.exp(-1j * np.outer(lam, np.abs(xi))) * vecs[0].conj()[:, None])
     cols *= np.exp(1j * np.outer(np.arange(d), np.angle(xi)))
     cols /= np.linalg.norm(cols, axis=0)
-    kets = np.ascontiguousarray(cols.T)
-    etas = kets[:, :, None] * kets.conj()[:, None, :]  # |c_n><c_n|, one C-ordered (n, d, d) stack
     worst = qcore.truncation_fidelity(math.sqrt(max_sq), d)
     return BathSpec(
         kind=PRODUCT_STEP_DEPENDENT,
         d=d,
         n_steps=n,
-        etas=etas,
+        etas=cols.T,
         xi=xi,
         diagnostics={"truncation_fidelity": worst, "max_abs_xi": math.sqrt(max_sq)},
     )

@@ -30,13 +30,7 @@ from .scenarios import FieldConfig, GaussianEnvelope, TabulatedSpectrum
 SCENARIOS = ("spontaneous_emission", "bloch", "single_photon", "convergence")
 FORMATS = ("csv", "json")
 
-_DEFAULT_KIND = {
-    "spontaneous_emission": scenarios.VACUUM,
-    "bloch": scenarios.COHERENT,
-    "single_photon": scenarios.SINGLE_PHOTON,
-    "convergence": scenarios.VACUUM,
-}
-_ALLOWED_KINDS = {
+_ALLOWED_KINDS = {  # the first kind of a scenario is its default
     "spontaneous_emission": (scenarios.VACUUM,),
     "bloch": (scenarios.COHERENT,),
     "single_photon": (scenarios.SINGLE_PHOTON,),
@@ -146,7 +140,7 @@ def _parse_field(doc: Any, scenario: str) -> FieldConfig:
         {"kind", "gamma", "t_final", "n_steps", "d_anc", "z", "omega", "envelope", "system"},
         "field",
     )
-    kind = doc.get("kind", _DEFAULT_KIND[scenario])
+    kind = doc.get("kind", _ALLOWED_KINDS[scenario][0])
     if kind not in (scenarios.VACUUM, scenarios.COHERENT, scenarios.SINGLE_PHOTON):
         raise ConfigError(f"field.kind must be one of vacuum, coherent, single_photon")
     if kind not in _ALLOWED_KINDS[scenario]:

@@ -1,15 +1,11 @@
 """Collision dynamics: per-step unitaries, reduced evolution, CP checks.
 
-Both bath families run on one kernel: a collision map
-E(M) = Tr_a[U_n (M (x) X) U_n^dag], formed only by ``_operator_sums`` and
-applied by ``_collide``.  Against a product bath X is the ancilla state
-eta_n.  Against a single-photon bath the joint state never leaves the span
-of the vacuum and the not-yet-collided part of the photon, so four d_S x d_S
-blocks, each moved by the maps with X = |i><j|, carry it exactly (the
-discrete Fock-state master-equation hierarchy; Baragiola et al., PRA 86,
-013811 (2012)).  Step-indexed inputs (the per-step system Hamiltonians, the
-ancilla states) are read as raw (N, d, d) arrays, each checked once where it
-is built; a run keeps its states the same way, checked once at the end.
+Both bath families run on one Kraus kernel, E(M) = Tr_a[U (M (x) F F^dag) U^dag]
+= sum_x K_x M K_x^dag, formed by ``_kraus`` and applied by ``_collide``: a product
+bath hands over F per step, and a single-photon bath moves the four blocks of its
+one-excitation sector with F = I_2 (Baragiola et al., PRA 86, 013811 (2012)).
+Step-indexed inputs are raw read-only arrays, each checked once where it is
+built; a run keeps its states the same way, checked once at the end.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ class CollisionSpec:
     h_sys_table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:  # written so that NaN fails too, here and below
             raise ValidationError("dt must be positive")
         if self.n_steps < 0:
             raise ValidationError("n_steps must be >= 0")
@@ -65,12 +61,14 @@ class CollisionSpec:
             raise ValidationError("ancilla dimension must be >= 2")
         if (self.g is None) == (self.gamma is None):
             raise ValidationError("exactly one of g or gamma must be set")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise ValidationError("gamma must be positive")
+        if self.g is not None and not math.isfinite(self.g):
+            raise ValidationError("g must be finite")
         if self.h_sys.dims != self.coupling.dims:
             raise ValidationError("h_sys and coupling act on different spaces")
         if self.h_sys_table is not None:
-            table = qcore.checked_stack(self.h_sys_table, self.h_sys.side, "h_sys_table",
+            table = qcore.checked_stack(self.h_sys_table, (self.h_sys.side,) * 2, "h_sys_table",
                                         qcore.first_non_hermitian)
             if len(table) < self.n_steps:
                 raise ValidationError("h_sys_table shorter than n_steps")
@@ -109,7 +107,7 @@ class Trajectory:
         states.setflags(write=False)
         if states.ndim != 3 or states.shape[1] != states.shape[2] or len(states) != len(times):
             raise ValidationError(f"states of shape {states.shape} are not one (d, d) per time")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):
             raise ValidationError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
@@ -142,36 +140,41 @@ def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[np.ndarray
             yield from itertools.repeat(u, len(steps) if table is None else 1)
 
 
-def _operator_sums(us: Iterable[np.ndarray], etas: Iterable[np.ndarray]):
-    """Collision maps E_k(rho) = Tr_a[U_k (rho (x) eta_k) U_k^dag] = sum_x W_x rho V_x,
-    one (W, V) pair per (U_k, eta_k), each of shape (d_a^2, d, d): for x = (c, a),
-    V_x = <a|U_k|c>^dag and W_x = sum_b <a|U_k|b> eta_bc.  A step costs O(d_a^2 d^3);
-    a part is rebuilt only when U_k or eta_k is another object than at the step before."""
-    u_prev = eta_prev = None
-    for u, eta in zip(us, etas):
-        d_a, d = len(eta), len(u) // len(eta)
-        if u is not u_prev:
-            blocks = u.reshape(d, d_a, d, d_a).transpose(3, 1, 0, 2)  # [b, a] = <a|U|b>
-            v = np.ascontiguousarray(blocks.transpose(0, 1, 3, 2).conj()).reshape(-1, d, d)
-            by_b = np.ascontiguousarray(blocks).reshape(d_a, -1)
-        if u is not u_prev or eta is not eta_prev:
-            w = (eta.T @ by_b).reshape(-1, d, d)
-        u_prev, eta_prev = u, eta
-        yield w, v
+def _factor(eta: np.ndarray) -> np.ndarray:
+    """F (d x r), F F^dag = eta: sqrt(p) |e> per eigenvalue p above round-off, scaled to Tr eta."""
+    p, e = np.linalg.eigh(eta)
+    keep = p > len(p) * np.finfo(float).eps * p[-1]
+    return e[:, keep] * np.sqrt(p[keep] * (np.trace(eta).real / p[keep].sum()))
 
 
-def _collide(w: np.ndarray, v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_x W_x m V_x, as two matrix products."""
-    d = m.shape[0]
-    wm = (w.reshape(-1, d) @ m).reshape(-1, d, d)
-    return wm.transpose(1, 0, 2).reshape(d, -1) @ v.reshape(-1, d)
+def _kraus(us: Iterable[np.ndarray], fs: Iterable[np.ndarray]):
+    """Per step, the Kraus blocks of E(M) = Tr_a[U (M (x) F F^dag) U^dag] = sum_x K_x M K_x^dag,
+    K_x = sum_b <a|U|b> F_br for x = (r, a), F of shape (d_a, r) or a ket (r = 1), as the pair
+    [i, (j, x)] = (K_x)_ij and [j, (x, i)] = (K_x^dag)_ji, each of shape (d, d r d_a).
+    O(d_a r d^3) per step; a pair is rebuilt only when U or F is another object than before."""
+    u_prev = f_prev = None
+    for u, f in zip(us, fs):
+        if u is not u_prev or f is not f_prev:
+            d_a, d = len(f), len(u) // len(f)
+            k = (u.reshape(-1, d_a) @ f.reshape(d_a, -1)).reshape(d, d_a, d, -1)  # [i, a, j, r]
+            pair = (k.transpose(0, 2, 3, 1).reshape(d, -1),  # [i, (j, r, a)]
+                    k.transpose(2, 3, 1, 0).conj().reshape(d, -1))  # [j, (r, a, i)]
+        u_prev, f_prev = u, f
+        yield pair
+
+
+def _collide(k: np.ndarray, k_dag: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_x K_x m K_x^dag for m of shape (..., q, q), as two matrix products, with k = [i, (j, x)]
+    of shape (p, q n) and k_dag = [j, (x, i)] of shape (q, n p)."""
+    return k @ (m.reshape(-1, len(k_dag)) @ k_dag).reshape(m.shape[:-2] + (-1, len(k)))
 
 
 def _map_superoperator(spec: CollisionSpec, step: int, eta: np.ndarray) -> np.ndarray:
-    """Row-major d^2 x d^2 matrix of collision `step` against ancilla state eta,
-    from vec(W m V) = (W (x) V^T) vec(m)."""
-    w, v = next(_operator_sums(_unitaries(spec, [step]), [eta]))
-    return np.einsum("xij,xlk->ikjl", w, v).reshape(w.shape[-1] ** 2, -1)
+    """Row-major d^2 x d^2 matrix sum_x K_x (x) conj(K_x) of collision `step` against ancilla
+    state eta, from vec(K m K^dag) = (K (x) conj(K)) vec(m)."""
+    k, _ = next(_kraus(_unitaries(spec, [step]), [_factor(eta)]))
+    blocks = k.reshape(len(k), len(k), -1)  # [i, j, x]
+    return np.einsum("ijx,klx->ikjl", blocks, blocks.conj()).reshape(len(k) ** 2, -1)
 
 
 def collision_unitary(spec: CollisionSpec, step: int = 1) -> Operator:
@@ -185,8 +188,8 @@ def collide_once(rho: DensityMatrix, eta: DensityMatrix, u: Operator) -> Density
         raise ValidationError(
             f"unitary dims {u.dims} do not match system {rho.dims} + ancilla {eta.dims}"
         )
-    w, v = next(_operator_sums([u.data], [eta.data]))
-    return DensityMatrix(Operator(_collide(w, v, rho.data), rho.dims))
+    k, k_dag = next(_kraus([u.data], [_factor(eta.data)]))
+    return DensityMatrix(Operator(_collide(k, k_dag, rho.data), rho.dims))
 
 
 def _checked_trajectory(dt: float, states: np.ndarray,
@@ -213,39 +216,39 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
         raise ValidationError("initial state on wrong space")
 
     n, d = spec.n_steps, rho0.side
-    etas = bath.etas if bath.etas is not None else itertools.repeat(bath.eta.data)
+    fs = bath.etas if bath.etas is not None else itertools.repeat(_factor(bath.eta.data))
     states = np.empty((n + 1, d, d), dtype=complex)
     states[0] = rho0.data
-    for k, (w, v) in enumerate(_operator_sums(_unitaries(spec, range(1, n + 1)), etas)):
-        states[k + 1] = _collide(w, v, states[k])
+    for k, (kraus, kraus_dag) in enumerate(_kraus(_unitaries(spec, range(1, n + 1)), fs)):
+        states[k + 1] = _collide(kraus, kraus_dag, states[k])
     return _checked_trajectory(spec.dt, states, observables)
 
 
 def _run_correlated_raw(us: Iterable[np.ndarray], phi: np.ndarray, m0: np.ndarray) -> np.ndarray:
-    """System marginals, shape (n + 1, d_S, d_S), before and after each of the n collisions
-    with unitaries ``us`` against the one-photon bath sum_k phi_k |1_k>: linear in m0, unchecked.
+    """System marginals, shape (..., n + 1, d_S, d_S), of m0 (one matrix or a stack) before and
+    after each of the n collisions with unitaries ``us`` against the one-photon bath
+    sum_k phi_k |1_k>: linear in m0, unchecked.
 
-    The joint state after n collisions stays A (x) |v><v| + B (x) |P_n><v| + B' (x) |v><P_n|
-    + C (x) |P_n><P_n|, with |v> the vacuum and |P_n> = sum_{k>n} phi_k |1_k> unnormalised, and
-    its marginal is A + w_n C with w_n = <P_n|P_n>.  The four blocks go through the maps
-    E_ij(M) = Tr_a[U (M (x) |i><j|) U^dag]; B' is not B^dag when m0 is not Hermitian."""
-    units = np.eye(4, dtype=complex).reshape(4, 2, 2)  # |0><0|, |0><1|, |1><0|, |1><1|
-    maps = zip(*(_operator_sums(us_x, itertools.repeat(x))
-                 for us_x, x in zip(itertools.tee(us, 4), units)))
-    tail = np.append(np.cumsum(np.abs(phi[::-1]) ** 2)[::-1], 0.0)  # w_n
-    a = b = bp = np.zeros_like(m0, dtype=complex)
-    c = m0
+    After n collisions the joint state is A (x) |v><v| + B (x) |P_n><v| + B' (x) |v><P_n|
+    + C (x) |P_n><P_n|, with |v> the vacuum and |P_n> = sum_{k>n} phi_k |1_k> unnormalised; its
+    marginal is A + w_n C, w_n = <P_n|P_n>, and B' is not B^dag when m0 is not Hermitian.  As
+    |P_n> = p |1_{n+1}> + |0_{n+1}>|P_{n+1}>, p = phi_{n+1}, each block X meets the next ancilla
+    as Y_X = sum_rs Y_X[r, s] (x) |r><s| on S (x) ancilla (Y_A = [[A, p* B'], [p B, |p|^2 C]],
+    Y_B = [[B, p* C], [0, 0]], Y_B' = [[B', 0], [p C, 0]], Y_C = [[C, 0], [0, 0]]) and leaves as
+    Tr_a[U Y_X U^dag]: one ``_collide`` per step, with F = I_2, for all blocks and all m0."""
+    d = m0.shape[-1]
+    tail = np.append(np.cumsum(np.abs(phi[::-1]) ** 2)[::-1], 0.0).tolist()  # w_n
+    x = np.array([np.zeros_like(m0)] * 3 + [m0], dtype=complex)  # A, B, B', C
+    y = np.zeros(x.shape[:-1] + (2, d, 2), dtype=complex)  # Y[r, s]_ij at [..., i, r, j, s]
     marginals = [m0]
-    for (e00, e01, e10, e11), p, w in zip(maps, phi, tail[1:]):
-        a, b, bp, c = (
-            _collide(*e00, a) + p * _collide(*e10, b) + p.conjugate() * _collide(*e01, bp)
-            + abs(p) ** 2 * _collide(*e11, c),
-            _collide(*e00, b) + p.conjugate() * _collide(*e01, c),
-            _collide(*e00, bp) + p * _collide(*e10, c),
-            _collide(*e00, c),
-        )
-        marginals.append(a + w * c)
-    return np.stack(marginals)
+    for (k, k_dag), p, w in zip(_kraus(us, itertools.repeat(np.eye(2))), phi.tolist(), tail[1:]):
+        y[..., 0, :, 0] = x  # Y_X[0, 0] = X
+        y[:2, ..., 0, :, 1] = p.conjugate() * x[2:]  # Y_A[0, 1] = p* B', Y_B[0, 1] = p* C
+        y[::2, ..., 1, :, 0] = p * x[1::2]  # Y_A[1, 0] = p B, Y_B'[1, 0] = p C
+        y[0, ..., 1, :, 1] = abs(p) ** 2 * x[3]  # Y_A[1, 1] = |p|^2 C
+        x = _collide(k, k_dag.reshape(2 * d, -1), y.reshape(x.shape[:-2] + (2 * d, 2 * d)))
+        marginals.append(x[0] + w * x[3])
+    return np.stack(marginals, axis=-3)
 
 
 def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
@@ -294,7 +297,7 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
 
     For a product bath this is the collision map of that step itself.  For
     a correlated bath it is reconstructed by tomography: the d_S^2 matrix
-    units are propagated through collisions 1..step, and the
+    units are propagated through collisions 1..step in one pass, and the
     earlier map is divided out; the result is one convention for "the"
     step map and need not be completely positive.
     """
@@ -305,9 +308,8 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
         raise ValidationError(f"system dimension {d_s} too large for tomography")
     if bath.kind != bath_mod.CORRELATED_PURE:
         return _map_superoperator(spec, step, bath.ancilla_state(step).data)
-    us = list(_unitaries(spec, range(1, step + 1)))
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
-    runs = np.stack([_run_correlated_raw(us, bath.phi, e)[-2:] for e in units])
+    runs = _run_correlated_raw(_unitaries(spec, range(1, step + 1)), bath.phi, units)[:, -2:]
     # row k of runs[:, j] is matrix unit k after step - 1 + j collisions; after = L before
     before, after = (runs[:, j].reshape(d_s * d_s, -1) for j in (0, 1))
     return np.linalg.solve(before, after).T

@@ -60,14 +60,15 @@ class LindbladGenerator:
         if not self.h_eff.is_hermitian():
             raise ValidationError("effective Hamiltonian is not Hermitian")
         for op, rate in self.jumps:
-            if rate < 0:
-                raise ValidationError(f"negative jump rate {rate}")
+            if not rate >= 0:  # written so that NaN fails too, here and below
+                raise ValidationError(f"jump rate must be >= 0, got {rate}")
             if op.dims != self.h_eff.dims:
                 raise ValidationError("jump operator on wrong space")
+        if self.step_duration is not None or self.h_table is not None:
+            if not (self.step_duration or 0) > 0:  # None (with a table), NaN and <= 0 all fail
+                raise ValidationError(f"step_duration must be positive, got {self.step_duration}")
         if self.h_table is not None:
-            if self.step_duration is None or self.step_duration <= 0:
-                raise ValidationError("a generator with h_table needs a positive step_duration")
-            table = qcore.checked_stack(self.h_table, self.h_eff.side, "h_table",
+            table = qcore.checked_stack(self.h_table, (self.h_eff.side,) * 2, "h_table",
                                         qcore.first_non_hermitian)
             object.__setattr__(self, "h_table", table)
 
@@ -237,7 +238,7 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     """
     if n_substeps < 1:
         raise ValidationError("n_substeps must be >= 1")
-    if t_final <= 0:
+    if not t_final > 0:
         raise ValidationError("t_final must be positive")
     if gen.h_eff.dims != rho0.dims:
         raise ValidationError("generator and state act on different spaces")

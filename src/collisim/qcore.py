@@ -2,8 +2,8 @@
 
 Everything here is a pure function of immutable values: operators and states
 carry read-only numpy arrays plus an ordered list of subsystem dimensions, so
-they can be shared freely across concurrent workers.  ``first_invalid_state``
-defines a density matrix and ``first_non_hermitian`` a Hamiltonian, for one or a (T, d, d) stack.
+they can be shared freely across concurrent workers.  ``first_invalid_state``,
+``first_non_hermitian`` and ``first_non_unit`` define a state, a Hamiltonian and a ket, stackwise.
 """
 
 from __future__ import annotations
@@ -120,12 +120,19 @@ def first_invalid_state(stack: np.ndarray, psd_tol: float = PSD_TOL) -> tuple[in
     return None
 
 
-def checked_stack(data, side: int, what: str, first_bad=first_invalid_state) -> np.ndarray:
-    """Step-indexed input as a read-only C-ordered complex (N >= 1, side, side) stack, copied only
+def first_non_unit(stack: np.ndarray, tol: float = NORM_TOL) -> tuple[int, str] | None:
+    """(index, reason) of the first ket of a (T, d) stack whose squared norm is not 1 within tol."""
+    norm_sq = np.einsum("ti,ti->t", stack, stack.conj()).real
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= tol))  # NaN compares False, so it counts
+    return (int(bad[0]), f"squared norm {norm_sq[bad[0]]:.12g}, not 1") if bad.size else None
+
+
+def checked_stack(data, row_shape: tuple[int, ...], what: str, first_bad) -> np.ndarray:
+    """Step-indexed input as a read-only C-ordered complex (N >= 1, *row_shape) stack, copied only
     if needed; ValidationError names ``what`` and the first step (1-based) ``first_bad`` rejects."""
     stack = np.asarray(data)
-    if stack.ndim != 3 or not len(stack) or stack.shape[1:] != (side, side):
-        raise ValidationError(f"{what} of shape {stack.shape} is not (N, {side}, {side})")
+    if stack.shape[1:] != row_shape or not len(stack):
+        raise ValidationError(f"{what} of shape {stack.shape} is not N x {row_shape}")
     stack = np.ascontiguousarray(stack, dtype=complex).view()
     stack.setflags(write=False)
     bad = first_bad(stack)
@@ -174,9 +181,9 @@ class PureState:
             raise ValidationError(
                 f"amplitude vector of length {amps.shape[0]} incompatible with dims {dims}"
             )
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValidationError(f"squared norm {norm_sq} deviates from 1")
+        bad = first_non_unit(amps[None])
+        if bad is not None:
+            raise ValidationError(bad[1])
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 

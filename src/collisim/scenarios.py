@@ -52,7 +52,7 @@ class GaussianEnvelope:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
+        if not self.width > 0:  # written so that NaN fails too, here and below
             raise ValidationError("envelope width must be positive")
 
 
@@ -69,7 +69,7 @@ class TabulatedSpectrum:
         if omegas.ndim != 1 or omegas.shape != amps.shape or omegas.size < 2:
             raise ValidationError("spectrum needs matching 1-d omega and amplitude arrays")
         spacing = np.diff(omegas)
-        if np.any(spacing <= 0) or np.max(np.abs(spacing - spacing[0])) > 1e-9 * abs(spacing[0]):
+        if not (spacing[0] > 0 and np.max(np.abs(spacing - spacing[0])) <= 1e-9 * spacing[0]):
             raise ValidationError("omega grid must be uniform and increasing")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "amplitudes", amps)
@@ -103,9 +103,9 @@ class FieldConfig:
     def __post_init__(self):
         if self.kind not in (VACUUM, COHERENT, SINGLE_PHOTON):
             raise ValidationError(f"unknown field kind {self.kind!r}")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValidationError("gamma must be positive")
-        if self.t_final <= 0:
+        if not self.t_final > 0:
             raise ValidationError("t_final must be positive")
         if self.n_steps < 1:
             raise ValidationError("n_steps must be >= 1")

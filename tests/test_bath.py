@@ -10,6 +10,7 @@ from collisim import (
     ValidationError,
     coherent_bath,
     displacement,
+    fock,
     fock_dm,
     partial_trace,
     product_bath,
@@ -81,31 +82,38 @@ def test_coherent_bath_states_are_displaced_vacua():
 def test_coherent_bath_is_one_read_only_stack():
     bath = coherent_bath(0.8, omega=2.0, dt=0.05, n=5, d=6)
     assert isinstance(bath.etas, tuple) and len(bath.etas) == 5
-    assert all(eta.shape == (6, 6) and not eta.flags.writeable for eta in bath.etas)
+    assert all(ket.shape == (6,) and not ket.flags.writeable for ket in bath.etas)
     start = bath.etas[0].__array_interface__["data"][0]
-    for k, eta in enumerate(bath.etas):  # row views of one C-ordered stack
-        assert eta.flags.c_contiguous and eta.__array_interface__["data"][0] == start + 16 * 36 * k
+    for k, ket in enumerate(bath.etas):  # row views of one C-ordered stack of kets
+        assert ket.flags.c_contiguous and ket.__array_interface__["data"][0] == start + 16 * 6 * k
 
 
 def test_step_dependent_bath_names_the_first_ancilla_that_is_not_a_state():
-    etas = np.array([fock_dm(2, 0).data] * 4)
-    etas[2] = np.diag([0.7, 0.2])
-    etas[3] = np.diag([1.5, -0.5])
-    with pytest.raises(ValidationError, match="ancilla state at step 3: .*trace 0.9"):
-        BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=4, etas=etas)
-    etas[2] = np.nan
-    with pytest.raises(ValidationError, match="ancilla state at step 3: non-finite"):
-        BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=4, etas=etas)
+    kets = np.array([[1.0, 0.0]] * 4, dtype=complex)
+    kets[2] = [0.9**0.5, 0.0]
+    kets[3] = [2.0, 0.0]
+    with pytest.raises(ValidationError, match="ancilla state at step 3: .*squared norm 0.9"):
+        BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=4, etas=kets)
+    kets[2] = np.nan
+    with pytest.raises(ValidationError, match="ancilla state at step 3: .*squared norm nan"):
+        BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=4, etas=kets)
 
 
 def test_step_dependent_bath_needs_one_state_per_step():
-    vacua = np.array([fock_dm(2, 0).data] * 3)
-    for etas in (None, vacua[:2], vacua[:, :1], [fock_dm(2, 0)] * 3):
+    vacua = np.array([[1.0, 0.0]] * 3, dtype=complex)
+    density_matrices = np.array([fock_dm(2, 0).data] * 3)
+    for kets in (None, vacua[:2], vacua[:, :1], [fock(2, 0)] * 3, density_matrices):
         with pytest.raises(ValidationError, match="ancilla state of shape|needs 3 ancilla states"):
-            BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=3, etas=etas)
+            BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=3, etas=kets)
     bath = BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=3, etas=vacua)
     assert vacua.flags.writeable  # the caller's array is not frozen, only the bath's view
-    assert np.array_equal(bath.ancilla_state(3).data, vacua[2])
+    assert np.array_equal(bath.ancilla_state(3).data, fock_dm(2, 0).data)
+
+
+@pytest.mark.parametrize("dt", [math.nan, 0.0, -0.1])
+def test_coherent_bath_rejects_a_step_that_is_not_positive(dt):
+    with pytest.raises(ValidationError, match="step duration must be positive"):
+        coherent_bath(1.0, omega=0.0, dt=dt, n=3, d=4)
 
 
 def test_coherent_bath_truncation_guard():

@@ -66,6 +66,22 @@ def test_parse_rejects_scenario_kind_mismatch():
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("scenario, kind", [
+    ("spontaneous_emission", "vacuum"),
+    ("bloch", "coherent"),
+    ("single_photon", "single_photon"),
+    ("convergence", "vacuum"),
+])
+def test_parse_defaults_the_field_kind_per_scenario(scenario, kind):
+    doc = vacuum_config(scenario=scenario)
+    del doc["field"]["kind"]
+    if scenario == "single_photon":
+        doc["field"]["envelope"] = {"type": "gaussian", "center": 0.5, "width": 0.2}
+    if scenario == "convergence":
+        doc["n_list"] = [100, 200, 400]
+    assert parse_config(json.dumps(doc)).field.kind == kind
+
+
 def test_parse_rejects_coherent_fields_on_vacuum():
     doc = vacuum_config()
     doc["field"]["z"] = 1.0

@@ -67,6 +67,21 @@ def test_spec_rejects_bad_parameters():
         two_level_spec(g=1.0, gamma=1.0)  # both
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dt", math.nan, "dt must be positive"),
+    ("gamma", math.nan, "gamma must be positive"),
+    ("g", math.nan, "g must be finite"),
+    ("g", math.inf, "g must be finite"),
+])
+def test_spec_rejects_non_finite_parameters(field, value, message):
+    # x <= 0 is False for NaN, so these used to pass and fail at step 1 as a PropagationError
+    kwargs = {"dt": 0.1, "gamma": 1.0, field: value}
+    if field == "g":
+        kwargs["gamma"] = None
+    with pytest.raises(ValidationError, match=message):
+        two_level_spec(**kwargs)
+
+
 def test_rate_mode_coupling_and_rate():
     spec = two_level_spec(gamma=2.0, dt=0.5)
     assert spec.coupling_strength == math.sqrt(2.0 / 0.5)
@@ -129,14 +144,14 @@ def test_spec_checks_its_h_sys_table_once():
 
 
 def test_run_product_reads_the_bath_arrays_directly(monkeypatch):
-    # one array object for a homogeneous bath lets _operator_sums form its blocks once;
+    # one array object for a homogeneous bath lets _kraus form its blocks once;
     # a step-dependent bath hands over its rows, not copies
     seen = []
-    sums = collision._operator_sums
-    monkeypatch.setattr(collision, "_operator_sums",
-                        lambda us, etas: sums(us, (seen.append(eta) or eta for eta in etas)))
+    kraus = collision._kraus
+    monkeypatch.setattr(collision, "_kraus",
+                        lambda us, fs: kraus(us, (seen.append(f) or f for f in fs)))
     run_product(two_level_spec(g=1.0, n_steps=5), product_bath(fock_dm(2, 0), 5), fock_dm(2, 1))
-    assert len(seen) == 5 and all(eta is seen[0] for eta in seen)
+    assert len(seen) == 5 and all(f is seen[0] for f in seen) and seen[0].shape == (2, 1)
     bath = coherent_bath(0.5, omega=1.0, dt=0.1, n=5, d=2)
     seen.clear()
     run_product(two_level_spec(g=1.0, n_steps=5), bath, fock_dm(2, 1))
@@ -250,8 +265,8 @@ def test_single_slot_envelope_matches_step_dependent_product():
     driven = CollisionSpec(h_sys=H2, coupling=LOWER, dt=dt, n_steps=n, d_anc=2, g=g,
                            h_sys_table=table)
     corr = single_photon_bath([1.0, 0.0, 0.0, 0.0], n)
-    etas = np.array([fock_dm(2, 1).data] + [fock_dm(2, 0).data] * (n - 1))
-    prod = BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=n, etas=etas)
+    kets = np.array([[0.0, 1.0]] + [[1.0, 0.0]] * (n - 1))
+    prod = BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=n, etas=kets)
     for spec in (two_level_spec(g=g, dt=dt, n_steps=n), driven):
         traj_corr = run_correlated(spec, corr, fock_dm(2, 0))
         traj_prod = run_product(spec, prod, fock_dm(2, 0))
@@ -382,3 +397,5 @@ def test_trajectory_requires_increasing_times():
         Trajectory(np.array([0.0, 0.0]), states, {})
     with pytest.raises(ValidationError):
         Trajectory(np.array([0.0]), states, {})
+    with pytest.raises(ValidationError):
+        Trajectory(np.array([0.0, math.nan]), states, {})

@@ -289,6 +289,24 @@ def test_generator_rejects_negative_rate_and_non_hermitian_h():
         LindbladGenerator(h_eff=skew, jumps=())
 
 
+@pytest.mark.parametrize("rate, duration, message", [
+    (math.nan, None, "jump rate must be >= 0"),
+    (0.5, math.nan, "step_duration must be positive"),
+    (0.5, -1.0, "step_duration must be positive"),
+])
+def test_generator_rejects_nan_rate_and_duration(rate, duration, message):
+    with pytest.raises(ValidationError, match=message):
+        LindbladGenerator(h_eff=H2, jumps=((LOWER, rate),), step_duration=duration)
+
+
+@pytest.mark.parametrize("t_final", [math.nan, 0.0, -1.0])
+def test_integrate_rejects_a_horizon_that_is_not_positive(t_final):
+    # t_final = nan used to raise a bare IndexError
+    gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
+    with pytest.raises(ValidationError, match="t_final must be positive"):
+        integrate_me(gen, fock_dm(2, 1), t_final=t_final, n_substeps=10)
+
+
 def test_generator_rejects_empty_step_table():
     # an empty table used to pass here and fail later with a bare IndexError
     with pytest.raises(ValidationError):

@@ -85,6 +85,25 @@ def test_config_rejects_bad_values():
         make_cfg(kind="single_photon")  # missing envelope
 
 
+@pytest.mark.parametrize("field", ["gamma", "t_final"])
+def test_config_rejects_nan_rate_and_horizon(field):
+    with pytest.raises(ValidationError, match=f"{field} must be positive"):
+        make_cfg(**{field: math.nan})
+
+
+@pytest.mark.parametrize("width", [math.nan, 0.0, -0.5])
+def test_gaussian_envelope_rejects_a_width_that_is_not_positive(width):
+    with pytest.raises(ValidationError, match="width must be positive"):
+        GaussianEnvelope(center=1.0, width=width)
+
+
+@pytest.mark.parametrize("omegas", [[math.nan, 1.0, 2.0], [0.0, math.nan, 2.0], [0.0, 1.0, math.nan],
+                                    [0.0, 1.0, 1.5], [0.0, 0.0, 0.0]])
+def test_tabulated_spectrum_rejects_a_grid_that_is_not_uniform(omegas):
+    with pytest.raises(ValidationError, match="uniform and increasing"):
+        TabulatedSpectrum(np.array(omegas), np.ones(3))
+
+
 # ---------------------------------------------------------------------------
 # spontaneous emission
 # ---------------------------------------------------------------------------

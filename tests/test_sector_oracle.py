@@ -2,8 +2,9 @@
 
 The oracle (`oracles.dense_correlated_marginals`) builds the bath as an
 explicit vector of 2^N amplitudes and evolves the whole joint operator.
-run_correlated, the propagation of non-Hermitian matrix units, and the
-correlated step_map_superoperator must all agree with it.
+run_correlated, the propagation of non-Hermitian matrix units (all of them in
+one batched call), and the correlated step_map_superoperator must all agree
+with it.
 """
 
 import numpy as np
@@ -56,8 +57,7 @@ def test_sector_path_matches_dense_joint_evolution(setup):
 
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
     oracle_units = dense_correlated_marginals(spec, amps, units)
-    us = list(_unitaries(spec, range(1, n + 1)))
-    sector_units = np.stack([_run_correlated_raw(us, bath.phi, e) for e in units])
+    sector_units = _run_correlated_raw(_unitaries(spec, range(1, n + 1)), bath.phi, units)
     assert np.max(np.abs(sector_units - oracle_units)) <= TOL
 
     # the step map divides by the map of the earlier steps, which multiplies
