@@ -352,24 +352,35 @@ def _render_csv(cfg: RunConfig, columns, meta) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_column(values) -> list:
-    """One artifact column as JSON values: complex entries as {"re", "im"} objects."""
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr):
-        return [{"re": re, "im": im} for re, im in zip(arr.real.tolist(), arr.imag.tolist())]
-    return arr.tolist()
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(col: np.ndarray) -> list[str]:
+    """A real column's cells as JSON text, from one repr of the whole column: int and float
+    reprs are what json writes, except for NaN and the infinities."""
+    cells = repr(col.tolist())[1:-1].split(", ") if len(col) else []
+    if col.dtype.kind == "f" and not np.isfinite(col).all():
+        cells = [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
+    return cells
 
 
 def _render_json(cfg: RunConfig, columns, meta) -> str:
-    names = [name for name, _ in columns]
-    cells = zip(*(_json_column(values) for _, values in columns))
-    doc = {
-        "version": __version__,
-        "config": cfg.echo,
-        "meta": meta,
-        "rows": [dict(zip(names, row)) for row in cells],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2) + "\n" of doc = {"version", "config", "meta",
+    "rows": [{name: cell, ...} per row]}, complex cells as {"re", "im"}, to the byte, without
+    building the rows: each column is encoded once, the rows are filled into one row template,
+    and the row block is spliced into json.dumps of the rest of the document."""
+    fields, cells = [], []
+    for name, values in sorted(columns, key=lambda column: column[0]):
+        arr = np.asarray(values)
+        parts = (arr.imag, arr.real) if np.iscomplexobj(arr) else (arr,)
+        value = '{{\n        "im": {},\n        "re": {}\n      }}' if len(parts) == 2 else "{}"
+        fields.append(f"      {json.dumps(name)}: " + value)
+        cells += [_json_cells(part) for part in parts]
+    row = "    {{\n" + ",\n".join(fields) + "\n    }}"
+    rows = ",\n".join(row.format(*cell_row) for cell_row in zip(*cells))
+    doc = {"version": __version__, "config": cfg.echo, "meta": meta, "rows": []}
+    head, empty, tail = json.dumps(doc, sort_keys=True, indent=2).rpartition('"rows": []')
+    return head + (f'"rows": [\n{rows}\n  ]' if rows else empty) + tail + "\n"
 
 
 def run(cfg: RunConfig, out_path: str | None = None, output: str | None = None) -> str:

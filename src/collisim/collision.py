@@ -4,6 +4,8 @@ Both bath families run on one Kraus kernel, E(M) = Tr_a[U (M (x) F F^dag) U^dag]
 = sum_x K_x M K_x^dag, formed by ``_kraus`` and applied by ``_collide``: a product
 bath hands over F per step, and a single-photon bath moves the four blocks of its
 one-excitation sector with F = I_2 (Baragiola et al., PRA 86, 013811 (2012)).
+``_kraus_steps`` builds the blocks a chunk of steps at a time, with one batched
+product per chunk of unitaries, so a run's per-step loop only applies them.
 Step-indexed inputs are raw read-only arrays, each checked once where it is
 built; a run keeps its states the same way, checked once at the end.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -122,22 +124,25 @@ def interaction_operator(spec: CollisionSpec) -> Operator:
     return qcore.tensor(spec.coupling, a.dag()) + qcore.tensor(spec.coupling.dag(), a)
 
 
-def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[np.ndarray]:
-    """Yield U_k = exp(-i (H_S (x) I + g v) dt) for the 1-based collisions k in ``steps``: a
-    static spec's one U each time, else per-step ones in batches of qcore.STACK_CHUNK_BYTES."""
+def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (c, U) for the next c of the 1-based collisions in ``steps``, in order: U the (c, D, D)
+    stack of U_k = exp(-i (H_S (x) I + g v) dt) from one batched expm of qcore.STACK_CHUNK_BYTES
+    at most, or a static spec's one U as (1, D, D), formed once and yielded for every chunk."""
     table, rows = spec.h_sys_table, np.asarray(steps, dtype=int) - 1
     off = [] if table is None else rows[(rows < 0) | (rows >= len(table))]
     if len(off):
         raise ValidationError(f"step {off[0] + 1} outside 1..{len(table)} of h_sys_table")
-    hs = spec.h_sys.data[None] if table is None else table[rows]
     side = spec.d_sys * spec.d_anc
     batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * side * side))
     coupling = spec.coupling_strength * interaction_operator(spec).data
-    for lo in range(0, len(hs), batch):
-        h = np.einsum("nij,ab->niajb", hs[lo:lo + batch], np.eye(spec.d_anc))
-        gens = h.reshape(-1, side, side) + coupling  # H (x) I + g v
-        for u in scipy.linalg.expm(-1j * spec.dt * gens):
-            yield from itertools.repeat(u, len(steps) if table is None else 1)
+    us = None
+    for lo in range(0, len(rows), batch):
+        if us is None or table is not None:
+            hs = spec.h_sys.data[None] if table is None else table[rows[lo:lo + batch]]
+            h = np.einsum("nij,ab->niajb", hs, np.eye(spec.d_anc))
+            gens = h.reshape(-1, side, side) + coupling  # H (x) I + g v
+            us = scipy.linalg.expm(-1j * spec.dt * gens)
+        yield len(rows[lo:lo + batch]), us
 
 
 def _factor(eta: np.ndarray) -> np.ndarray:
@@ -147,20 +152,36 @@ def _factor(eta: np.ndarray) -> np.ndarray:
     return e[:, keep] * np.sqrt(p[keep] * (np.trace(eta).real / p[keep].sum()))
 
 
-def _kraus(us: Iterable[np.ndarray], fs: Iterable[np.ndarray]):
-    """Per step, the Kraus blocks of E(M) = Tr_a[U (M (x) F F^dag) U^dag] = sum_x K_x M K_x^dag,
-    K_x = sum_b <a|U|b> F_br for x = (r, a), F of shape (d_a, r) or a ket (r = 1), as the pair
-    [i, (j, x)] = (K_x)_ij and [j, (x, i)] = (K_x^dag)_ji, each of shape (d, d r d_a).
-    O(d_a r d^3) per step; a pair is rebuilt only when U or F is another object than before."""
-    u_prev = f_prev = None
-    for u, f in zip(us, fs):
-        if u is not u_prev or f is not f_prev:
-            d_a, d = len(f), len(u) // len(f)
-            k = (u.reshape(-1, d_a) @ f.reshape(d_a, -1)).reshape(d, d_a, d, -1)  # [i, a, j, r]
-            pair = (k.transpose(0, 2, 3, 1).reshape(d, -1),  # [i, (j, r, a)]
-                    k.transpose(2, 3, 1, 0).conj().reshape(d, -1))  # [j, (r, a, i)]
-        u_prev, f_prev = u, f
-        yield pair
+def _kraus(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus blocks of E(M) = Tr_a[U (M (x) F F^dag) U^dag] = sum_x K_x M K_x^dag,
+    K_x = sum_b <a|U|b> F_br for x = (r, a), as the pair [..., i, (j, x)] = (K_x)_ij and
+    [..., j, (x, i)] = (K_x^dag)_ji, each of shape (..., d, d r d_a), for U of shape (..., D, D)
+    and F of shape (..., d_a, r), stacks broadcast against each other: one batched product."""
+    d_a = f.shape[-2]
+    d = u.shape[-1] // d_a
+    k = u.reshape(u.shape[:-2] + (-1, d_a)) @ f
+    k = k.reshape(k.shape[:-2] + (d, d_a, d, -1))
+    *lead, i, a, j, r = range(k.ndim)
+    shape = k.shape[:-4] + (d, -1)
+    return (k.transpose(*lead, i, j, r, a).reshape(shape),  # [..., i, (j, r, a)]
+            k.transpose(*lead, j, r, a, i).conj().reshape(shape))  # [..., j, (r, a, i)]
+
+
+def _kraus_steps(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the Kraus pair of each collision 1..n, in order: U_k against F_k = fs[k - 1], a
+    (d_a, r) factor or a ket per row, where a one-row ``fs`` serves every step.  The pairs of a
+    chunk of ``_unitaries`` come from one ``_kraus`` call, and a static U against a one-row
+    ``fs`` is one pair, formed once.  O(d_a r d^3) per step."""
+    pair = u_prev = None
+    lo = 0
+    for count, us in _unitaries(spec, range(1, n + 1)):
+        if us is not u_prev or len(fs) > 1:
+            f = np.asarray(fs[lo:lo + count] if len(fs) > 1 else fs)
+            pair = _kraus(us, f.reshape(len(f), spec.d_anc, -1))
+        u_prev, lo = us, lo + count
+        ks, ks_dag = pair  # one pair per step, or one for all of them
+        yield from (zip(ks, ks_dag) if len(ks) == count
+                    else itertools.repeat((ks[0], ks_dag[0]), count))
 
 
 def _collide(k: np.ndarray, k_dag: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -172,14 +193,14 @@ def _collide(k: np.ndarray, k_dag: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _map_superoperator(spec: CollisionSpec, step: int, eta: np.ndarray) -> np.ndarray:
     """Row-major d^2 x d^2 matrix sum_x K_x (x) conj(K_x) of collision `step` against ancilla
     state eta, from vec(K m K^dag) = (K (x) conj(K)) vec(m)."""
-    k, _ = next(_kraus(_unitaries(spec, [step]), [_factor(eta)]))
+    k, _ = _kraus(next(_unitaries(spec, [step]))[1][0], _factor(eta))
     blocks = k.reshape(len(k), len(k), -1)  # [i, j, x]
     return np.einsum("ijx,klx->ikjl", blocks, blocks.conj()).reshape(len(k) ** 2, -1)
 
 
 def collision_unitary(spec: CollisionSpec, step: int = 1) -> Operator:
     """U = exp(-i (H_S (x) I + g v) dt) for the collision at `step` (1-based)."""
-    return Operator(next(_unitaries(spec, [step])), spec.h_sys.dims + (spec.d_anc,))
+    return Operator(next(_unitaries(spec, [step]))[1][0], spec.h_sys.dims + (spec.d_anc,))
 
 
 def collide_once(rho: DensityMatrix, eta: DensityMatrix, u: Operator) -> DensityMatrix:
@@ -188,7 +209,7 @@ def collide_once(rho: DensityMatrix, eta: DensityMatrix, u: Operator) -> Density
         raise ValidationError(
             f"unitary dims {u.dims} do not match system {rho.dims} + ancilla {eta.dims}"
         )
-    k, k_dag = next(_kraus([u.data], [_factor(eta.data)]))
+    k, k_dag = _kraus(u.data, _factor(eta.data))
     return DensityMatrix(Operator(_collide(k, k_dag, rho.data), rho.dims))
 
 
@@ -216,17 +237,18 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
         raise ValidationError("initial state on wrong space")
 
     n, d = spec.n_steps, rho0.side
-    fs = bath.etas if bath.etas is not None else itertools.repeat(_factor(bath.eta.data))
+    fs = bath.etas if bath.etas is not None else _factor(bath.eta.data)[None]
     states = np.empty((n + 1, d, d), dtype=complex)
     states[0] = rho0.data
-    for k, (kraus, kraus_dag) in enumerate(_kraus(_unitaries(spec, range(1, n + 1)), fs)):
-        states[k + 1] = _collide(kraus, kraus_dag, states[k])
+    for k, (kraus, kraus_dag) in enumerate(_kraus_steps(spec, n, fs)):  # _collide, in place
+        np.matmul(kraus, (states[k] @ kraus_dag).reshape(-1, d), out=states[k + 1])
     return _checked_trajectory(spec.dt, states, observables)
 
 
-def _run_correlated_raw(us: Iterable[np.ndarray], phi: np.ndarray, m0: np.ndarray) -> np.ndarray:
+def _run_correlated_raw(spec: CollisionSpec, n: int, phi: np.ndarray,
+                        m0: np.ndarray) -> np.ndarray:
     """System marginals, shape (..., n + 1, d_S, d_S), of m0 (one matrix or a stack) before and
-    after each of the n collisions with unitaries ``us`` against the one-photon bath
+    after each of the collisions 1..n of ``spec`` against the one-photon bath
     sum_k phi_k |1_k>: linear in m0, unchecked.
 
     After n collisions the joint state is A (x) |v><v| + B (x) |P_n><v| + B' (x) |v><P_n|
@@ -241,7 +263,7 @@ def _run_correlated_raw(us: Iterable[np.ndarray], phi: np.ndarray, m0: np.ndarra
     x = np.array([np.zeros_like(m0)] * 3 + [m0], dtype=complex)  # A, B, B', C
     y = np.zeros(x.shape[:-1] + (2, d, 2), dtype=complex)  # Y[r, s]_ij at [..., i, r, j, s]
     marginals = [m0]
-    for (k, k_dag), p, w in zip(_kraus(us, itertools.repeat(np.eye(2))), phi.tolist(), tail[1:]):
+    for (k, k_dag), p, w in zip(_kraus_steps(spec, n, np.eye(2)[None]), phi.tolist(), tail[1:]):
         y[..., 0, :, 0] = x  # Y_X[0, 0] = X
         y[:2, ..., 0, :, 1] = p.conjugate() * x[2:]  # Y_A[0, 1] = p* B', Y_B[0, 1] = p* C
         y[::2, ..., 1, :, 0] = p * x[1::2]  # Y_A[1, 0] = p B, Y_B'[1, 0] = p C
@@ -264,7 +286,7 @@ def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
     if rho0.dims != spec.h_sys.dims:
         raise ValidationError("initial state on wrong space")
 
-    states = _run_correlated_raw(_unitaries(spec, range(1, spec.n_steps + 1)), bath.phi, rho0.data)
+    states = _run_correlated_raw(spec, spec.n_steps, bath.phi, rho0.data)
     return _checked_trajectory(spec.dt, states, observables)
 
 
@@ -309,7 +331,7 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
     if bath.kind != bath_mod.CORRELATED_PURE:
         return _map_superoperator(spec, step, bath.ancilla_state(step).data)
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
-    runs = _run_correlated_raw(_unitaries(spec, range(1, step + 1)), bath.phi, units)[:, -2:]
+    runs = _run_correlated_raw(spec, step, bath.phi, units)[:, -2:]
     # row k of runs[:, j] is matrix unit k after step - 1 + j collisions; after = L before
     before, after = (runs[:, j].reshape(d_s * d_s, -1) for j in (0, 1))
     return np.linalg.solve(before, after).T

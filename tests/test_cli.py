@@ -183,6 +183,18 @@ def test_json_output_encodes_complex_as_re_im(tmp_path):
     assert first["re"] == pytest.approx(1.0)
 
 
+def test_bloch_json_artifact_is_json_dumps_of_its_document(tmp_path):
+    field = {"kind": "coherent", "gamma": 1.0, "t_final": 1.0, "n_steps": 60, "z": 1.5,
+             "omega": 0.7, "d_anc": 6}
+    doc = {"scenario": "bloch", "field": field, "output": "json"}
+    out = tmp_path / "bloch.json"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    text = out.read_text()
+    report = json.loads(text)
+    assert len(report["rows"]) == 61 and report["rows"][60]["step"] == 60
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 # an int, a real and a complex column, with a signed zero
 RENDER_COLUMNS = [("step", np.arange(3)), ("t", np.array([0.0, 0.5, 1.0])),
                   ("pop", np.array([1.0 + 0j, 0.1 - 2.5e-17j, complex(-0.0, 1 / 3)]))]
@@ -215,6 +227,21 @@ def test_json_rows_are_rendered_to_the_exact_bytes():
     indented = json.dumps([json.loads(row) for row in rows], sort_keys=True, indent=2)
     assert text == expected.replace('"ROWS"', indented.replace("\n", "\n  ")) + "\n"
     assert '"re": -0.0' in text and '"step": 2,' in text  # ints stay ints, -0.0 keeps its sign
+    inf, nan = math.inf, math.nan
+    cases = [  # (columns, meta): columns out of key order, mixed kinds, lists and non-finite cells
+        (RENDER_COLUMNS, {"dt": 0.5}),
+        ([("t", np.array([0.5, nan, -inf])), ("b", np.array([7, -1, 0])),
+          ("a", np.array([complex(inf, nan), 1e-300 - 1j, complex(-inf, 2.5)]))],
+         {"revival_steps": [3, 5], "fitted_slope": -0.99, "z": nan}),
+        ([("step", np.arange(0)), ("x", np.zeros(0, dtype=complex))], {"revival_steps": []}),
+    ]
+    for columns, meta in cases:
+        cells = [[{"re": c.real, "im": c.imag} if isinstance(c, complex) else c for c in v.tolist()]
+                 for _, v in columns]
+        doc = {"version": __version__, "config": cfg.echo, "meta": meta,
+               "rows": [dict(zip([name for name, _ in columns], row)) for row in zip(*cells)]}
+        assert _render_json(cfg, columns, meta) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert "NaN" in _render_json(cfg, *cases[1]) and "-Infinity" in _render_json(cfg, *cases[1])
 
 
 def test_missing_output_directory_exits_one(tmp_path, capsys):

@@ -24,7 +24,7 @@ from collisim import (
     single_photon_bath,
     step_map_choi,
 )
-from collisim import collision
+from collisim import collision, qcore
 from collisim.bath import PRODUCT_STEP_DEPENDENT, BathSpec
 from collisim.collision import step_map_superoperator
 from oracles import embed_pair_unitary, one_photon_amplitudes
@@ -144,18 +144,49 @@ def test_spec_checks_its_h_sys_table_once():
 
 
 def test_run_product_reads_the_bath_arrays_directly(monkeypatch):
-    # one array object for a homogeneous bath lets _kraus form its blocks once;
-    # a step-dependent bath hands over its rows, not copies
+    # a homogeneous bath forms its blocks once; a step-dependent bath hands over its kets one
+    # chunk of steps per _kraus call, not one step at a time
     seen = []
     kraus = collision._kraus
-    monkeypatch.setattr(collision, "_kraus",
-                        lambda us, fs: kraus(us, (seen.append(f) or f for f in fs)))
+    monkeypatch.setattr(collision, "_kraus", lambda u, f: seen.append(f) or kraus(u, f))
     run_product(two_level_spec(g=1.0, n_steps=5), product_bath(fock_dm(2, 0), 5), fock_dm(2, 1))
-    assert len(seen) == 5 and all(f is seen[0] for f in seen) and seen[0].shape == (2, 1)
+    assert [f.shape for f in seen] == [(1, 2, 1)]
+    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 2 * 16 * 4 * 4)  # two 4 x 4 unitaries
     bath = coherent_bath(0.5, omega=1.0, dt=0.1, n=5, d=2)
     seen.clear()
     run_product(two_level_spec(g=1.0, n_steps=5), bath, fock_dm(2, 1))
-    assert all(eta is row for eta, row in zip(seen, bath.etas, strict=True))
+    assert [f.shape for f in seen] == [(2, 2, 1), (2, 2, 1), (1, 2, 1)]
+    assert np.array_equal(np.concatenate(seen)[..., 0], np.stack(bath.etas))
+
+
+def per_step_run(spec, bath, rho0):
+    """One _kraus and one _collide per step, each step's unitary formed on its own."""
+    states = [rho0.data]
+    for step in range(1, spec.n_steps + 1):
+        f = (bath.etas[step - 1][:, None] if bath.etas is not None
+             else collision._factor(bath.eta.data))
+        k, k_dag = collision._kraus(collision_unitary(spec, step).data, f)
+        states.append(collision._collide(k, k_dag, states[-1]))
+    return np.stack(states)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 10])
+@pytest.mark.parametrize("kets", [False, True])
+@pytest.mark.parametrize("table", [False, True])
+def test_run_product_agrees_with_per_step_kernel_across_chunks(monkeypatch, table, kets, n_steps):
+    # three 6 x 6 unitaries per chunk: ten steps are chunks of 3, 3, 3 and 1
+    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 3 * 16 * 6 * 6)
+    rng = np.random.default_rng(23)
+    n = max(n_steps, 1)
+    m = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    spec = CollisionSpec(h_sys=H2, coupling=LOWER, dt=0.2, n_steps=n_steps, d_anc=3, g=1.3,
+                         h_sys_table=m + m.conj().swapaxes(1, 2) if table else None)
+    bath = (coherent_bath(0.8 - 0.5j, omega=1.1, dt=0.2, n=n, d=3) if kets
+            else product_bath(random_density(rng, 3), n))
+    rho0 = random_density(rng, 2)
+    states = run_product(spec, bath, rho0).states
+    assert states.shape == (n_steps + 1, 2, 2)
+    assert np.max(np.abs(states - per_step_run(spec, bath, rho0))) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
