@@ -1,11 +1,11 @@
 """Construction of the ancilla stream the system collides with.
 
-Three bath families are supported: a homogeneous product bath (one state
-shared by every ancilla), a step-dependent product bath of displaced vacua
-(coherent input field), and a correlated pure bath carrying exactly one
-excitation spread over all ancillas (single-photon input field).  The
-step-dependent ancillas are one read-only (N, d) stack of kets, checked once;
-the correlated bath is held as its N amplitudes, never as a 2^N joint state.
+Vacuum, thermal and coherent input fields give a product bath of uncorrelated
+ancillas, each held as a Kraus factor F (d x r, eta = F F^dag): one shared by
+every step, or one per step, as the kets (r = 1) of a coherent field's displaced
+vacua.  A single-photon field gives a correlated pure bath carrying exactly one
+excitation spread over all ancillas, held as its N amplitudes, never as a 2^N
+joint state.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import ValidationError
 from .qcore import DensityMatrix, Operator
 
 PRODUCT = "product"
-PRODUCT_STEP_DEPENDENT = "product_step_dependent"
 CORRELATED_PURE = "correlated_pure"
 
 SINGLE_EXCITATION_NORM_TOL = 1e-9
@@ -33,64 +32,76 @@ Envelope = Union[Sequence[complex], np.ndarray, Callable[[int], complex]]
 class BathSpec:
     """Per-step description of the ancilla stream.
 
-    ``eta`` holds the shared state for the homogeneous product kind,
-    ``etas`` the per-step kets |c_n> for the step-dependent kind, and ``phi``
-    the amplitudes of the joint state sum_k phi_k |1_k> for the correlated
-    kind.  ``etas`` is given as one (N, d) stack, checked once for finite unit
-    norm and kept as a tuple of its read-only rows.
+    ``etas`` holds the Kraus factors F_n, eta_n = F_n F_n^dag, of the product
+    kind, given as an (M, d) stack of kets or an (M, d, r) stack of factors with
+    M = 1 (one row serves every step) or M = n_steps, checked once for finite
+    Tr F F^dag = 1 and kept as a tuple of its read-only rows.  ``phi`` holds the
+    n_steps amplitudes of the correlated kind's joint state sum_k phi_k |1_k>.
     """
 
     kind: str
     d: int
     n_steps: int
-    eta: DensityMatrix | None = None
-    etas: tuple[np.ndarray, ...] | None = None  # kets
-    joint: None = None  # always None; bench/tracer.py still reads it
+    eta: None = None  # always None, as is joint; only bench/tracer.py reads them
+    etas: tuple[np.ndarray, ...] | None = None  # Kraus factors, or kets
+    joint: None = None
     phi: np.ndarray | None = None
     xi: np.ndarray | None = None
     diagnostics: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in (PRODUCT, PRODUCT_STEP_DEPENDENT, CORRELATED_PURE):
+        if self.kind not in (PRODUCT, CORRELATED_PURE):
             raise ValidationError(f"unknown bath kind {self.kind!r}")
         if self.n_steps < 1:
             raise ValidationError("bath must cover at least one step")
         if self.kind == PRODUCT:
-            if self.eta is None or self.eta.side != self.d:
-                raise ValidationError("product bath needs a shared ancilla state of side d")
-        elif self.kind == PRODUCT_STEP_DEPENDENT:
-            kets = qcore.checked_stack(self.etas, (self.d,), "ancilla state", qcore.first_non_unit)
-            if len(kets) != self.n_steps:
-                raise ValidationError(f"bath needs {self.n_steps} ancilla states, got {len(kets)}")
-            object.__setattr__(self, "etas", tuple(kets))
+            given = np.asarray(self.etas)
+            rows = qcore.checked_stack(given, (self.d,) + given.shape[2:3], "ancilla state",
+                                       lambda fs: qcore.first_non_unit(fs.reshape(len(fs), -1)))
+            if len(rows) not in (1, self.n_steps):
+                raise ValidationError(f"need 1 or {self.n_steps} ancilla states, got {len(rows)}")
+            object.__setattr__(self, "etas", tuple(rows))
         else:
-            if self.phi is None or self.d != 2:
-                raise ValidationError("correlated bath needs qubit amplitudes")
-            bad = qcore.first_non_unit(self.phi[None], SINGLE_EXCITATION_NORM_TOL)
+            phi = np.asarray(self.phi, dtype=complex)
+            if self.d != 2 or phi.shape != (self.n_steps,):
+                raise ValidationError(f"correlated bath needs {self.n_steps} qubit amplitudes, "
+                                      f"got shape {phi.shape} at d = {self.d}")
+            bad = qcore.first_non_unit(phi[None], SINGLE_EXCITATION_NORM_TOL)
             if bad is not None:
                 raise ValidationError(f"single-excitation amplitudes: {bad[1]}")
+            object.__setattr__(self, "phi", phi)
+
+    def factor(self, step: int) -> np.ndarray:
+        """F (d x r) of the product ancilla met at `step` (1-based); a one-row stack serves all."""
+        if not 1 <= step <= self.n_steps:
+            raise ValidationError(f"step {step} outside 1..{self.n_steps}")
+        return self.etas[step - 1 if len(self.etas) > 1 else 0].reshape(self.d, -1)
 
     def ancilla_state(self, step: int) -> DensityMatrix:
         """State (marginal, for the correlated kind) of the ancilla met at `step` (1-based)."""
+        if self.kind == PRODUCT:
+            f = self.factor(step)
+            return DensityMatrix(Operator(f @ f.conj().T, (self.d,)))
         if not 1 <= step <= self.n_steps:
             raise ValidationError(f"step {step} outside 1..{self.n_steps}")
-        if self.kind == PRODUCT:
-            return self.eta
-        if self.kind == PRODUCT_STEP_DEPENDENT:
-            return qcore.PureState(self.etas[step - 1], (self.d,)).density_matrix()
         p = float(np.abs(self.phi[step - 1]) ** 2)
         return DensityMatrix(Operator(np.diag([1.0 - p, p]).astype(complex), (2,)))
 
 
+def _factor(eta: np.ndarray) -> np.ndarray:
+    """F (d x r), F F^dag = eta: sqrt(p) |e> per eigenvalue p above round-off, scaled to Tr eta."""
+    p, e = np.linalg.eigh(eta)
+    keep = p > len(p) * np.finfo(float).eps * p[-1]
+    return e[:, keep] * np.sqrt(p[keep] * (np.trace(eta).real / p[keep].sum()))
+
+
 def product_bath(eta: DensityMatrix, n: int) -> BathSpec:
-    """Homogeneous product bath: every ancilla starts in ``eta``."""
-    if n < 1:
-        raise ValidationError("step count must be >= 1")
-    return BathSpec(kind=PRODUCT, d=eta.side, n_steps=n, eta=eta)
+    """Homogeneous product bath: every ancilla starts in ``eta``, factored once."""
+    return BathSpec(kind=PRODUCT, d=eta.side, n_steps=n, etas=_factor(eta.data)[None])
 
 
 def coherent_bath(z: complex, omega: float, dt: float, n: int, d: int) -> BathSpec:
-    """Step-dependent product bath of displaced vacua for a coherent input field.
+    """Product bath of displaced vacua, one ket per step, for a coherent input field.
 
     The ancilla met at step n is in the coherent state of amplitude
     xi_n = z e^{i omega t_n} sqrt(dt) / sqrt(2 pi), with t_n = n dt.
@@ -122,7 +133,7 @@ def coherent_bath(z: complex, omega: float, dt: float, n: int, d: int) -> BathSp
     cols /= np.linalg.norm(cols, axis=0)
     worst = qcore.truncation_fidelity(math.sqrt(max_sq), d)
     return BathSpec(
-        kind=PRODUCT_STEP_DEPENDENT,
+        kind=PRODUCT,
         d=d,
         n_steps=n,
         etas=cols.T,

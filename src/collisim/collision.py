@@ -2,8 +2,9 @@
 
 Both bath families run on one Kraus kernel, E(M) = Tr_a[U (M (x) F F^dag) U^dag]
 = sum_x K_x M K_x^dag, formed by ``_kraus`` and applied by ``_collide``: a product
-bath hands over F per step, and a single-photon bath moves the four blocks of its
-one-excitation sector with F = I_2 (Baragiola et al., PRA 86, 013811 (2012)).
+bath hands over its stack of factors F, one row shared by every step or one per
+step, and a single-photon bath moves the four blocks of its one-excitation sector
+with F = I_2 (Baragiola et al., PRA 86, 013811 (2012)).
 ``_kraus_steps`` builds the blocks a chunk of steps at a time, with one batched
 product per chunk of unitaries, so a run's per-step loop only applies them.
 Step-indexed inputs are raw read-only arrays, each checked once where it is
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -145,13 +146,6 @@ def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[tuple[int,
         yield len(rows[lo:lo + batch]), us
 
 
-def _factor(eta: np.ndarray) -> np.ndarray:
-    """F (d x r), F F^dag = eta: sqrt(p) |e> per eigenvalue p above round-off, scaled to Tr eta."""
-    p, e = np.linalg.eigh(eta)
-    keep = p > len(p) * np.finfo(float).eps * p[-1]
-    return e[:, keep] * np.sqrt(p[keep] * (np.trace(eta).real / p[keep].sum()))
-
-
 def _kraus(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Kraus blocks of E(M) = Tr_a[U (M (x) F F^dag) U^dag] = sum_x K_x M K_x^dag,
     K_x = sum_b <a|U|b> F_br for x = (r, a), as the pair [..., i, (j, x)] = (K_x)_ij and
@@ -190,14 +184,6 @@ def _collide(k: np.ndarray, k_dag: np.ndarray, m: np.ndarray) -> np.ndarray:
     return k @ (m.reshape(-1, len(k_dag)) @ k_dag).reshape(m.shape[:-2] + (-1, len(k)))
 
 
-def _map_superoperator(spec: CollisionSpec, step: int, eta: np.ndarray) -> np.ndarray:
-    """Row-major d^2 x d^2 matrix sum_x K_x (x) conj(K_x) of collision `step` against ancilla
-    state eta, from vec(K m K^dag) = (K (x) conj(K)) vec(m)."""
-    k, _ = _kraus(next(_unitaries(spec, [step]))[1][0], _factor(eta))
-    blocks = k.reshape(len(k), len(k), -1)  # [i, j, x]
-    return np.einsum("ijx,klx->ikjl", blocks, blocks.conj()).reshape(len(k) ** 2, -1)
-
-
 def collision_unitary(spec: CollisionSpec, step: int = 1) -> Operator:
     """U = exp(-i (H_S (x) I + g v) dt) for the collision at `step` (1-based)."""
     return Operator(next(_unitaries(spec, [step]))[1][0], spec.h_sys.dims + (spec.d_anc,))
@@ -209,7 +195,7 @@ def collide_once(rho: DensityMatrix, eta: DensityMatrix, u: Operator) -> Density
         raise ValidationError(
             f"unitary dims {u.dims} do not match system {rho.dims} + ancilla {eta.dims}"
         )
-    k, k_dag = _kraus(u.data, _factor(eta.data))
+    k, k_dag = _kraus(u.data, bath_mod._factor(eta.data))
     return DensityMatrix(Operator(_collide(k, k_dag, rho.data), rho.dims))
 
 
@@ -224,23 +210,29 @@ def _checked_trajectory(dt: float, states: np.ndarray,
     return Trajectory(np.arange(len(states)) * dt, states, obs)
 
 
-def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
-                observables: Mapping[str, Operator] | None = None) -> Trajectory:
-    """Iterated collisions against a product (possibly step-dependent) bath."""
-    if bath.kind == bath_mod.CORRELATED_PURE:
-        raise ValidationError("run_product requires a product bath")
-    if bath.n_steps < spec.n_steps:
-        raise ValidationError(f"bath covers {bath.n_steps} steps, spec wants {spec.n_steps}")
+def _check_bath(spec: CollisionSpec, bath: BathSpec, kind: str | None = None,
+                rho0: DensityMatrix | None = None) -> None:
+    """ValidationError unless ``bath`` (of ``kind``) and ``rho0`` (where given) fit ``spec``."""
+    if kind not in (None, bath.kind):
+        raise ValidationError(f"run needs a {kind} bath, got a {bath.kind} one")
     if bath.d != spec.d_anc:
         raise ValidationError(f"bath ancilla dimension {bath.d} != spec d_anc {spec.d_anc}")
-    if rho0.dims != spec.h_sys.dims:
+    if bath.n_steps < spec.n_steps or (bath.kind == bath_mod.CORRELATED_PURE
+                                       and bath.n_steps != spec.n_steps):
+        raise ValidationError(f"bath covers {bath.n_steps} steps, spec wants {spec.n_steps}")
+    if rho0 is not None and rho0.dims != spec.h_sys.dims:
         raise ValidationError("initial state on wrong space")
 
+
+def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
+                observables: Mapping[str, Operator] | None = None) -> Trajectory:
+    """Iterated collisions against a product bath, reading its factor rows."""
+    _check_bath(spec, bath, bath_mod.PRODUCT, rho0)
+
     n, d = spec.n_steps, rho0.side
-    fs = bath.etas if bath.etas is not None else _factor(bath.eta.data)[None]
     states = np.empty((n + 1, d, d), dtype=complex)
     states[0] = rho0.data
-    for k, (kraus, kraus_dag) in enumerate(_kraus_steps(spec, n, fs)):  # _collide, in place
+    for k, (kraus, kraus_dag) in enumerate(_kraus_steps(spec, n, bath.etas)):  # _collide, in place
         np.matmul(kraus, (states[k] @ kraus_dag).reshape(-1, d), out=states[k + 1])
     return _checked_trajectory(spec.dt, states, observables)
 
@@ -277,14 +269,7 @@ def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
                    observables: Mapping[str, Operator] | None = None) -> Trajectory:
     """Collision stream against a single-photon bath (memory-carrying), in its
     one-excitation sector: O(d_S^3) per step, whatever the number of ancillas."""
-    if bath.kind != bath_mod.CORRELATED_PURE:
-        raise ValidationError("run_correlated requires a correlated pure bath")
-    if bath.d != spec.d_anc:
-        raise ValidationError(f"bath ancilla dimension {bath.d} != spec d_anc {spec.d_anc}")
-    if bath.n_steps != spec.n_steps:
-        raise ValidationError("correlated bath must cover exactly the spec's steps")
-    if rho0.dims != spec.h_sys.dims:
-        raise ValidationError("initial state on wrong space")
+    _check_bath(spec, bath, bath_mod.CORRELATED_PURE, rho0)
 
     states = _run_correlated_raw(spec, spec.n_steps, bath.phi, rho0.data)
     return _checked_trajectory(spec.dt, states, observables)
@@ -299,14 +284,9 @@ def choi_of_collision(spec: CollisionSpec, eta: DensityMatrix) -> Operator:
 
     C = sum_ij E[|i><j|] (x) |i><j|; the map is completely positive iff C
     is PSD, and trace-preserving iff the partial trace over the first
-    (output) factor is the identity.
+    (output) factor is the identity.  It is the step-1 map of the one-row bath of eta.
     """
-    d_s = spec.d_sys
-    if d_s > CHOI_MAX_SYSTEM_DIM:
-        raise ValidationError(f"system dimension {d_s} too large for Choi check")
-    if eta.side != spec.d_anc:
-        raise ValidationError(f"ancilla state of side {eta.side} != spec d_anc {spec.d_anc}")
-    return Operator(_choi_from_superoperator(_map_superoperator(spec, 1, eta.data), d_s), (d_s, d_s))
+    return step_map_choi(replace(spec, n_steps=1), bath_mod.product_bath(eta, 1), 1)
 
 
 def _choi_from_superoperator(m: np.ndarray, d: int) -> np.ndarray:
@@ -317,7 +297,9 @@ def _choi_from_superoperator(m: np.ndarray, d: int) -> np.ndarray:
 def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np.ndarray:
     """The map rho_{step-1} -> rho_{step} as a row-major superoperator.
 
-    For a product bath this is the collision map of that step itself.  For
+    For a product bath this is the collision map of that step itself, the
+    row-major d^2 x d^2 matrix sum_x K_x (x) conj(K_x) read off the Kraus blocks
+    of the bath's factor, as vec(K m K^dag) = (K (x) conj(K)) vec(m).  For
     a correlated bath it is reconstructed by tomography: the d_S^2 matrix
     units are propagated through collisions 1..step in one pass, and the
     earlier map is divided out; the result is one convention for "the"
@@ -327,9 +309,12 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
         raise ValidationError(f"step {step} outside 1..{spec.n_steps}")
     d_s = spec.d_sys
     if d_s > CHOI_MAX_SYSTEM_DIM:
-        raise ValidationError(f"system dimension {d_s} too large for tomography")
-    if bath.kind != bath_mod.CORRELATED_PURE:
-        return _map_superoperator(spec, step, bath.ancilla_state(step).data)
+        raise ValidationError(f"system dimension {d_s} too large for a step map")
+    _check_bath(spec, bath)
+    if bath.kind == bath_mod.PRODUCT:
+        k, _ = _kraus(next(_unitaries(spec, [step]))[1][0], bath.factor(step))
+        blocks = k.reshape(d_s, d_s, -1)  # [i, j, x]
+        return np.einsum("ijx,klx->ikjl", blocks, blocks.conj()).reshape(d_s * d_s, -1)
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
     runs = _run_correlated_raw(spec, step, bath.phi, units)[:, -2:]
     # row k of runs[:, j] is matrix unit k after step - 1 + j collisions; after = L before

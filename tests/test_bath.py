@@ -16,7 +16,7 @@ from collisim import (
     product_bath,
     single_photon_bath,
 )
-from collisim.bath import CORRELATED_PURE, PRODUCT, PRODUCT_STEP_DEPENDENT, BathSpec
+from collisim.bath import CORRELATED_PURE, PRODUCT, BathSpec
 from oracles import one_photon_amplitudes
 
 
@@ -26,13 +26,15 @@ def test_product_bath_vacuum():
     assert bath.n_steps == 100
     assert bath.d == 2
     assert np.array_equal(bath.ancilla_state(1).data, bath.ancilla_state(100).data)
+    assert len(bath.etas) == 1 and np.array_equal(abs(bath.factor(100)), [[1.0], [0.0]])
 
 
 def test_product_bath_thermal_eigenprobabilities():
     eta = DensityMatrix(Operator(np.diag([0.8, 0.2]).astype(complex), (2,)))
     bath = product_bath(eta, 10)
-    probs = sorted(np.linalg.eigvalsh(bath.eta.data), reverse=True)
+    probs = sorted(np.linalg.eigvalsh(bath.ancilla_state(7).data), reverse=True)
     assert np.allclose(probs, [0.8, 0.2])
+    assert bath.factor(7).shape == (2, 2)  # one Kraus branch per population
 
 
 def test_product_bath_rejects_unnormalized_state():
@@ -49,13 +51,13 @@ def test_coherent_bath_zero_field_is_vacuum_product():
     from_zero = coherent_bath(0.0, omega=2.0, dt=0.1, n=7, d=4)
     assert from_zero.kind == PRODUCT
     assert from_zero.d == direct.d and from_zero.n_steps == direct.n_steps
-    assert np.array_equal(from_zero.eta.data, direct.eta.data)
+    assert np.array_equal(from_zero.etas, direct.etas) and len(from_zero.etas) == 1
 
 
 def test_coherent_bath_amplitude_magnitudes():
     z, dt, n = 1.5 + 0.5j, 0.02, 40
     bath = coherent_bath(z, omega=3.0, dt=dt, n=n, d=8)
-    assert bath.kind == PRODUCT_STEP_DEPENDENT
+    assert bath.kind == PRODUCT
     expected = abs(z) ** 2 * dt / (2.0 * math.pi)
     assert np.allclose(np.abs(bath.xi) ** 2, expected, atol=1e-15)
 
@@ -86,6 +88,8 @@ def test_coherent_bath_is_one_read_only_stack():
     start = bath.etas[0].__array_interface__["data"][0]
     for k, ket in enumerate(bath.etas):  # row views of one C-ordered stack of kets
         assert ket.flags.c_contiguous and ket.__array_interface__["data"][0] == start + 16 * 6 * k
+        f = bath.factor(k + 1)  # read as a (6, 1) factor, a view of the same row
+        assert f.shape == (6, 1) and f.__array_interface__["data"][0] == start + 16 * 6 * k
 
 
 def test_step_dependent_bath_names_the_first_ancilla_that_is_not_a_state():
@@ -93,21 +97,34 @@ def test_step_dependent_bath_names_the_first_ancilla_that_is_not_a_state():
     kets[2] = [0.9**0.5, 0.0]
     kets[3] = [2.0, 0.0]
     with pytest.raises(ValidationError, match="ancilla state at step 3: .*squared norm 0.9"):
-        BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=4, etas=kets)
+        BathSpec(kind=PRODUCT, d=2, n_steps=4, etas=kets)
     kets[2] = np.nan
     with pytest.raises(ValidationError, match="ancilla state at step 3: .*squared norm nan"):
-        BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=4, etas=kets)
+        BathSpec(kind=PRODUCT, d=2, n_steps=4, etas=kets)
+    factors = np.zeros((4, 2, 2), dtype=complex)  # Tr F F^dag of each (2, 2) factor
+    factors[:, 0, 0] = 1.0
+    factors[1, 1, 1] = 0.5
+    with pytest.raises(ValidationError, match="ancilla state at step 2: .*squared norm 1.25"):
+        BathSpec(kind=PRODUCT, d=2, n_steps=4, etas=factors)
 
 
 def test_step_dependent_bath_needs_one_state_per_step():
     vacua = np.array([[1.0, 0.0]] * 3, dtype=complex)
-    density_matrices = np.array([fock_dm(2, 0).data] * 3)
-    for kets in (None, vacua[:2], vacua[:, :1], [fock(2, 0)] * 3, density_matrices):
-        with pytest.raises(ValidationError, match="ancilla state of shape|needs 3 ancilla states"):
-            BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=3, etas=kets)
-    bath = BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=3, etas=vacua)
+    mixed = np.array([np.diag([0.8, 0.2])] * 3, dtype=complex)  # density matrices, not factors
+    for kets in (None, vacua[:2], np.concatenate([vacua, vacua[:1]]), vacua[:, :1],
+                 vacua[:, None], np.zeros((3, 2, 2, 1)), [fock(2, 0)] * 3, mixed):
+        with pytest.raises(ValidationError, match="ancilla state of shape|need 1 or 3 ancilla "
+                                                  "states|ancilla state at step 1: .*norm 0.68"):
+            BathSpec(kind=PRODUCT, d=2, n_steps=3, etas=kets)
+    bath = BathSpec(kind=PRODUCT, d=2, n_steps=3, etas=vacua)
     assert vacua.flags.writeable  # the caller's array is not frozen, only the bath's view
     assert np.array_equal(bath.ancilla_state(3).data, fock_dm(2, 0).data)
+    for stack, eta in ((vacua[:1], fock_dm(2, 0).data), (np.sqrt(mixed[:1]), mixed[0])):
+        bath = BathSpec(kind=PRODUCT, d=2, n_steps=3, etas=stack)  # one row serves every step
+        assert len(bath.etas) == 1 and np.array_equal(bath.factor(1), bath.factor(3))
+        assert np.allclose(bath.ancilla_state(3).data, eta)
+    with pytest.raises(ValidationError, match="step 4 outside 1..3"):
+        bath.factor(4)
 
 
 @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.1])
@@ -196,6 +213,15 @@ def test_single_photon_rejects_non_finite_envelope(envelope):
         single_photon_bath(envelope, 2)
     with pytest.raises(ValidationError, match="norm"):
         BathSpec(kind=CORRELATED_PURE, d=2, n_steps=2, phi=np.array([math.nan, 1.0]))
+
+
+def test_correlated_bath_needs_one_amplitude_per_step():
+    # a short phi used to be accepted and give a short trajectory; a 2-D one died unhandled
+    for phi in (np.array([1.0]), [1.0], np.eye(5)[:1], None):
+        with pytest.raises(ValidationError, match="needs 5 qubit amplitudes"):
+            BathSpec(kind=CORRELATED_PURE, d=2, n_steps=5, phi=phi)
+    bath = BathSpec(kind=CORRELATED_PURE, d=2, n_steps=2, phi=[0.6, 0.8])  # kept as an array
+    assert bath.phi.dtype == complex and np.array_equal(bath.phi, [0.6, 0.8])
 
 
 def test_single_photon_records_renormalization():

@@ -25,7 +25,7 @@ from collisim import (
     step_map_choi,
 )
 from collisim import collision, qcore
-from collisim.bath import PRODUCT_STEP_DEPENDENT, BathSpec
+from collisim.bath import PRODUCT, BathSpec
 from collisim.collision import step_map_superoperator
 from oracles import embed_pair_unitary, one_photon_amplitudes
 
@@ -163,9 +163,7 @@ def per_step_run(spec, bath, rho0):
     """One _kraus and one _collide per step, each step's unitary formed on its own."""
     states = [rho0.data]
     for step in range(1, spec.n_steps + 1):
-        f = (bath.etas[step - 1][:, None] if bath.etas is not None
-             else collision._factor(bath.eta.data))
-        k, k_dag = collision._kraus(collision_unitary(spec, step).data, f)
+        k, k_dag = collision._kraus(collision_unitary(spec, step).data, bath.factor(step))
         states.append(collision._collide(k, k_dag, states[-1]))
     return np.stack(states)
 
@@ -297,7 +295,7 @@ def test_single_slot_envelope_matches_step_dependent_product():
                            h_sys_table=table)
     corr = single_photon_bath([1.0, 0.0, 0.0, 0.0], n)
     kets = np.array([[0.0, 1.0]] + [[1.0, 0.0]] * (n - 1))
-    prod = BathSpec(kind=PRODUCT_STEP_DEPENDENT, d=2, n_steps=n, etas=kets)
+    prod = BathSpec(kind=PRODUCT, d=2, n_steps=n, etas=kets)
     for spec in (two_level_spec(g=g, dt=dt, n_steps=n), driven):
         traj_corr = run_correlated(spec, corr, fock_dm(2, 0))
         traj_prod = run_product(spec, prod, fock_dm(2, 0))
@@ -404,6 +402,30 @@ def test_correlated_step_map_builds_its_unitaries_once(monkeypatch):
                          coupling=annihilator(3), dt=0.3, n_steps=2, d_anc=2, g=1.0)
     step_map_superoperator(spec, single_photon_bath([1.0, 1.0], 2), 2)
     assert calls == [(1, 6, 6)]
+
+
+@pytest.mark.parametrize("d_anc, bath, match", [
+    (3, product_bath(fock_dm(2, 0), 5), "ancilla dimension 2 != spec d_anc 3"),
+    (2, single_photon_bath([1.0, 1.0, 1.0], 3), "bath covers 3 steps, spec wants 5"),
+    (2, product_bath(fock_dm(2, 0), 3), "bath covers 3 steps, spec wants 5"),
+    (2, single_photon_bath([1.0] * 6, 6), "bath covers 6 steps, spec wants 5"),
+    (3, single_photon_bath([1.0] * 5, 5), "ancilla dimension 2 != spec d_anc 3"),
+], ids=["product d", "photon steps", "product steps", "photon long", "photon d"])
+def test_step_map_checks_the_bath_against_the_spec(d_anc, bath, match):
+    # these gave a 9 x 9 "map", the step-3 map for step 5, and unhandled errors
+    spec = two_level_spec(g=1.0, n_steps=5, d_anc=d_anc)
+    with pytest.raises(ValidationError, match=match):
+        step_map_superoperator(spec, bath, 5)
+    with pytest.raises(ValidationError, match=match):
+        (run_product if bath.kind == PRODUCT else run_correlated)(spec, bath, fock_dm(2, 0))
+
+
+def test_runs_reject_the_other_bath_kind():
+    spec = two_level_spec(g=1.0, n_steps=2)
+    with pytest.raises(ValidationError, match="needs a product bath"):
+        run_product(spec, single_photon_bath([1.0, 1.0], 2), fock_dm(2, 0))
+    with pytest.raises(ValidationError, match="needs a correlated_pure bath"):
+        run_correlated(spec, product_bath(fock_dm(2, 0), 2), fock_dm(2, 0))
 
 
 def test_tomography_reproduces_single_collision_choi_for_product_bath():

@@ -26,7 +26,9 @@ from collisim import (
     product_bath,
     run_product,
 )
-from collisim.collision import _factor, step_map_superoperator
+from collisim.bath import PRODUCT, BathSpec, _factor
+from collisim.collision import step_map_superoperator
+from collisim.qcore import trace_distances
 from oracles import oracle_unitary
 
 TOL = 1e-12
@@ -82,7 +84,7 @@ def product_runs(draw):
     d_a = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.integers(1, 6))
     with_table = draw(st.booleans())
-    ancillas = draw(st.sampled_from(["coherent", "mixed", "rank 2"]))
+    ancillas = draw(st.sampled_from(["coherent", "mixed", "rank 2", "mixed per step"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dt = float(rng.uniform(0.01, 0.3))
     table = None
@@ -96,6 +98,11 @@ def product_runs(draw):
     if ancillas == "coherent":
         z = complex(*rng.uniform(-1.0, 1.0, 2))
         bath = coherent_bath(z, float(rng.uniform(-2.0, 2.0)), dt, n, d_a)
+    elif ancillas == "mixed per step":  # a random (n, d_a, r) stack of factors, Tr F F^dag = 1
+        shape = (n, d_a, int(rng.integers(1, d_a + 1)))
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        bath = BathSpec(kind=PRODUCT, d=d_a, n_steps=n,
+                        etas=f / np.linalg.norm(f, axis=(1, 2), keepdims=True))
     else:  # rank 2 is rank-deficient at d_a = 3 and 4
         bath = product_bath(random_density(rng, d_a, 2 if ancillas == "rank 2" else None), n)
     return spec, bath, random_density(rng, d_s)
@@ -139,14 +146,26 @@ def test_coherent_bath_is_displaced_vacuum(d, magnitude, phase, omega, n):
     dt = 0.05
     z = magnitude * math.sqrt(2.0 * math.pi * d / 4.0 / dt) * complex(math.cos(phase), math.sin(phase))
     bath = coherent_bath(z, omega, dt, n, d)
-    if bath.etas is None:  # z == 0 is the vacuum product bath
-        assert np.array_equal(bath.eta.data, fock_dm(d, 0).data)
+    if bath.xi is None:  # z == 0 is the vacuum product bath, one factor for every step
+        assert len(bath.etas) == 1
+        assert np.array_equal(bath.ancilla_state(n).data, fock_dm(d, 0).data)
         return
     vacuum = fock_dm(d, 0).data
     for ket, xi in zip(bath.etas, bath.xi):
         disp = displacement(complex(xi), d).data
         assert np.max(np.abs(np.outer(ket, ket.conj()) - disp @ vacuum @ disp.conj().T)) <= 1e-14
         assert abs(np.vdot(ket, ket) - 1.0) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_runs(), st.integers(0, 2**32 - 1))
+def test_product_runs_never_make_two_starts_more_distinguishable(setup, seed):
+    # Breuer-Laine-Piilo witness: every step of a product bath is CPTP, so the trace distance of
+    # two runs that differ only in their start never grows
+    spec, bath, _ = setup
+    rng = np.random.default_rng(seed)
+    a, b = (run_product(spec, bath, random_density(rng, spec.d_sys)).states for _ in range(2))
+    assert np.max(np.diff(trace_distances(a, b)), initial=0.0) <= TOL
 
 
 @st.composite

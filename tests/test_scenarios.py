@@ -51,7 +51,8 @@ def test_rate_identity_is_exact(n):
 def test_vacuum_field_gives_vacuum_product_bath():
     _, field_bath = discretize_input_output(make_cfg(n_steps=12))
     assert field_bath.kind == PRODUCT
-    assert np.array_equal(field_bath.eta.data, fock_dm(2, 0).data)
+    assert len(field_bath.etas) == 1  # one vacuum factor shared by all 12 steps
+    assert np.array_equal(field_bath.ancilla_state(12).data, fock_dm(2, 0).data)
 
 
 def test_coherent_field_amplitudes():
