@@ -55,8 +55,7 @@ class BathSpec:
         if self.n_steps < 1:
             raise ValidationError("bath must cover at least one step")
         if self.kind == PRODUCT:
-            given = np.asarray(self.etas)
-            rows = qcore.checked_stack(given, (self.d,) + given.shape[2:3], "ancilla state",
+            rows = qcore.checked_stack(self.etas, (self.d, None), "ancilla state",
                                        lambda fs: qcore.first_non_unit(fs.reshape(len(fs), -1)))
             if len(rows) not in (1, self.n_steps):
                 raise ValidationError(f"need 1 or {self.n_steps} ancilla states, got {len(rows)}")

@@ -1,14 +1,17 @@
 """Emergent continuous-time generators and the reference ME integrator.
 
-The generator extracted from a collision specification consists of the
-bath-induced Hamiltonian shift (the ancilla average of the interaction)
-and jump operators built from interaction matrix elements in the ancilla
-eigenbasis, each carrying the emergent rate g^2 dt.  Exact propagation
-with the Liouvillian exponential (dense, or as a Taylor series of its
-action on larger systems) provides the independent continuous-time
-dynamics that the discrete collision runs are checked against.  A
-step-dependent generator holds its Hamiltonians as one (L, d, d) table and
-its trajectory as one (T, d, d) array, each checked once.
+The generator extracted from a collision specification reads the Kraus
+factor F of the ancilla state (eta = F F^dag, ``bath._factor``) that the
+collision map itself applies: its jump operators are the blocks
+J_x = sum_b <a|v|b> F_br of the interaction, formed by ``collision._kraus``
+and so written in the ancilla's number basis, each carrying the emergent
+rate g^2 dt, and its bath-induced Hamiltonian shift is the ancilla average
+sum_x conj(F_ar) J_x = Tr_a[v (I (x) eta)].  Exact propagation with the
+Liouvillian exponential (dense, or as a Taylor series of its action on
+larger systems) provides the independent continuous-time dynamics that the
+discrete collision runs are checked against.  A step-dependent generator
+holds its Hamiltonians as one (L, d, d) table and its trajectory as one
+(T, d, d) array, each checked once.
 """
 
 from __future__ import annotations
@@ -21,23 +24,19 @@ from typing import Mapping
 import numpy as np
 import scipy.linalg
 
+from . import bath as bath_mod
 from . import qcore
-from .collision import CollisionSpec, Trajectory, _checked_trajectory, interaction_operator
+from .collision import CollisionSpec, Trajectory, _checked_trajectory, _kraus, interaction_operator
 from .errors import ValidationError
 from .qcore import DensityMatrix, Operator
-
-# Ancilla eigenvalue below which a branch contributes no jump operator;
-# avoids 0 * inf noise from degenerate or rank-deficient ancilla states.
-P_FLOOR = 1e-12
 
 # Jump operators that vanish identically are dropped from the generator.
 ZERO_JUMP_TOL = 1e-14
 
 # Up to this system dimension the ME steps by dense d^2 x d^2 propagators, one
-# batched expm per PROPAGATOR_BATCH_BYTES of them: there an exponential costs
+# batched expm per qcore.STACK_CHUNK_BYTES of them: there an exponential costs
 # less than a Taylor-series step (~100 against ~150 us at d = 5; ~190 at 6).
 DENSE_MAX_DIM = 5
-PROPAGATOR_BATCH_BYTES = 2 * 2**20
 
 JumpList = tuple[tuple[Operator, float], ...]
 
@@ -82,69 +81,60 @@ class LindbladGenerator:
         return Operator(self.h_table[row], self.h_eff.dims), self.jumps
 
 
-def _fix_eigenvector_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = np.array(vecs)
-    for k in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, k])))
-        pivot = out[idx, k]
-        if abs(pivot) > 0:
-            out[:, k] *= np.conj(pivot) / abs(pivot)
-    return out
-
-
-def _split_dims(v: Operator, eta: DensityMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _blocks(v: Operator, eta: DensityMatrix) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(system dims, F, J) for eta = F F^dag as ``bath._factor`` factors it for the collision map,
+    with J the (r d_a, d_S, d_S) stack of J_x = sum_b <a|v|b> F_br, x = (r, a): the Kraus blocks
+    ``collision._kraus`` forms, with v in the place of U."""
     n_anc = len(eta.dims)
     if len(v.dims) <= n_anc or v.dims[-n_anc:] != eta.dims:
         raise ValidationError(
             f"interaction dims {v.dims} do not end with ancilla dims {eta.dims}"
         )
-    return v.dims[:-n_anc], eta.dims
+    s_dims = v.dims[:-n_anc]
+    d_s = math.prod(s_dims)
+    f = bath_mod._factor(eta.data)
+    k, _ = _kraus(v.data, f)
+    return s_dims, f, k.reshape(d_s, d_s, -1).transpose(2, 0, 1)
+
+
+def _shift(f: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_x conj(F_ar) J_x = Tr_a[v (I (x) F F^dag)]."""
+    return np.tensordot(f.T.conj().reshape(-1), blocks, 1)
+
+
+def _jumps(s_dims: tuple[int, ...], blocks: np.ndarray,
+           gamma: float) -> list[tuple[Operator, float]]:
+    """The blocks that do not vanish identically, each at rate gamma."""
+    nonzero = np.abs(blocks).max(axis=(1, 2)) >= ZERO_JUMP_TOL
+    return [(Operator(j, s_dims), gamma) for j in blocks[nonzero]]
 
 
 def effective_hamiltonian(v_int: Operator, eta: DensityMatrix) -> Operator:
-    """Bath-induced Hamiltonian shift: ancilla average Tr_anc{V (I (x) eta)}."""
-    s_dims, _ = _split_dims(v_int, eta)
-    weighted = v_int.data @ np.kron(np.eye(math.prod(s_dims)), eta.data)
-    h = qcore.ptrace_matrix(weighted, v_int.dims, keep=range(len(s_dims)))
-    return Operator(h, s_dims)
+    """Bath-induced Hamiltonian shift: the ancilla average Tr_anc{V (I (x) eta)}, read as
+    sum_x conj(F_ar) J_x off the blocks of V against the map's factor F of eta."""
+    s_dims, f, blocks = _blocks(v_int, eta)
+    return Operator(_shift(f, blocks), s_dims)
 
 
 def jump_operators(v_dimensionless: Operator, eta: DensityMatrix,
                    gamma: float) -> list[tuple[Operator, float]]:
-    """Jump operators sqrt(p_j) <i|v|j> over the ancilla eigenbasis of eta.
+    """Jump operators J_x = sum_b <a|v|b> F_br, x = (r, a), each at rate ``gamma``.
 
-    Branches with eigenvalue at or below P_FLOOR are skipped; identically
-    vanishing operators are dropped.  Every emitted jump carries the rate
-    ``gamma``.  Eigenvector phases are fixed deterministically, so for
-    non-degenerate eta the result is reproducible; within degenerate
-    blocks only the dissipator as a whole is basis-independent.
+    F is the Kraus factor of eta that the collision map applies
+    (``bath._factor``: one column per eigenvalue above round-off), and the
+    jumps are written in the ancilla's number basis a; blocks that vanish
+    identically are dropped.  The dissipator as a whole does not depend on
+    the basis the jumps are written in.
     """
-    s_dims, a_dims = _split_dims(v_dimensionless, eta)
-    d_s, d_a = math.prod(s_dims), math.prod(a_dims)
-    p, vecs = np.linalg.eigh(eta.data)
-    vecs = _fix_eigenvector_phases(vecs)
-    v4 = v_dimensionless.data.reshape(d_s, d_a, d_s, d_a)
-    jumps: list[tuple[Operator, float]] = []
-    for j in range(d_a):
-        if p[j] <= P_FLOOR:
-            continue
-        for i in range(d_a):
-            mat = math.sqrt(p[j]) * np.einsum(
-                "a,satb,b->st", vecs[:, i].conj(), v4, vecs[:, j]
-            )
-            if float(np.max(np.abs(mat))) < ZERO_JUMP_TOL:
-                continue
-            jumps.append((Operator(mat, s_dims), gamma))
-    return jumps
+    s_dims, _, blocks = _blocks(v_dimensionless, eta)
+    return _jumps(s_dims, blocks, gamma)
 
 
 def generator_from_collision(spec: CollisionSpec, eta: DensityMatrix) -> LindbladGenerator:
-    """Emergent generator of the collision map against ancilla state eta."""
-    v = interaction_operator(spec)
+    """Emergent generator of the collision map against ancilla state eta, factored once."""
+    s_dims, f, blocks = _blocks(interaction_operator(spec), eta)
     g = spec.coupling_strength
-    h_prime = effective_hamiltonian(g * v, eta)
-    h_eff = spec.h_sys + h_prime
+    h_eff = spec.h_sys + Operator(g * _shift(f, blocks), s_dims)
     # The generator drops the O(dt^{3/2}) cross term between H_S dt and the
     # coupling g v dt = sqrt(gamma dt) v; against the kept dissipative term
     # gamma dt it weighs w0 sqrt(dt / gamma), which is free of time units.
@@ -155,8 +145,7 @@ def generator_from_collision(spec: CollisionSpec, eta: DensityMatrix) -> Lindbla
             f"coupling (g = {g:.3g}); the extracted generator may be inaccurate",
             stacklevel=2,
         )
-    jumps = jump_operators(v, eta, spec.rate)
-    return LindbladGenerator(h_eff=h_eff, jumps=tuple(jumps))
+    return LindbladGenerator(h_eff=h_eff, jumps=tuple(_jumps(s_dims, blocks, spec.rate)))
 
 
 def _compile_jumps(jumps: JumpList):
@@ -250,7 +239,7 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     idx = np.minimum((t_mid / (gen.step_duration or t_final)).astype(int), len(hs) - 1)
     used, idx = np.unique(idx, return_inverse=True)
     d = rho0.side
-    batch = max(1, PROPAGATOR_BATCH_BYTES // (16 * d**4))
+    batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * d**4))
 
     states = np.empty((n_substeps + 1, d, d), dtype=complex)
     states[0] = rho = rho0.data

@@ -127,10 +127,16 @@ def first_non_unit(stack: np.ndarray, tol: float = NORM_TOL) -> tuple[int, str] 
     return (int(bad[0]), f"squared norm {norm_sq[bad[0]]:.12g}, not 1") if bad.size else None
 
 
-def checked_stack(data, row_shape: tuple[int, ...], what: str, first_bad) -> np.ndarray:
+def checked_stack(data, row_shape: tuple, what: str, first_bad) -> np.ndarray:
     """Step-indexed input as a read-only C-ordered complex (N >= 1, *row_shape) stack, copied only
-    if needed; ValidationError names ``what`` and the first step (1-based) ``first_bad`` rejects."""
-    stack = np.asarray(data)
+    if needed; a trailing None in ``row_shape`` stands for one more axis of any length, or none.
+    ValidationError names ``what`` and the first step (1-based) ``first_bad`` rejects."""
+    try:
+        stack = np.asarray(data)
+    except ValueError:  # ragged rows
+        raise ValidationError(f"{what} is not a stack of equal-shaped rows") from None
+    if row_shape[-1:] == (None,):
+        row_shape = row_shape[:-1] + stack.shape[len(row_shape):len(row_shape) + 1]
     if stack.shape[1:] != row_shape or not len(stack):
         raise ValidationError(f"{what} of shape {stack.shape} is not N x {row_shape}")
     stack = np.ascontiguousarray(stack, dtype=complex).view()
@@ -246,27 +252,17 @@ def tensor(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.data, b.data), a.dims + b.dims)
 
 
-def ptrace_matrix(data: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a raw square matrix over the subsystems not in keep."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
+def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced state on the subsystems listed in keep (original order)."""
+    dims, n = rho.dims, len(rho.dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise ValidationError(f"keep indices {keep} invalid for {n} subsystems")
-    t = data.reshape(dims + dims)
-    row = list(range(n))
     col = [i if i not in keep else n + i for i in range(n)]
-    out = [i for i in keep] + [n + i for i in keep]
-    return np.einsum(t, row + col, out).reshape(
-        math.prod(dims[i] for i in keep), -1
-    )
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state on the subsystems listed in keep (original order)."""
-    data = ptrace_matrix(rho.data, rho.dims, keep)
-    kept_dims = tuple(rho.dims[i] for i in sorted(set(int(k) for k in keep)))
-    return DensityMatrix(Operator(data, kept_dims))
+    out = keep + [n + i for i in keep]
+    data = np.einsum(rho.data.reshape(dims + dims), list(range(n)) + col, out)
+    kept_dims = tuple(dims[i] for i in keep)
+    return DensityMatrix(Operator(data.reshape(math.prod(kept_dims), -1), kept_dims))
 
 
 def expm(a: Operator, scale: complex) -> Operator:

@@ -2,8 +2,9 @@
 
 Each follows the textbook definition directly, on the full joint space,
 with no structure exploited: the collision unitary from one `expm` of the
-full generator, and a single-photon bath as an explicit vector of 2^N
-amplitudes evolved without any intermediate trace-out.
+full generator, a single-photon bath as an explicit vector of 2^N
+amplitudes evolved without any intermediate trace-out, and the emergent
+generator's terms over the eigenbasis of the ancilla state.
 """
 
 import numpy as np
@@ -61,3 +62,17 @@ def dense_correlated_marginals(spec, amps, m0s):
         joint = (k @ m0s @ k.conj().T).reshape(-1, d_s, 2**n, d_s, 2**n)
         marginals.append(np.einsum("uiaja->uij", joint))
     return np.stack(marginals, axis=1)
+
+
+def eigenbasis_generator(v, eta, d_s):
+    """(h', [J]) of the interaction v on S (x) ancilla against the ancilla state eta: the shift
+    h' = Tr_a[v (I (x) eta)] from the full product, and the jumps sqrt(p_j) <e_i|v|e_j> over the
+    eigenpairs (p_j, e_j) of eta, round-off eigenvalues below 0 clipped to 0 and none dropped."""
+    d_a = eta.shape[0]
+    weighted = (v @ np.kron(np.eye(d_s), eta)).reshape(d_s, d_a, d_s, d_a)
+    h_prime = np.einsum("iaja->ij", weighted)
+    p, e = np.linalg.eigh(eta)
+    v4 = v.reshape(d_s, d_a, d_s, d_a)
+    jumps = [np.sqrt(max(p[j], 0.0)) * np.einsum("a,satb,b->st", e[:, i].conj(), v4, e[:, j])
+             for j in range(d_a) for i in range(d_a)]
+    return h_prime, jumps

@@ -24,8 +24,12 @@ from collisim import (
     integrate_me,
     jump_operators,
     lindblad,
+    qcore,
     spontaneous_emission_run,
 )
+from collisim import bath as bath_mod
+
+from oracles import eigenbasis_generator
 
 LOWER = annihilator(2)
 H2 = Operator(np.zeros((2, 2), dtype=complex), (2,))
@@ -126,12 +130,17 @@ def test_displaced_jumps_match_drive_pair():
     d, xi, gamma = 12, 0.1, 0.8
     v = exchange_v(LOWER.data, d)
     disp = displacement(xi, d)
-    eta = DensityMatrix(Operator(disp.data @ fock_dm(d, 0).data @ disp.data.conj().T, (d,)))
+    ket = disp.data[:, 0]
+    eta = DensityMatrix(Operator(np.outer(ket, ket.conj()), (d,)))
     jumps = jump_operators(v, eta, gamma)
     c = np.conj(xi) * LOWER.data + xi * LOWER.data.conj().T
-    # the diagonal matrix element of the displaced vacuum is the drive operator
-    best = min(float(np.max(np.abs(op.data - c))) for op, _ in jumps)
-    assert best < 1e-6
+    # a pure eta gives one block J_a = <a|v|F> per number state a, F = e^{i theta} |ket>, so
+    # sum_a conj(ket_a) J_a = e^{i theta} <ket|v|ket> is the drive operator
+    assert len(jumps) == d
+    drive = sum(np.conj(amp) * op.data for amp, (op, _) in zip(ket, jumps))
+    phase = np.vdot(c, drive) / np.vdot(c, c)
+    assert abs(abs(phase) - 1.0) < 1e-6
+    assert np.max(np.abs(drive - phase * c)) < 1e-6
     # as a whole the dissipator equals the {b, c} pair at rate gamma
     got = dissipator_superop([(op.data, rate) for op, rate in jumps])
     want = dissipator_superop([(LOWER.data, gamma), (c, gamma)])
@@ -139,10 +148,24 @@ def test_displaced_jumps_match_drive_pair():
 
 
 def test_near_zero_eigenvalue_branches_are_dropped():
+    # eta of rank 2 on a qutrit: its round-off third eigenvalue gives no branch, so the
+    # jumps are the 2 x 3 blocks of the map's two-column factor
+    rng = np.random.default_rng(29)
+    w, _ = np.linalg.qr(_random_operator(rng, 3))
+    eta = DensityMatrix(Operator(w @ np.diag([0.6, 0.4, 0.0]) @ w.conj().T, (3,)))
+    assert bath_mod._factor(eta.data).shape == (3, 2)
+    assert len(jump_operators(exchange_v(LOWER.data, 3), eta, gamma=1.0)) == 6
+    # 1e-13 is far above round-off: the map keeps it as a column, and the generator has one
+    # jump per nonzero block of that factor, the emission b and the absorption sqrt(1e-13) b^dag
+    # (each up to a phase)
     eta = DensityMatrix(Operator(np.diag([1.0 - 1e-13, 1e-13]).astype(complex), (2,)))
-    v = exchange_v(LOWER.data, 2)
-    jumps = jump_operators(v, eta, gamma=1.0)
-    assert len(jumps) == 1  # only the vacuum branch survives p_floor
+    assert bath_mod._factor(eta.data).shape == (2, 2)
+    jumps = jump_operators(exchange_v(LOWER.data, 2), eta, gamma=1.0)
+    want = [math.sqrt(1e-13) * LOWER.data.conj().T, math.sqrt(1.0 - 1e-13) * LOWER.data]
+    got = sorted((op.data for op, _ in jumps), key=lambda m: np.abs(m).max())
+    assert len(got) == 2
+    for jump, expected in zip(got, want):
+        assert np.max(np.abs(np.kron(jump, jump.conj()) - np.kron(expected, expected.conj()))) < 1e-15
 
 
 def test_dissipator_invariant_under_degenerate_block_rotation():
@@ -236,11 +259,17 @@ def test_coherent_dissipator_approaches_vacuum_dissipator_linearly():
     assert 1.7 <= gap_n / gap_2n <= 2.3
 
 
-def test_generator_consistency_with_collision_map():
-    # per-step change of the collision run approaches the generator at
-    # first order: the residual halves when dt halves
+@pytest.mark.parametrize("eta, order", [
+    (fock_dm(2, 0), 1.0),
+    (DensityMatrix(Operator(np.diag([0.7, 0.3]).astype(complex), (2,))), 1.0),
+    # with coherences in eta the third-order term (g v dt)^3 / dt = gamma^{3/2} dt^{1/2}
+    # no longer averages to zero
+    (random_density(np.random.default_rng(5), 2), 0.5),
+], ids=["vacuum", "thermal", "random_full_rank"])
+def test_generator_consistency_with_collision_map(eta, order):
+    # the per-step change of the collision run approaches the generator: the residual
+    # shrinks as dt^order, so halving dt divides it by 2^order
     h = Operator(0.2 * np.diag([1.0, -1.0]).astype(complex), (2,))
-    vacuum = fock_dm(2, 0)
     rng = np.random.default_rng(41)
     test_set = [fock_dm(2, 1), fock_dm(2, 0),
                 DensityMatrix(Operator(np.full((2, 2), 0.5, dtype=complex), (2,))),
@@ -248,11 +277,11 @@ def test_generator_consistency_with_collision_map():
 
     def residual(dt):
         spec = two_level_spec(gamma=1.0, dt=dt, h=h)
-        gen = generator_from_collision(spec, vacuum)
+        gen = generator_from_collision(spec, eta)
         u = collision_unitary(spec)
         worst = 0.0
         for rho in test_set:
-            joint = u.data @ np.kron(rho.data, vacuum.data) @ u.data.conj().T
+            joint = u.data @ np.kron(rho.data, eta.data) @ u.data.conj().T
             mapped = joint.reshape(2, 2, 2, 2)
             out = np.einsum("abcb->ac", mapped)
             finite = (out - rho.data) / dt
@@ -261,7 +290,46 @@ def test_generator_consistency_with_collision_map():
         return worst
 
     ratio = residual(0.01) / residual(0.005)
-    assert 1.6 <= ratio <= 2.4
+    assert 0.8 * 2**order <= ratio <= 1.2 * 2**order
+
+
+def test_generator_factors_the_ancilla_state_once(monkeypatch):
+    calls = []
+    factor = bath_mod._factor
+    monkeypatch.setattr(bath_mod, "_factor", lambda eta: calls.append(1) or factor(eta))
+    rng = np.random.default_rng(43)
+    generator_from_collision(two_level_spec(gamma=1.0, dt=0.01, d_anc=3), random_density(rng, 3))
+    assert len(calls) == 1
+
+
+@st.composite
+def ancilla_states(draw):
+    """Random eta on d_a = 2..4: of any rank, or thermal with populations down to 1e-13."""
+    d_a = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m = _random_operator(rng, d_a)[:, :draw(st.integers(1, d_a))]
+        eta = m @ m.conj().T
+    else:
+        smallest = 10.0 ** -draw(st.floats(0.0, 13.0))
+        eta = np.diag(smallest ** (np.arange(d_a) / (d_a - 1))).astype(complex)
+    return DensityMatrix(Operator(eta / np.trace(eta), (d_a,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=ancilla_states(), d_s=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_generator_matches_the_eigenbasis_oracle(eta, d_s, seed):
+    rng = np.random.default_rng(seed)
+    b = Operator(_random_operator(rng, d_s), (d_s,))
+    h_sys = Operator(np.zeros((d_s, d_s), dtype=complex), (d_s,))
+    spec = CollisionSpec(h_sys=h_sys, coupling=b, dt=0.01, n_steps=1, d_anc=eta.side, g=1.3)
+    gen = generator_from_collision(spec, eta)
+    v = exchange_v(b.data, eta.side).data
+    h_prime, jumps = eigenbasis_generator(v, eta.data, d_s)
+    assert np.max(np.abs(gen.h_eff.data - spec.coupling_strength * h_prime)) < 1e-12
+    got = dissipator_superop([(op.data, rate) for op, rate in gen.jumps])
+    want = dissipator_superop([(j, spec.rate) for j in jumps])
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def _warns(spec) -> bool:
@@ -369,10 +437,11 @@ def test_generator_output_traceless_hermitian():
 
 def propagations(monkeypatch):
     """Run the loop body with dense propagators, with one entry per batch, and with the series."""
-    for name, value in [(None, None), ("PROPAGATOR_BATCH_BYTES", 1), ("DENSE_MAX_DIM", 0)]:
+    for module, name, value in [(None, None, None), (qcore, "STACK_CHUNK_BYTES", 1),
+                                (lindblad, "DENSE_MAX_DIM", 0)]:
         monkeypatch.undo()
         if name is not None:
-            monkeypatch.setattr(lindblad, name, value)
+            monkeypatch.setattr(module, name, value)
         yield
 
 

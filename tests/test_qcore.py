@@ -19,7 +19,8 @@ from collisim import (
     trace_distance,
     truncation_fidelity,
 )
-from collisim import qcore
+from collisim import CollisionSpec, LindbladGenerator, qcore
+from collisim.bath import PRODUCT, BathSpec
 from collisim.qcore import first_invalid_state
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -290,3 +291,19 @@ def test_trace_distance_extremes():
     e, g = fock_dm(2, 1), fock_dm(2, 0)
     assert abs(trace_distance(e, g) - 1.0) < 1e-12
     assert trace_distance(e, e) == 0.0
+
+
+_Q = Operator(np.zeros((2, 2), dtype=complex), (2,))
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: BathSpec(kind=PRODUCT, d=2, n_steps=3, etas=[[1, 0], [1]]), "ancilla state"),
+    (lambda: CollisionSpec(h_sys=_Q, coupling=_Q, dt=0.1, n_steps=2, d_anc=2, g=1.0,
+                           h_sys_table=[np.eye(2), np.eye(3)]), "h_sys_table"),
+    (lambda: LindbladGenerator(h_eff=_Q, jumps=(), h_table=[np.eye(2), [[1.0, 0.0]]],
+                               step_duration=0.5), "h_table"),
+])
+def test_ragged_step_indexed_input_is_a_validation_error(build, what):
+    # numpy's "inhomogeneous shape" ValueError used to escape from all three
+    with pytest.raises(ValidationError, match=f"{what} is not a stack of equal-shaped rows"):
+        build()
