@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import bath as bath_mod
 from . import qcore
@@ -127,8 +126,9 @@ def interaction_operator(spec: CollisionSpec) -> Operator:
 
 def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (c, U) for the next c of the 1-based collisions in ``steps``, in order: U the (c, D, D)
-    stack of U_k = exp(-i (H_S (x) I + g v) dt) from one batched expm of qcore.STACK_CHUNK_BYTES
-    at most, or a static spec's one U as (1, D, D), formed once and yielded for every chunk."""
+    stack of U_k = exp(-i (H_S (x) I + g v) dt) from one ``qcore.expm_stack`` call of
+    qcore.STACK_CHUNK_BYTES at most, or a static spec's one U as (1, D, D), formed once and
+    yielded for every chunk."""
     table, rows = spec.h_sys_table, np.asarray(steps, dtype=int) - 1
     off = [] if table is None else rows[(rows < 0) | (rows >= len(table))]
     if len(off):
@@ -142,7 +142,7 @@ def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[tuple[int,
             hs = spec.h_sys.data[None] if table is None else table[rows[lo:lo + batch]]
             h = np.einsum("nij,ab->niajb", hs, np.eye(spec.d_anc))
             gens = h.reshape(-1, side, side) + coupling  # H (x) I + g v
-            us = scipy.linalg.expm(-1j * spec.dt * gens)
+            us = qcore.expm_stack(-1j * spec.dt * gens)
         yield len(rows[lo:lo + batch]), us
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from . import bath as bath_mod
 from . import qcore
@@ -34,8 +33,9 @@ from .qcore import DensityMatrix, Operator
 ZERO_JUMP_TOL = 1e-14
 
 # Up to this system dimension the ME steps by dense d^2 x d^2 propagators, one
-# batched expm per qcore.STACK_CHUNK_BYTES of them: there an exponential costs
-# less than a Taylor-series step (~100 against ~150 us at d = 5; ~190 at 6).
+# qcore.expm_stack call per qcore.STACK_CHUNK_BYTES of them: there an exponential
+# costs less than a Taylor-series step (~130 against ~210 us at d = 5; at 6,
+# ~230-280 against ~220; one BLAS thread, 2-vCPU x86-64 VM).
 DENSE_MAX_DIM = 5
 
 JumpList = tuple[tuple[Operator, float], ...]
@@ -253,7 +253,7 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
             if idx[k] >= lo + len(props):
                 lo = idx[k]
                 gs = -1j * hs[used[lo:lo + batch]] - damping
-                props = scipy.linalg.expm(h * _liouvillian(gs, compiled))
+                props = qcore.expm_stack(h * _liouvillian(gs, compiled))
             rho = (props[idx[k] - lo] @ rho.reshape(-1)).reshape(d, d)
         rho = states[k + 1] = 0.5 * (rho + rho.conj().T)
     return _checked_trajectory(h, states, observables)

@@ -264,7 +264,7 @@ def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:
     (i) collisions with displaced-vacuum ancillas, (ii) master equation
     with the equivalent classical drive in the Hamiltonian and the bare
     decay jump, (iii) collisions with vacuum ancillas and the same drive
-    folded into a per-step system Hamiltonian.
+    folded into the system Hamiltonian, one per step unless omega = 0.
     """
     if cfg.kind != COHERENT:
         raise ValidationError("bloch_run needs a coherent configuration")
@@ -276,7 +276,9 @@ def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:
     gen = _driven_me_generator(cfg, drive, cfg.dt)
     traj_me = lind.integrate_me(gen, cfg.rho0, cfg.t_final, cfg.n_steps, obs)
 
-    spec_semi = replace(spec, d_anc=2, h_sys_table=drive)
+    # as for the ME, a static drive (omega = 0) is one Hamiltonian: one unitary serves every step
+    spec_semi = replace(spec, d_anc=2, h_sys=Operator(drive[0], cfg.h_sys.dims),
+                        h_sys_table=None if cfg.omega == 0 else drive)
     vacuum = bath_mod.product_bath(qcore.fock_dm(2, 0), cfg.n_steps)
     traj_semi = coll.run_product(spec_semi, vacuum, cfg.rho0, obs)
     return traj_quantum, traj_me, traj_semi

@@ -1,10 +1,15 @@
 import collections
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import collisim
 from collisim import __version__, qcore
 from collisim.cli import ConfigError, _render_csv, _render_json, main, parse_config
 
@@ -385,3 +390,19 @@ def test_format_override(tmp_path):
     out = tmp_path / "o.json"
     assert main(["run", "--config", cfg_path, "--out", str(out), "--format", "json"]) == 0
     json.loads(out.read_text())  # parses as JSON despite csv in config
+
+
+def test_validate_and_run_never_import_scipy(tmp_path):
+    # scipy is only the tests' oracle: a fresh collisim process runs on numpy alone
+    doc = vacuum_config()
+    doc["field"]["n_steps"] = 20
+    cfg, out = write_config(tmp_path, doc), str(tmp_path / "vac.csv")
+    script = ("import sys\nfrom collisim.cli import main\n"
+              f"codes = main(['validate', '--config', {cfg!r}]), "
+              f"main(['run', '--config', {cfg!r}, '--out', {out!r}])\n"
+              "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    src = str(Path(collisim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "(0, 0) []"

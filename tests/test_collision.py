@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from collisim import (
     CollisionSpec,
@@ -396,8 +395,8 @@ def test_step_two_map_of_product_control_is_cp():
 def test_correlated_step_map_builds_its_unitaries_once(monkeypatch):
     # one exponential per call, not one per matrix unit (9 for three levels)
     calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    expm_stack = qcore.expm_stack
+    monkeypatch.setattr(qcore, "expm_stack", lambda a: calls.append(a.shape) or expm_stack(a))
     spec = CollisionSpec(h_sys=Operator(np.diag([0.0, 1.0, 2.0]).astype(complex), (3,)),
                          coupling=annihilator(3), dt=0.3, n_steps=2, d_anc=2, g=1.0)
     step_map_superoperator(spec, single_photon_bath([1.0, 1.0], 2), 2)

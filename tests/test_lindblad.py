@@ -626,7 +626,7 @@ def test_static_drive_needs_one_propagator(monkeypatch):
 
 def test_large_system_is_propagated_without_dense_liouvillians(monkeypatch):
     # above DENSE_MAX_DIM no d^2 x d^2 propagator is formed (here 400 x 400)
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: pytest.fail("dense expm used"))
+    monkeypatch.setattr(qcore, "expm_stack", lambda a: pytest.fail("dense expm used"))
     d = 20
     b = annihilator(d)
     gen = LindbladGenerator(h_eff=Operator(np.zeros((d, d), dtype=complex), (d,)),

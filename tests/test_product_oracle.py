@@ -218,7 +218,7 @@ def _long_homogeneous_run(eta, n):
         coupling=Operator(np.array([[0, 1], [0, 0]], dtype=complex), (2,)),
         dt=0.05, n_steps=n, d_anc=d_a, g=2.0,
     )
-    u = oracle_unitary(spec, 1)
+    u = collision_unitary(spec).data
     rho0 = random_density(rng, 2)
     states = [rho0.data]
     for _ in range(n):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from collisim import (
     DensityMatrix,
@@ -211,6 +212,61 @@ def test_expm_unitarity_roundtrip(side):
     assert np.max(np.abs(prod.data - np.eye(side))) < 1e-9
 
 
+def random_liouvillian(rng, d):
+    # -i[H, .] + L . L^dag - {L^dag L, .}/2 on row-major vec: non-normal, stable spectrum
+    h, l = (random_operator(rng, d).data for _ in range(2))
+    h, l_l, eye = h + h.conj().T, l.conj().T @ l, np.eye(d)
+    return (-1j * (np.kron(h, eye) - np.kron(eye, h.T)) + np.kron(l, l.conj())
+            - 0.5 * (np.kron(l_l, eye) + np.kron(eye, l_l.T)))
+
+
+def with_norm(a, norm):
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+# 1-norms just under each Pade order's theta_m, then order 13 unscaled, squared 3 and 6 times
+ORACLE_NORMS = [0.9 * theta for theta, _ in qcore._PADE] + [
+    0.9 * qcore._THETA_13, 8 * qcore._THETA_13, 50 * qcore._THETA_13]
+
+
+@pytest.mark.parametrize("norm", ORACLE_NORMS)
+@pytest.mark.parametrize("kind", ["hermitian", "liouvillian"])
+def test_expm_stack_matches_scipy(kind, norm):
+    rng = np.random.default_rng(round(norm * 1000))
+    if kind == "hermitian":  # -i H, as a collision unitary's generator
+        stack = [-1j * (m + m.conj().T) for m in (random_operator(rng, 6).data for _ in range(3))]
+    else:
+        stack = [random_liouvillian(rng, d) for d in (2, 2, 2)]
+    stack = np.array([with_norm(a, norm) for a in stack])
+    got = qcore.expm_stack(stack)
+    for a, x in zip(stack, got):
+        want = scipy.linalg.expm(a)
+        assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_expm_stack_scales_each_matrix_by_its_own_norm():
+    # every norm here takes order 13; scaling all by the largest would change the others' bits
+    rng = np.random.default_rng(23)
+    norms = [1.2 * qcore._PADE[-1][0], 0.9 * qcore._THETA_13, 8 * qcore._THETA_13, 300.0]
+    stack = np.array([with_norm(random_liouvillian(rng, 2), n) for n in norms]).reshape(2, 2, 4, 4)
+    got = qcore.expm_stack(stack)
+    assert got.shape == (2, 2, 4, 4)
+    for a, x in zip(stack.reshape(-1, 4, 4), got.reshape(-1, 4, 4)):
+        assert np.array_equal(x, qcore.expm_stack(a[None])[0])
+        want = scipy.linalg.expm(a)
+        assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_expm_stack_of_no_matrices():
+    assert qcore.expm_stack(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
+
+
+def test_expm_stack_overflow_is_non_finite_without_a_warning():
+    # 330 squarings of a rounded unitary overflow: the callers' state checks reject the
+    # non-finite result, and no numpy warning escapes on the way
+    assert not np.isfinite(qcore.expm_stack(-1j * 1e100 * SX[None])).any()
+
+
 # ---------------------------------------------------------------------------
 # ladder and displacement operators
 # ---------------------------------------------------------------------------
@@ -306,4 +362,17 @@ _Q = Operator(np.zeros((2, 2), dtype=complex), (2,))
 def test_ragged_step_indexed_input_is_a_validation_error(build, what):
     # numpy's "inhomogeneous shape" ValueError used to escape from all three
     with pytest.raises(ValidationError, match=f"{what} is not a stack of equal-shaped rows"):
+        build()
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: BathSpec(kind=PRODUCT, d=2, n_steps=1, etas=[["1", "zero"]]), "ancilla state"),
+    (lambda: CollisionSpec(h_sys=_Q, coupling=_Q, dt=0.1, n_steps=1, d_anc=2, g=1.0,
+                           h_sys_table=[[["1", "0"], ["0", "one"]]]), "h_sys_table"),
+    (lambda: LindbladGenerator(h_eff=_Q, jumps=(), h_table=[[["1", "i"], ["-i", "1"]]],
+                               step_duration=0.5), "h_table"),
+])
+def test_non_numeric_step_indexed_input_is_a_validation_error(build, what):
+    # the complex cast after the shape check let "complex() arg is a malformed string" escape
+    with pytest.raises(ValidationError, match=f"{what} has entries that are not numbers"):
         build()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from collisim import (
     convergence_study,
     discretize_input_output,
     fock_dm,
+    product_bath,
     run_correlated,
     run_product,
     single_photon_run,
@@ -19,7 +21,7 @@ from collisim import (
     trace_distance_series,
 )
 from collisim.bath import PRODUCT
-from collisim import scenarios
+from collisim import qcore, scenarios
 from collisim.scenarios import default_emitter
 
 H2, LOWER, EXCITED = default_emitter()
@@ -184,6 +186,23 @@ def test_semiclassical_converges_to_quantum_cm():
         return trace_distance_series(traj_q, traj_semi).max()
 
     assert gap(200) <= 0.7 * gap(100)
+
+
+def test_static_semiclassical_drive_forms_one_unitary(monkeypatch):
+    # at omega = 0 the drive is the same at every step: one exponential serves the
+    # semiclassical run, with the states of the per-step table of that drive, bit for bit
+    shapes = []
+    expm_stack = qcore.expm_stack
+    monkeypatch.setattr(qcore, "expm_stack", lambda a: shapes.append(a.shape) or expm_stack(a))
+    cfg = make_cfg(kind="coherent", z=1.5, n_steps=50, d_anc=6)
+    _, _, traj_semi = bloch_run(cfg)
+    # the quantum run's U on S (x) 6 levels, the ME's propagator, the semiclassical U
+    assert shapes == [(1, 12, 12), (1, 4, 4), (1, 4, 4)]
+    spec, _ = discretize_input_output(cfg)
+    drive = scenarios._drive_hamiltonian(cfg, np.arange(1, 51) * cfg.dt)
+    table = run_product(replace(spec, d_anc=2, h_sys_table=drive), product_bath(fock_dm(2, 0), 50),
+                        cfg.rho0)
+    assert np.array_equal(traj_semi.states, table.states)
 
 
 # ---------------------------------------------------------------------------
