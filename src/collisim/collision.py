@@ -5,10 +5,13 @@ Both bath families run on one Kraus kernel, E(M) = Tr_a[U (M (x) F F^dag) U^dag]
 bath hands over its stack of factors F, one row shared by every step or one per
 step, and a single-photon bath moves the four blocks of its one-excitation sector
 with F = I_2 (Baragiola et al., PRA 86, 013811 (2012)).
-``_kraus_steps`` builds the blocks a chunk of steps at a time, with one batched
-product per chunk of unitaries, so a run's per-step loop only applies them.
-Step-indexed inputs are raw read-only arrays, each checked once where it is
-built; a run keeps its states the same way, checked once at the end.
+``_kraus_chunks`` builds the blocks a chunk of steps at a time, with one batched
+product per chunk of unitaries.  Up to ``lindblad.DENSE_MAX_DIM`` a product run
+turns each chunk into d^2 x d^2 superoperators and propagates them by the blocked
+prefix scan ``qcore.propagate``; above it, and in the photon sector, a per-step
+loop applies the pairs.  Step-indexed inputs are raw read-only arrays, each
+checked once where it is built; a run keeps its states the same way, checked
+once at the end.
 """
 
 from __future__ import annotations
@@ -161,11 +164,13 @@ def _kraus(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             k.transpose(*lead, j, r, a, i).conj().reshape(shape))  # [..., j, (r, a, i)]
 
 
-def _kraus_steps(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the Kraus pair of each collision 1..n, in order: U_k against F_k = fs[k - 1], a
-    (d_a, r) factor or a ket per row, where a one-row ``fs`` serves every step.  The pairs of a
-    chunk of ``_unitaries`` come from one ``_kraus`` call, and a static U against a one-row
-    ``fs`` is one pair, formed once.  O(d_a r d^3) per step."""
+def _kraus_chunks(spec: CollisionSpec, n: int,
+                  fs) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (c, K, K^dag) for the next c of the collisions 1..n, in order: the Kraus pairs of
+    U_k against F_k = fs[k - 1], a (d_a, r) factor or a ket per row, where a one-row ``fs``
+    serves every step.  The pairs of a chunk of ``_unitaries`` come from one ``_kraus`` call,
+    one row per step, and a static U against a one-row ``fs`` is one row for every chunk,
+    formed once.  O(d_a r d^3) per step."""
     pair = u_prev = None
     lo = 0
     for count, us in _unitaries(spec, range(1, n + 1)):
@@ -173,9 +178,25 @@ def _kraus_steps(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[np.ndarray, 
             f = np.asarray(fs[lo:lo + count] if len(fs) > 1 else fs)
             pair = _kraus(us, f.reshape(len(f), spec.d_anc, -1))
         u_prev, lo = us, lo + count
-        ks, ks_dag = pair  # one pair per step, or one for all of them
+        yield (count,) + pair
+
+
+def _kraus_steps(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the Kraus pair of each collision 1..n of ``_kraus_chunks``, in order."""
+    for count, ks, ks_dag in _kraus_chunks(spec, n, fs):
         yield from (zip(ks, ks_dag) if len(ks) == count
                     else itertools.repeat((ks[0], ks_dag[0]), count))
+
+
+def _superoperator(k: np.ndarray) -> np.ndarray:
+    """sum_x K_x (x) conj(K_x), the row-major d^2 x d^2 superoperator of M -> sum_x K_x M K_x^dag
+    (vec(K M K^dag) = (K (x) conj(K)) vec(M)), for each row of an (M, d, d X) stack of ``_kraus``
+    blocks k = [i, (j, x)], by one batched product.  It is summed in extended precision and
+    rounded once: a map that serves thousands of steps repeats its rounding error at each."""
+    d = k.shape[-2]
+    b = k.reshape(len(k), d * d, -1).astype(np.clongdouble)  # [(i, j), x]
+    s = (b @ b.conj().swapaxes(1, 2)).astype(complex)  # [(i, j), (k, l)]
+    return s.reshape(-1, d, d, d, d).swapaxes(2, 3).reshape(-1, d * d, d * d)
 
 
 def _collide(k: np.ndarray, k_dag: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -226,10 +247,23 @@ def _check_bath(spec: CollisionSpec, bath: BathSpec, kind: str | None = None,
 
 def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
                 observables: Mapping[str, Operator] | None = None) -> Trajectory:
-    """Iterated collisions against a product bath, reading its factor rows."""
-    _check_bath(spec, bath, bath_mod.PRODUCT, rho0)
+    """Iterated collisions against a product bath, reading its factor rows.
 
+    Up to ``lindblad.DENSE_MAX_DIM`` each step is its d^2 x d^2 superoperator, one per chunk
+    of ``_kraus_chunks``, and the states come from ``qcore.propagate``; above it each Kraus
+    pair is applied in turn, O(d_a r d^3) per step."""
+    from . import lindblad  # lindblad imports this module; its DENSE_MAX_DIM rules both
+
+    _check_bath(spec, bath, bath_mod.PRODUCT, rho0)
     n, d = spec.n_steps, rho0.side
+    if d <= lindblad.DENSE_MAX_DIM:
+        states, lo = np.empty((n + 1, d * d), dtype=complex), 0
+        states[0] = rho0.data.reshape(-1)
+        for count, ks, _ in _kraus_chunks(spec, n, bath.etas):
+            states[lo:lo + count + 1] = qcore.propagate(_superoperator(ks), states[lo], count)
+            lo += count
+        return _checked_trajectory(spec.dt, states.reshape(-1, d, d), observables)
+
     states = np.empty((n + 1, d, d), dtype=complex)
     states[0] = rho0.data
     for k, (kraus, kraus_dag) in enumerate(_kraus_steps(spec, n, bath.etas)):  # _collide, in place
@@ -312,9 +346,7 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
         raise ValidationError(f"system dimension {d_s} too large for a step map")
     _check_bath(spec, bath)
     if bath.kind == bath_mod.PRODUCT:
-        k, _ = _kraus(next(_unitaries(spec, [step]))[1][0], bath.factor(step))
-        blocks = k.reshape(d_s, d_s, -1)  # [i, j, x]
-        return np.einsum("ijx,klx->ikjl", blocks, blocks.conj()).reshape(d_s * d_s, -1)
+        return _superoperator(_kraus(next(_unitaries(spec, [step]))[1], bath.factor(step))[0])[0]
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
     runs = _run_correlated_raw(spec, step, bath.phi, units)[:, -2:]
     # row k of runs[:, j] is matrix unit k after step - 1 + j collisions; after = L before

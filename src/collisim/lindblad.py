@@ -9,7 +9,9 @@ rate g^2 dt, and its bath-induced Hamiltonian shift is the ancilla average
 sum_x conj(F_ar) J_x = Tr_a[v (I (x) eta)].  Exact propagation with the
 Liouvillian exponential (dense, or as a Taylor series of its action on
 larger systems) provides the independent continuous-time dynamics that the
-discrete collision runs are checked against.  A step-dependent generator
+discrete collision runs are checked against.  Up to DENSE_MAX_DIM the
+reference propagates as the collision runs do, as a linear recursion of
+d^2 x d^2 maps scanned by ``qcore.propagate``.  A step-dependent generator
 holds its Hamiltonians as one (L, d, d) table and its trajectory as one
 (T, d, d) array, each checked once.
 """
@@ -32,10 +34,16 @@ from .qcore import DensityMatrix, Operator
 # Jump operators that vanish identically are dropped from the generator.
 ZERO_JUMP_TOL = 1e-14
 
-# Up to this system dimension the ME steps by dense d^2 x d^2 propagators, one
-# qcore.expm_stack call per qcore.STACK_CHUNK_BYTES of them: there an exponential
-# costs less than a Taylor-series step (~130 against ~210 us at d = 5; at 6,
-# ~230-280 against ~220; one BLAS thread, 2-vCPU x86-64 VM).
+# Up to this system dimension every step of the ME and of a product collision run is a dense
+# d^2 x d^2 map (expm_stack propagators, collision superoperators) and qcore.propagate scans
+# them; above it the ME sums a Taylor series per substep and a product run applies its Kraus
+# pairs.  Per step, dense against the other, at d = 2 / 3 / 4 / 5 / 6 (medians of 2,000-step
+# runs, one BLAS thread, 2-vCPU x86-64 VM): the ME with a static generator 2 / 4 / 4 / 8 / 22
+# against 105-296 us, and with one Hamiltonian per substep 6 / 21 / 60 / 130 / 226 against
+# 122 / 143 / 162 / 177 / 130 us; a product run with one map for all steps 3 / 4 / 5 / 8 / 12
+# against 11-17 us.  A product run with one map per step (coherent kets, d_a = 6) gains only
+# at d = 2 (6 against 9 us; 16 / 45 / 97 against 13 / 14 / 21 us at d = 3 / 4 / 5), as
+# ``collision._superoperator`` sums d^4 d_a terms per step in extended precision.
 DENSE_MAX_DIM = 5
 
 JumpList = tuple[tuple[Operator, float], ...]
@@ -75,10 +83,16 @@ class LindbladGenerator:
         """Generator in force at time t >= 0 (piecewise constant over the table)."""
         if not t >= 0:
             raise ValidationError(f"generator time must be >= 0, got {t}")
+        hs, rows = self._terms(np.array([t]))
+        return Operator(hs[rows[0]], self.h_eff.dims), self.jumps
+
+    def _terms(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hs, rows): the (L, d, d) Hamiltonians, a static generator's as L = 1, and the row of
+        hs in force at each of the times >= 0, table row k over [k, k + 1) ``step_duration``."""
         if self.h_table is None:
-            return self.h_eff, self.jumps
-        row = min(int(t / self.step_duration), len(self.h_table) - 1)
-        return Operator(self.h_table[row], self.h_eff.dims), self.jumps
+            return self.h_eff.data[None], np.zeros(len(times), dtype=int)
+        rows = (times / self.step_duration).astype(int)
+        return self.h_table, np.minimum(rows, len(self.h_table) - 1)
 
 
 def _blocks(v: Operator, eta: DensityMatrix) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -220,10 +234,12 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     A step-dependent generator is sampled at the midpoint of every
     substep and held constant over it, so rho_{k+1} = exp(h L_k) rho_k is
     exact.  Up to DENSE_MAX_DIM the table entries in use are exponentiated
-    as d^2 x d^2 Liouvillians, batched; above it exp(h L_k) rho_k is summed
-    as a Taylor series to round-off, O(d^3) work per term and O(d^2)
-    memory.  States are re-symmetrized as they are stored, then checked
-    once; a PSD breach beyond the run tolerance aborts.
+    as d^2 x d^2 Liouvillians, batched a chunk of substeps at a time (a
+    static generator is one propagator), and ``qcore.propagate`` takes the
+    products; above it exp(h L_k) rho_k is summed as a Taylor series to
+    round-off, O(d^3) work per term and O(d^2) memory.  States are
+    re-symmetrized as they are stored, then checked once; a PSD breach
+    beyond the run tolerance aborts.
     """
     if n_substeps < 1:
         raise ValidationError("n_substeps must be >= 1")
@@ -234,26 +250,26 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
 
     h = t_final / n_substeps
     compiled, damping = _compile_jumps(gen.jumps)
-    hs = gen.h_eff.data[None] if gen.h_table is None else gen.h_table
-    t_mid = (np.arange(n_substeps) + 0.5) * h
-    idx = np.minimum((t_mid / (gen.step_duration or t_final)).astype(int), len(hs) - 1)
-    used, idx = np.unique(idx, return_inverse=True)
+    hs, rows = gen._terms((np.arange(n_substeps) + 0.5) * h)
     d = rho0.side
-    batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * d**4))
-
-    states = np.empty((n_substeps + 1, d, d), dtype=complex)
-    states[0] = rho = rho0.data
-    props, lo = (), 0
-    for k in range(n_substeps):
-        if d > DENSE_MAX_DIM:
-            g = -1j * hs[used[idx[k]]] - damping
+    if d > DENSE_MAX_DIM:
+        states = np.empty((n_substeps + 1, d, d), dtype=complex)
+        states[0] = rho = rho0.data
+        for k, row in enumerate(rows.tolist()):
+            g = -1j * hs[row] - damping
             rho = _expm_series(h, g, g.conj().T, compiled, rho)
-        else:
-            # idx never decreases, so each batch is built once, when first needed
-            if idx[k] >= lo + len(props):
-                lo = idx[k]
-                gs = -1j * hs[used[lo:lo + batch]] - damping
-                props = qcore.expm_stack(h * _liouvillian(gs, compiled))
-            rho = (props[idx[k] - lo] @ rho.reshape(-1)).reshape(d, d)
-        rho = states[k + 1] = 0.5 * (rho + rho.conj().T)
-    return _checked_trajectory(h, states, observables)
+            rho = states[k + 1] = 0.5 * (rho + rho.conj().T)
+        return _checked_trajectory(h, states, observables)
+
+    # rows never decrease: a chunk of substeps exponentiates the rows it uses, and a static
+    # generator is one propagator for all substeps
+    chunk = n_substeps if rows[0] == rows[-1] else max(1, qcore.STACK_CHUNK_BYTES // (16 * d**4))
+    states = np.empty((n_substeps + 1, d * d), dtype=complex)
+    states[0] = rho0.data.reshape(-1)
+    for lo in range(0, n_substeps, chunk):
+        used, inv = np.unique(rows[lo:lo + chunk], return_inverse=True)
+        props = qcore.expm_stack(h * _liouvillian(-1j * hs[used] - damping, compiled))
+        states[lo:lo + len(inv) + 1] = qcore.propagate(props if len(used) == 1 else props[inv],
+                                                       states[lo], len(inv))
+    states = states.reshape(-1, d, d)
+    return _checked_trajectory(h, 0.5 * (states + states.conj().swapaxes(1, 2)), observables)

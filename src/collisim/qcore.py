@@ -5,7 +5,9 @@ carry read-only numpy arrays plus an ordered list of subsystem dimensions, so
 they can be shared freely across concurrent workers.  ``first_invalid_state``,
 ``first_non_hermitian`` and ``first_non_unit`` define a state, a Hamiltonian and a ket, stackwise.
 ``expm_stack`` forms every matrix exponential of the package (collision unitaries, dense
-master-equation propagators) a whole stack at a time.
+master-equation propagators) a whole stack at a time, and ``propagate`` runs every linear
+recursion x_k = T_k x_{k-1} of small maps (product collision runs, the dense master
+equation) as a blocked prefix scan.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ TRACE_TOL = 1e-10
 PSD_TOL = -1e-9
 NORM_TOL = 1e-10
 
-# Work on stacks of matrices (checks, distances, unitaries) is batched in pieces of this many bytes.
+# Work on stacks of matrices (checks, distances, unitaries, scans) is batched in pieces of this
+# many bytes.
 STACK_CHUNK_BYTES = 2 * 2**20
 
 # Scaling-and-squaring Pade exponential (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)):
@@ -331,6 +334,40 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
             sq = s > k
             x[sq] = x[sq] @ x[sq]
     return x.reshape(shape)
+
+
+def propagate(maps: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
+    """x0 and x_k = T_k ... T_1 x0 for k = 1..n, as an (n + 1, D) array, for an (M, D, D) stack
+    of maps with M = n (row k - 1 at step k) or M = 1 (its one row at every step).
+
+    A blocked prefix scan (Blelloch 1990), over a chunk of STACK_CHUNK_BYTES of maps at a time,
+    the last state carried into the next chunk: in blocks of b ~ sqrt(steps), the prefix
+    products P_j = T_j ... T_1 of every block in b - 1 batched products, one state carried from
+    block to block, and each block's states P_j y in one batched product.  A one-row stack
+    takes the same products as n copies of its row, to the bit, with one block of P_j.
+    Products that overflow give non-finite output, which the callers' state checks reject.
+    """
+    dim = maps.shape[-1]
+    out = np.empty((n + 1, dim), dtype=np.result_type(maps, x0))
+    out[0] = x0
+    chunk = max(1, STACK_CHUNK_BYTES // (out.itemsize * dim * dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, chunk):
+            steps = min(chunk, n - lo)
+            b = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps))
+            blocks = -(-steps // b)
+            p = np.empty((b * blocks if len(maps) > 1 else b, dim, dim), dtype=out.dtype)
+            p[:] = np.eye(dim)  # the last block's unused rows, whose products are dropped
+            p[:steps] = maps[lo:lo + steps] if len(maps) > 1 else maps
+            p = p.reshape(-1, b, dim, dim)
+            for j in range(1, b):
+                np.matmul(p[:, j], p[:, j - 1], out=p[:, j])
+            y = np.empty((blocks, dim, 1), dtype=out.dtype)
+            y[0, :, 0] = out[lo]
+            for i in range(1, blocks):
+                np.matmul(p[min(i - 1, len(p) - 1), -1], y[i - 1], out=y[i])
+            out[lo + 1:lo + 1 + steps] = (p @ y[:, None]).reshape(-1, dim)[:steps]
+    return out
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -308,8 +308,12 @@ def single_photon_run(
         rho_a = rho_a if rho_a is not None else default_a
         rho_b = rho_b if rho_b is not None else default_b
     obs = _excited_population(cfg)
-    traj_a = coll.run_correlated(spec, field_bath, rho_a, obs)
-    traj_b = coll.run_correlated(spec, field_bath, rho_b, obs)
+    for rho in (rho_a, rho_b):
+        coll._check_bath(spec, field_bath, bath_mod.CORRELATED_PURE, rho)
+    # one sector pass moves both starts; each keeps its own checked trajectory
+    runs = coll._run_correlated_raw(spec, spec.n_steps, field_bath.phi,
+                                    np.stack([rho_a.data, rho_b.data]))
+    traj_a, traj_b = (coll._checked_trajectory(spec.dt, states, obs) for states in runs)
     dist = trace_distance_series(traj_a, traj_b)
     revivals = tuple(int(n) for n in np.flatnonzero(np.diff(dist) > revival_threshold))
     report = MemoryWitnessReport(

@@ -219,6 +219,27 @@ def test_csv_rows_are_rendered_to_the_exact_bytes():
     ]
 
 
+def test_csv_columns_render_as_rows_of_numpy_scalars():
+    # the renderer writes each row as format() of its numpy scalars would
+    cfg = parse_config(json.dumps(vacuum_config()))
+    inf, nan = math.inf, math.nan
+    columns = [("t", np.array([0.5, nan, -inf, -0.0, inf])), ("b", np.array([7, -1, 0, 2**40, 3])),
+               ("u", np.arange(5, dtype=np.uint8)),
+               ("a", np.array([complex(inf, nan), 1e-300 - 1j, complex(-inf, 2.5), -0.0j,
+                               complex(-0.0, -0.0)]))]
+    flat = []
+    for _, arr in columns:
+        flat += [arr.real, arr.imag] if np.iscomplexobj(arr) else [arr]
+    rows = [",".join(("{}" if col.dtype.kind in "iu" else "{:.16e}").format(col[k]) for col in flat)
+            for k in range(5)]
+    assert _render_csv(cfg, columns, {}).split("\n")[4:] == rows + [""]
+    negative_zero = "-0.0000000000000000e+00"
+    assert rows[3] == ",".join([negative_zero, "1099511627776", "3", negative_zero, negative_zero])
+    assert "nan" in rows[1] and "-inf" in rows[2]
+    empty = _render_csv(cfg, [("step", np.arange(0)), ("x", np.zeros(0, dtype=complex))], {})
+    assert empty.split("\n")[3:] == ["step,x_re,x_im", ""]
+
+
 def test_json_rows_are_rendered_to_the_exact_bytes():
     cfg = parse_config(json.dumps(vacuum_config()))
     text = _render_json(cfg, RENDER_COLUMNS, {"dt": 0.5})

@@ -186,6 +186,26 @@ def test_run_product_agrees_with_per_step_kernel_across_chunks(monkeypatch, tabl
     assert np.max(np.abs(states - per_step_run(spec, bath, rho0))) <= 1e-14
 
 
+@pytest.mark.parametrize("kets", [False, True])
+def test_run_product_above_the_dense_dimension_applies_kraus_pairs(monkeypatch, kets):
+    # a 6-level system is past lindblad.DENSE_MAX_DIM: no superoperator and no scan, each step
+    # its Kraus pair, across chunks of two 18 x 18 unitaries
+    from collisim import lindblad
+    assert lindblad.DENSE_MAX_DIM < 6
+    monkeypatch.setattr(qcore, "propagate", lambda *args: pytest.fail("scan used"))
+    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 2 * 16 * 18 * 18)
+    rng = np.random.default_rng(29)
+    n, b = 7, annihilator(6)
+    m = rng.standard_normal((n, 6, 6)) + 1j * rng.standard_normal((n, 6, 6))
+    spec = CollisionSpec(h_sys=Operator(m[0] + m[0].conj().T, (6,)), coupling=b, dt=0.1,
+                         n_steps=n, d_anc=3, g=1.1, h_sys_table=0.3 * (m + m.conj().swapaxes(1, 2)))
+    bath = (coherent_bath(0.6 + 0.2j, omega=0.9, dt=0.1, n=n, d=3) if kets
+            else product_bath(random_density(rng, 3), n))
+    rho0 = random_density(rng, 6)
+    states = run_product(spec, bath, rho0).states
+    assert np.max(np.abs(states - per_step_run(spec, bath, rho0))) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # single collision
 # ---------------------------------------------------------------------------

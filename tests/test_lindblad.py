@@ -613,6 +613,34 @@ def test_series_matches_dense_propagators_on_coarse_steps(monkeypatch):
         assert np.max(np.abs(series.states[k] - vec.reshape(d, d))) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, lindblad.DENSE_MAX_DIM])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_dense_scan_matches_the_series_step_by_step(monkeypatch, d, chunked):
+    # the scan of dense propagators against the Taylor series of each substep's generator,
+    # over a table finer and coarser than the substeps and across chunks
+    rng = np.random.default_rng(d)
+    table = []
+    for _ in range(9):
+        m = _random_operator(rng, d)
+        table.append(0.5 * (m + m.conj().T))
+    jumps = tuple((Operator(_random_operator(rng, d), (d,)), rate) for rate in (0.3, 1.2))
+    gen = LindbladGenerator(h_eff=Operator(table[0], (d,)), jumps=jumps, h_table=np.array(table),
+                            step_duration=0.17)
+    rho0 = random_density(rng, d)
+    if chunked:  # seven propagators a chunk
+        monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 7 * 16 * d**4)
+    n, t_final = 40, 2.0
+    traj = integrate_me(gen, rho0, t_final, n)
+    assert np.array_equal(traj.states, traj.states.conj().swapaxes(1, 2))  # re-symmetrized
+    compiled, damping = lindblad._compile_jumps(jumps)
+    rho, h = rho0.data, t_final / n
+    for k in range(n):
+        row = min(int((k + 0.5) * h / 0.17), len(table) - 1)
+        g = -1j * table[row] - damping
+        rho = lindblad._expm_series(h, g, g.conj().T, compiled, rho)
+        assert np.max(np.abs(traj.states[k + 1] - rho)) < 1e-12
+
+
 def test_static_drive_needs_one_propagator(monkeypatch):
     # with omega = 0 the drive does not change: one ME propagator, not one per step
     built = []

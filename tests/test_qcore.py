@@ -268,6 +268,76 @@ def test_expm_stack_overflow_is_non_finite_without_a_warning():
 
 
 # ---------------------------------------------------------------------------
+# blocked prefix scan
+# ---------------------------------------------------------------------------
+
+def random_contractions(rng, n, dim, dtype=complex):
+    """n random maps of spectral norm 0.99: the states neither blow up nor vanish."""
+    m = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    m = m.astype(dtype)
+    return 0.99 * m / np.linalg.norm(m.astype(complex), 2, axis=(1, 2))[:, None, None]
+
+
+def propagate_by_loop(maps, x0, n):
+    states = [x0]
+    for k in range(n):
+        states.append(maps[k if len(maps) > 1 else 0] @ states[-1])
+    return np.stack(states)
+
+
+# steps around whole blocks of b = 3, 4 and 5: b^2 - 1, b^2 and b^2 + 1
+SCAN_STEPS = [0, 1, 2, 3, 8, 9, 10, 15, 16, 17, 24, 25, 26]
+
+
+@pytest.mark.parametrize("n", SCAN_STEPS)
+@pytest.mark.parametrize("one_map", [False, True])
+def test_propagate_matches_a_per_step_loop(n, one_map):
+    rng = np.random.default_rng(n)
+    maps = random_contractions(rng, 1 if one_map else max(n, 1), 4)
+    x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    states = qcore.propagate(maps, x0, n)
+    assert states.shape == (n + 1, 4) and states.dtype == complex
+    assert np.array_equal(states[0], x0)
+    assert np.abs(states - propagate_by_loop(maps, x0, n)).max() <= 1e-14
+    if one_map:  # one row is n copies of it, bit for bit
+        assert np.array_equal(states, qcore.propagate(np.repeat(maps, max(n, 1), 0), x0, n))
+
+
+@pytest.mark.parametrize("n", [7, 23, 40])
+@pytest.mark.parametrize("one_map", [False, True])
+def test_propagate_carries_the_state_across_chunks(monkeypatch, n, one_map):
+    rng = np.random.default_rng(7)
+    maps = random_contractions(rng, 1 if one_map else n, 3)
+    x0 = rng.standard_normal(3) + 0j
+    whole = qcore.propagate(maps, x0, n)
+    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 5 * 16 * 3 * 3)  # chunks of five steps
+    chunked = qcore.propagate(maps, x0, n)
+    assert np.abs(chunked - propagate_by_loop(maps, x0, n)).max() <= 1e-14
+    assert np.abs(chunked - whole).max() <= 1e-14
+    if one_map:
+        assert np.array_equal(chunked, qcore.propagate(np.repeat(maps, n, 0), x0, n))
+
+
+@pytest.mark.parametrize("n", [0, 9, 26, 300])
+@pytest.mark.parametrize("one_map", [False, True])
+def test_propagate_in_extended_precision(monkeypatch, n, one_map):
+    # the scan keeps the maps' own precision: against a clongdouble loop it is off by
+    # round-off of that precision, far below double's
+    rng = np.random.default_rng(11)
+    maps = random_contractions(rng, 1 if one_map else max(n, 1), 4, np.clongdouble)
+    x0 = (rng.standard_normal(4) + 1j * rng.standard_normal(4)).astype(np.clongdouble)
+    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 40 * 32 * 4 * 4)  # forty clongdouble maps
+    states = qcore.propagate(maps, x0, n)
+    assert states.dtype == np.clongdouble
+    assert np.abs(states - propagate_by_loop(maps, x0, n)).max() <= 1e-18
+
+
+def test_propagate_overflow_is_non_finite_without_a_warning():
+    states = qcore.propagate(np.array([1e200 * np.eye(2)], dtype=complex), np.ones(2, complex), 10)
+    assert np.isfinite(states[1]).all() and not np.isfinite(states[-1]).any()
+
+
+# ---------------------------------------------------------------------------
 # ladder and displacement operators
 # ---------------------------------------------------------------------------
 

@@ -238,6 +238,32 @@ def test_photon_run_at_forty_steps():
     assert abs(report.distances[0] - 1.0) < 1e-12
 
 
+def test_both_photon_starts_share_one_sector_pass(monkeypatch):
+    # one static collision unitary and one pass over the steps serve both starts, with the
+    # states of a separate run from each start, bit for bit
+    shapes = []
+    expm_stack = qcore.expm_stack
+    monkeypatch.setattr(qcore, "expm_stack", lambda a: shapes.append(a.shape) or expm_stack(a))
+    cfg = make_cfg(kind="single_photon", t_final=4.0, n_steps=30,
+                   envelope=GaussianEnvelope(center=2.0, width=0.7))
+    ground = fock_dm(2, 0)
+    traj_a, traj_b, _ = single_photon_run(cfg, rho_a=EXCITED, rho_b=ground)
+    assert shapes == [(1, 4, 4)]
+    spec, field_bath = discretize_input_output(cfg)
+    for traj, rho0 in ((traj_a, EXCITED), (traj_b, ground)):
+        alone = run_correlated(spec, field_bath, rho0, {"excited_population": LOWER.dag() @ LOWER})
+        assert np.array_equal(traj.states, alone.states)
+        assert np.array_equal(traj.observables["excited_population"],
+                              alone.observables["excited_population"])
+
+
+def test_photon_start_on_the_wrong_space_is_rejected():
+    cfg = make_cfg(kind="single_photon", t_final=2.0, n_steps=5,
+                   envelope=GaussianEnvelope(center=1.0, width=0.5))
+    with pytest.raises(ValidationError):
+        single_photon_run(cfg, rho_b=fock_dm(3, 0))
+
+
 def test_gaussian_photon_excites_an_emitter_to_the_known_optimum():
     # a Gaussian photon of width 0.7/gamma drives a ground-state emitter to a peak
     # population of ~0.80 (Wang, Minar, Sheridan & Scarani, PRA 83, 063842 (2011))
