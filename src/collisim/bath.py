@@ -2,10 +2,11 @@
 
 Vacuum, thermal and coherent input fields give a product bath of uncorrelated
 ancillas, each held as a Kraus factor F (d x r, eta = F F^dag): one shared by
-every step, or one per step, as the kets (r = 1) of a coherent field's displaced
-vacua.  A single-photon field gives a correlated pure bath carrying exactly one
-excitation spread over all ancillas, held as its N amplitudes, never as a 2^N
-joint state.
+every step, or one per step.  A coherent field's ancillas are displaced vacua,
+held as kets (r = 1): a static field (omega = 0) is one ket for every step, and
+only a moving one (omega != 0) stores one per step.  A single-photon field gives
+a correlated pure bath carrying exactly one excitation spread over all ancillas,
+held as its N amplitudes, never as a 2^N joint state.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ class BathSpec:
 
     ``etas`` holds the Kraus factors F_n, eta_n = F_n F_n^dag, of the product
     kind, given as an (M, d) stack of kets or an (M, d, r) stack of factors with
-    M = 1 (one row serves every step) or M = n_steps, checked once for finite
-    Tr F F^dag = 1 and kept as a tuple of its read-only rows.  ``phi`` holds the
-    n_steps amplitudes of the correlated kind's joint state sum_k phi_k |1_k>.
+    M = 1 (one row serves every step, as for a static coherent field) or
+    M = n_steps, checked once for finite Tr F F^dag = 1 and kept as a tuple of
+    its read-only rows.  ``xi`` holds a coherent field's displacement amplitudes,
+    one per row of ``etas``.  ``phi`` holds the n_steps amplitudes of the
+    correlated kind's joint state sum_k phi_k |1_k>.
     """
 
     kind: str
@@ -100,10 +103,12 @@ def product_bath(eta: DensityMatrix, n: int) -> BathSpec:
 
 
 def coherent_bath(z: complex, omega: float, dt: float, n: int, d: int) -> BathSpec:
-    """Product bath of displaced vacua, one ket per step, for a coherent input field.
+    """Product bath of displaced vacua for a coherent input field.
 
     The ancilla met at step n is in the coherent state of amplitude
-    xi_n = z e^{i omega t_n} sqrt(dt) / sqrt(2 pi), with t_n = n dt.
+    xi_n = z e^{i omega t_n} sqrt(dt) / sqrt(2 pi), with t_n = n dt.  A field
+    at the carrier (omega = 0) hands over the same ancilla at every step: one
+    ket and one xi serve them all.  Otherwise there is one ket and one xi per step.
     """
     if n < 1:
         raise ValidationError("step count must be >= 1")
@@ -114,7 +119,8 @@ def coherent_bath(z: complex, omega: float, dt: float, n: int, d: int) -> BathSp
     if z == 0:
         return product_bath(qcore.fock_dm(d, 0), n)
 
-    t = np.arange(1, n + 1) * dt
+    rows = n if omega != 0 else 1  # a static field is one ancilla for every step
+    t = np.arange(1, rows + 1) * dt
     xi = (z / math.sqrt(2.0 * math.pi)) * np.exp(1j * omega * t) * math.sqrt(dt)
     max_sq = float(np.max(np.abs(xi) ** 2))
     if max_sq >= d / 4.0:
@@ -124,7 +130,7 @@ def coherent_bath(z: complex, omega: float, dt: float, n: int, d: int) -> BathSp
         )
 
     # D(xi)|0> = diag(e^{i k theta}) exp(-i r H)|0> for xi = r e^{i theta}, H = i(a^dag - a): one
-    # eigendecomposition serves all steps; columns are renormalized so round-off cannot build up
+    # eigendecomposition serves all kets; columns are renormalized so round-off cannot build up
     a = qcore.annihilator(d).data
     lam, vecs = np.linalg.eigh(1j * (a.T - a))
     cols = vecs @ (np.exp(-1j * np.outer(lam, np.abs(xi))) * vecs[0].conj()[:, None])

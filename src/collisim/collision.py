@@ -7,11 +7,11 @@ step, and a single-photon bath moves the four blocks of its one-excitation secto
 with F = I_2 (Baragiola et al., PRA 86, 013811 (2012)).
 ``_kraus_chunks`` builds the blocks a chunk of steps at a time, with one batched
 product per chunk of unitaries.  Up to ``lindblad.DENSE_MAX_DIM`` a product run
-turns each chunk into d^2 x d^2 superoperators and propagates them by the blocked
-prefix scan ``qcore.propagate``; above it, and in the photon sector, a per-step
-loop applies the pairs.  Step-indexed inputs are raw read-only arrays, each
-checked once where it is built; a run keeps its states the same way, checked
-once at the end.
+whose steps share one map, or any at d = 2, turns each chunk into d^2 x d^2
+superoperators and propagates them by the blocked prefix scan ``qcore.propagate``;
+otherwise, and in the photon sector, a per-step loop applies the pairs.
+Step-indexed inputs are raw read-only arrays, each checked once where it is
+built; a run keeps its states the same way, checked once at the end.
 """
 
 from __future__ import annotations
@@ -249,14 +249,17 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
                 observables: Mapping[str, Operator] | None = None) -> Trajectory:
     """Iterated collisions against a product bath, reading its factor rows.
 
-    Up to ``lindblad.DENSE_MAX_DIM`` each step is its d^2 x d^2 superoperator, one per chunk
-    of ``_kraus_chunks``, and the states come from ``qcore.propagate``; above it each Kraus
-    pair is applied in turn, O(d_a r d^3) per step."""
+    Up to ``lindblad.DENSE_MAX_DIM``, where every step shares one map (one factor row and no
+    ``h_sys_table``) or d = 2, each step is its d^2 x d^2 superoperator, one per chunk of
+    ``_kraus_chunks``, and the states come from ``qcore.propagate``.  Otherwise each Kraus
+    pair is applied in turn, O(d_a r d^3) per step, which at d = 3..5 beats a superoperator
+    per step (see ``lindblad.DENSE_MAX_DIM``)."""
     from . import lindblad  # lindblad imports this module; its DENSE_MAX_DIM rules both
 
     _check_bath(spec, bath, bath_mod.PRODUCT, rho0)
     n, d = spec.n_steps, rho0.side
-    if d <= lindblad.DENSE_MAX_DIM:
+    shared = len(bath.etas) == 1 and spec.h_sys_table is None
+    if d <= lindblad.DENSE_MAX_DIM and (shared or d == 2):
         states, lo = np.empty((n + 1, d * d), dtype=complex), 0
         states[0] = rho0.data.reshape(-1)
         for count, ks, _ in _kraus_chunks(spec, n, bath.etas):

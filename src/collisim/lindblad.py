@@ -34,16 +34,18 @@ from .qcore import DensityMatrix, Operator
 # Jump operators that vanish identically are dropped from the generator.
 ZERO_JUMP_TOL = 1e-14
 
-# Up to this system dimension every step of the ME and of a product collision run is a dense
-# d^2 x d^2 map (expm_stack propagators, collision superoperators) and qcore.propagate scans
-# them; above it the ME sums a Taylor series per substep and a product run applies its Kraus
-# pairs.  Per step, dense against the other, at d = 2 / 3 / 4 / 5 / 6 (medians of 2,000-step
-# runs, one BLAS thread, 2-vCPU x86-64 VM): the ME with a static generator 2 / 4 / 4 / 8 / 22
-# against 105-296 us, and with one Hamiltonian per substep 6 / 21 / 60 / 130 / 226 against
-# 122 / 143 / 162 / 177 / 130 us; a product run with one map for all steps 3 / 4 / 5 / 8 / 12
-# against 11-17 us.  A product run with one map per step (coherent kets, d_a = 6) gains only
-# at d = 2 (6 against 9 us; 16 / 45 / 97 against 13 / 14 / 21 us at d = 3 / 4 / 5), as
-# ``collision._superoperator`` sums d^4 d_a terms per step in extended precision.
+# Up to this system dimension every step of the ME is a dense d^2 x d^2 propagator (expm_stack),
+# and so is every step of a product collision run whose steps share one map, or of any run at
+# d = 2 (collision superoperators); qcore.propagate scans them.  Otherwise the ME sums a Taylor
+# series per substep and a product run applies its Kraus pairs.  Per step, dense against the
+# other, at d = 2 / 3 / 4 / 5 / 6 (ranges of medians over three rounds of 2,000-step runs, one
+# BLAS thread, 2-vCPU x86-64 VM): the ME with a static generator 0.8-1.4 / 1.1-2.1 / 1.6-2.7 /
+# 2.5-4.0 / 5.4-7.9 against 84-167 us, and with one Hamiltonian per substep 5-8 / 14-22 /
+# 39-55 / 91-129 / 198-243 against 85-132 / 86-139 / 91-163 / 102-165 / 99-174 us; a product
+# run with one map for all steps (d_a = 6) 1.2-2.5 / 2.3-3.6 / 3.3-5.4 / 5.0-8.0 / 8-13 against
+# 6-19 us.  With one map per step (coherent kets, d_a = 6) the scan gains only at d = 2 (5-9
+# against 8-14 us): at d = 3 / 4 / 5 it took 13-20 / 37-44 / 83-112 against 10-18 / 9-17 /
+# 13-22 us, as ``collision._superoperator`` sums d^4 d_a terms per step in extended precision.
 DENSE_MAX_DIM = 5
 
 JumpList = tuple[tuple[Operator, float], ...]

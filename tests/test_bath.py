@@ -81,6 +81,19 @@ def test_coherent_bath_states_are_displaced_vacua():
         assert np.max(np.abs(bath.ancilla_state(step).data - expected)) < 1e-12
 
 
+def test_static_coherent_bath_is_one_ket():
+    # at omega = 0 every step meets the same displaced vacuum: one ket and one xi serve all
+    z, dt, n, d = 0.9 - 0.4j, 0.05, 6, 8
+    bath = coherent_bath(z, omega=0.0, dt=dt, n=n, d=d)
+    assert bath.n_steps == n and len(bath.etas) == len(bath.xi) == 1
+    assert bath.xi[0] == z * math.sqrt(dt) / math.sqrt(2.0 * math.pi)
+    moving = coherent_bath(z, omega=1e-300, dt=dt, n=n, d=d)  # the same field, stored per step
+    assert len(moving.etas) == n
+    for step in (1, n):
+        assert np.max(np.abs(bath.ancilla_state(step).data
+                             - moving.ancilla_state(step).data)) < 1e-15
+
+
 def test_coherent_bath_is_one_read_only_stack():
     bath = coherent_bath(0.8, omega=2.0, dt=0.05, n=5, d=6)
     assert isinstance(bath.etas, tuple) and len(bath.etas) == 5

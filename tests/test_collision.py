@@ -206,6 +206,41 @@ def test_run_product_above_the_dense_dimension_applies_kraus_pairs(monkeypatch, 
     assert np.max(np.abs(states - per_step_run(spec, bath, rho0))) <= 1e-14
 
 
+@pytest.mark.parametrize("d, kets, table, scanned", [
+    (3, True, False, False), (3, False, True, False), (5, True, True, False),
+    (3, False, False, True), (5, False, False, True), (2, True, True, True),
+])
+def test_run_product_scans_shared_maps_and_qubits(monkeypatch, d, kets, table, scanned):
+    # a superoperator per step costs more than the step's Kraus pair at d = 3..5 (see
+    # lindblad.DENSE_MAX_DIM): those runs apply the pairs, and steps that share one map, or
+    # any qubit's, are scanned; across chunks of two unitaries
+    from collisim import lindblad
+    assert lindblad.DENSE_MAX_DIM >= 5
+    maps = []
+    propagate = qcore.propagate
+
+    def scan(ms, x0, n):
+        if not scanned:
+            pytest.fail("scan used for one map per step")
+        maps.append(len(ms))
+        return propagate(ms, x0, n)
+
+    monkeypatch.setattr(qcore, "propagate", scan)
+    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 2 * 16 * (3 * d) ** 2)
+    rng = np.random.default_rng(31 + d)
+    n, b = 7, annihilator(d)
+    m = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    spec = CollisionSpec(h_sys=Operator(0.3 * (m[0] + m[0].conj().T), (d,)), coupling=b, dt=0.1,
+                         n_steps=n, d_anc=3, g=1.1,
+                         h_sys_table=0.3 * (m + m.conj().swapaxes(1, 2)) if table else None)
+    bath = (coherent_bath(0.6 + 0.2j, omega=0.9, dt=0.1, n=n, d=3) if kets
+            else product_bath(random_density(rng, 3), n))
+    rho0 = random_density(rng, d)
+    states = run_product(spec, bath, rho0).states
+    assert np.max(np.abs(states - per_step_run(spec, bath, rho0))) <= 1e-12
+    assert maps == ([1, 1, 1, 1] if not (kets or table) else [2, 2, 2, 1] if scanned else [])
+
+
 # ---------------------------------------------------------------------------
 # single collision
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collisim import (
@@ -141,6 +141,7 @@ def test_product_kernel_matches_per_step_oracle(setup):
     omega=st.floats(-5.0, 5.0),
     n=st.integers(1, 40),
 )
+@example(d=5, magnitude=0.6, phase=0.4, omega=0.0, n=9)  # a static field: one ket for all steps
 def test_coherent_bath_is_displaced_vacuum(d, magnitude, phase, omega, n):
     # |xi_n|^2 = |z|^2 dt / (2 pi) stays below the d/4 truncation guard
     dt = 0.05
@@ -150,6 +151,7 @@ def test_coherent_bath_is_displaced_vacuum(d, magnitude, phase, omega, n):
         assert len(bath.etas) == 1
         assert np.array_equal(bath.ancilla_state(n).data, fock_dm(d, 0).data)
         return
+    assert len(bath.etas) == len(bath.xi) == (n if omega != 0 else 1)
     vacuum = fock_dm(d, 0).data
     for ket, xi in zip(bath.etas, bath.xi):
         disp = displacement(complex(xi), d).data

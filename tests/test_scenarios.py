@@ -20,7 +20,8 @@ from collisim import (
     spontaneous_emission_run,
     trace_distance_series,
 )
-from collisim.bath import PRODUCT
+from collisim.bath import PRODUCT, BathSpec
+from collisim import collision as coll
 from collisim import qcore, scenarios
 from collisim.scenarios import default_emitter
 
@@ -203,6 +204,24 @@ def test_static_semiclassical_drive_forms_one_unitary(monkeypatch):
     table = run_product(replace(spec, d_anc=2, h_sys_table=drive), product_bath(fock_dm(2, 0), 50),
                         cfg.rho0)
     assert np.array_equal(traj_semi.states, table.states)
+
+
+def test_static_field_is_one_map_for_the_quantum_run(monkeypatch):
+    # at omega = 0 the quantum run meets one displaced vacuum: one ket, one Kraus pair and one
+    # superoperator, with the states of N rows of that ket, bit for bit, across chunks too
+    rows = []
+    superoperator = coll._superoperator
+    monkeypatch.setattr(coll, "_superoperator", lambda k: rows.append(len(k)) or superoperator(k))
+    cfg = make_cfg(kind="coherent", z=1.5 - 0.5j, n_steps=50, d_anc=6)
+    traj_quantum, _, _ = bloch_run(cfg)
+    assert rows == [1, 1]  # the quantum run's map, then the semiclassical run's
+    spec, field_bath = discretize_input_output(cfg)
+    assert len(field_bath.etas) == len(field_bath.xi) == 1
+    kets = BathSpec(kind=PRODUCT, d=6, n_steps=50, etas=np.repeat(field_bath.etas[0][None], 50, 0))
+    assert np.array_equal(traj_quantum.states, run_product(spec, kets, cfg.rho0).states)
+    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 16 * 16 * 12 * 12)  # 16 steps a chunk
+    assert np.array_equal(run_product(spec, field_bath, cfg.rho0).states,
+                          run_product(spec, kets, cfg.rho0).states)
 
 
 # ---------------------------------------------------------------------------
