@@ -272,7 +272,8 @@ def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:
     obs = _excited_population(cfg)
     traj_quantum = coll.run_product(spec, field_bath, cfg.rho0, obs)
 
-    drive = _drive_hamiltonian(cfg, np.arange(1, cfg.n_steps + 1) * cfg.dt)
+    times = np.arange(1, cfg.n_steps + 1 if cfg.omega != 0 else 2) * cfg.dt
+    drive = _drive_hamiltonian(cfg, times)  # a static drive (omega = 0) is its first row alone
     gen = _driven_me_generator(cfg, drive, cfg.dt)
     traj_me = lind.integrate_me(gen, cfg.rho0, cfg.t_final, cfg.n_steps, obs)
 
@@ -355,7 +356,7 @@ def convergence_study(
 
     substeps = _reference_substeps(cfg, n_list)
     h = cfg.t_final / substeps
-    drive = _drive_hamiltonian(cfg, np.arange(1, substeps + 1) * h)
+    drive = _drive_hamiltonian(cfg, np.arange(1, substeps + 1 if cfg.omega != 0 else 2) * h)
     gen = _driven_me_generator(cfg, drive, h)
     obs = _excited_population(cfg)
     reference = lind.integrate_me(gen, cfg.rho0, cfg.t_final, substeps, obs)

@@ -102,6 +102,84 @@ def test_stack_check_reports_the_first_failing_matrix(monkeypatch, chunk_bytes):
     assert np.array_equal(qcore.trace_distances(a, b), pairwise)
 
 
+def random_hermitian_stack(rng, n, d, scale):
+    # entries of modulus <= scale / sqrt(2), so every eigenvalue stays finite up to scale 1e308
+    m = rng.uniform(-0.5, 0.5, (n, d, d)) + 1j * rng.uniform(-0.5, 0.5, (n, d, d))
+    return (m + m.conj().swapaxes(1, 2)) * (0.5 * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e307, 1e308])
+def test_qubit_spectra_match_lapack(scale):
+    stack = random_hermitian_stack(np.random.default_rng(13), 500, 2, scale)
+    assert np.isfinite(stack).all()
+    expected = np.linalg.eigvalsh(stack)
+    got = qcore.eigvalsh_stack(stack)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.all(np.diff(got, axis=1) >= 0)
+    assert np.all(np.abs(got - expected) <= 2e-15 * np.abs(expected).max(axis=1, keepdims=True))
+
+
+def test_qubit_spectra_of_degenerate_pure_and_one_sided_input():
+    rng = np.random.default_rng(7)
+    # multiples of I: the closed form is exact
+    for c in (0.0, 1.0, -2.5, 1e-300, 1e308, -1e308):
+        assert np.array_equal(qcore.eigvalsh_stack(np.eye(2)[None] * c), [[c, c]])
+    # rank-1 pure states: spectrum {0, 1}
+    psi = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    pure = np.einsum("ti,tj->tij", psi, psi.conj())
+    assert np.abs(qcore.eigvalsh_stack(pure) - [0.0, 1.0]).max() < 1e-15
+    assert np.abs(qcore.eigvalsh_stack(pure) - np.linalg.eigvalsh(pure)).max() < 2e-15
+    # like eigvalsh, only the lower triangle and the real diagonal are read
+    herm = random_hermitian_stack(rng, 200, 2, 1.0)
+    junk = herm.copy()
+    junk[:, 0, 1] = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    junk[:, [0, 1], [0, 1]] += 1j * rng.standard_normal((200, 2))
+    assert np.array_equal(qcore.eigvalsh_stack(junk), qcore.eigvalsh_stack(herm))
+    assert np.abs(qcore.eigvalsh_stack(junk) - np.linalg.eigvalsh(junk)).max() < 2e-15
+    # every other size is LAPACK's own batched call, bit for bit
+    for d in (1, 3, 4):
+        stack = random_hermitian_stack(rng, 20, d, 1.0)
+        assert np.array_equal(qcore.eigvalsh_stack(stack), np.linalg.eigvalsh(stack))
+
+
+def test_qubit_checks_and_distances_make_no_lapack_call(monkeypatch):
+    class Called(Exception):
+        pass
+
+    def boom(*args, **kwargs):
+        raise Called
+
+    rng = np.random.default_rng(3)
+    a, b = (np.stack([random_density(rng, 2).data for _ in range(6)]) for _ in range(2))
+    three = np.stack([random_density(rng, 3).data for _ in range(4)])
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    assert first_invalid_state(a) is None
+    assert first_invalid_state(a - np.eye(2))[0] == 0
+    assert np.all(qcore.trace_distances(a, b) > 0)
+    with pytest.raises(Called):
+        first_invalid_state(three)
+    with pytest.raises(Called):
+        qcore.trace_distances(three, three)
+
+
+def test_trace_distances_reject_stacks_of_different_shapes():
+    rng = np.random.default_rng(4)
+    a = np.stack([random_density(rng, 2).data for _ in range(3)])
+    with pytest.raises(ValidationError, match="shapes"):
+        qcore.trace_distances(a, a[:1])
+    with pytest.raises(ValidationError, match="shapes"):
+        qcore.trace_distances(a[:1], a)
+    with pytest.raises(ValidationError, match="shapes"):
+        qcore.trace_distances(a, np.zeros((3, 3, 3)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_trace_distances_of_empty_stacks_are_empty(d):
+    out = qcore.trace_distances(np.empty((0, d, d), complex), np.empty((0, d, d), complex))
+    assert out.shape == (0,) and out.dtype == float
+
+
 def test_pure_state_requires_normalization():
     with pytest.raises(ValidationError):
         PureState(np.array([1.0, 1.0]), (2,))

@@ -206,6 +206,18 @@ def test_static_semiclassical_drive_forms_one_unitary(monkeypatch):
     assert np.array_equal(traj_semi.states, table.states)
 
 
+@pytest.mark.parametrize("omega", [0.0, 0.7])
+def test_static_drive_is_evaluated_at_one_time(monkeypatch, omega):
+    # only a moving drive needs its table; a static one is its first row throughout
+    lengths = []
+    drive = scenarios._drive_hamiltonian
+    monkeypatch.setattr(scenarios, "_drive_hamiltonian",
+                        lambda cfg, times: lengths.append(len(times)) or drive(cfg, times))
+    bloch_run(make_cfg(kind="coherent", z=1.5, omega=omega, n_steps=50, d_anc=6))
+    convergence_study(make_cfg(kind="coherent", z=1.0, omega=omega, d_anc=6), [20, 40, 80])
+    assert lengths == ([1, 1] if omega == 0 else [50, 80 * scenarios.REFERENCE_DRIVE_REFINE])
+
+
 def test_static_field_is_one_map_for_the_quantum_run(monkeypatch):
     # at omega = 0 the quantum run meets one displaced vacuum: one ket, one Kraus pair and one
     # superoperator, with the states of N rows of that ket, bit for bit, across chunks too
