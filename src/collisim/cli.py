@@ -214,6 +214,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"malformed config at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigError("malformed config: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(doc, {"scenario", "field", "output", "out_path", "n_list", "fixed_g"}, "top level")
@@ -419,8 +421,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as handle:
-            text = handle.read()
+        with open(args.config, encoding="utf-8") as handle:
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config is not UTF-8 ({exc.reason})") from None
         cfg = parse_config(text)
         if args.command == "validate":
             print(f"config OK: scenario {cfg.scenario}")

@@ -6,10 +6,11 @@ bath hands over its stack of factors F, one row shared by every step or one per
 step, and a single-photon bath moves the four blocks of its one-excitation sector
 with F = I_2 (Baragiola et al., PRA 86, 013811 (2012)).
 ``_kraus_chunks`` builds the blocks a chunk of steps at a time, with one batched
-product per chunk of unitaries.  Up to ``lindblad.DENSE_MAX_DIM`` a product run
-whose steps share one map, or any at d = 2, turns each chunk into d^2 x d^2
-superoperators and propagates them by the blocked prefix scan ``qcore.propagate``;
-otherwise, and in the photon sector, a per-step loop applies the pairs.
+product per chunk of unitaries, and a map shared by every step once for all steps.
+Up to ``qcore.DENSE_MAX_DIM`` a product run whose steps share one map, or any at
+d = 2, stacks their d^2 x d^2 superoperators and propagates them by one call of the
+blocked prefix scan ``qcore.propagate``; otherwise, and in the photon sector, a
+per-step loop applies the pairs.
 Step-indexed inputs are raw read-only arrays, each checked once where it is
 built; a run keeps its states the same way, checked once at the end.
 """
@@ -169,16 +170,15 @@ def _kraus_chunks(spec: CollisionSpec, n: int,
     """Yield (c, K, K^dag) for the next c of the collisions 1..n, in order: the Kraus pairs of
     U_k against F_k = fs[k - 1], a (d_a, r) factor or a ket per row, where a one-row ``fs``
     serves every step.  The pairs of a chunk of ``_unitaries`` come from one ``_kraus`` call,
-    one row per step, and a static U against a one-row ``fs`` is one row for every chunk,
-    formed once.  O(d_a r d^3) per step."""
-    pair = u_prev = None
+    one row per step; a map shared by every step (a one-row ``fs`` and no ``h_sys_table``) is
+    one row, formed once and yielded once as the chunk of all n steps.  O(d_a r d^3) per step."""
+    chunks = (_unitaries(spec, range(1, n + 1)) if len(fs) > 1 or spec.h_sys_table is not None
+              else [(n, next(_unitaries(spec, [1]))[1])])  # one map for every step
     lo = 0
-    for count, us in _unitaries(spec, range(1, n + 1)):
-        if us is not u_prev or len(fs) > 1:
-            f = np.asarray(fs[lo:lo + count] if len(fs) > 1 else fs)
-            pair = _kraus(us, f.reshape(len(f), spec.d_anc, -1))
-        u_prev, lo = us, lo + count
-        yield (count,) + pair
+    for count, us in chunks:
+        f = np.asarray(fs if len(fs) == 1 else fs[lo:lo + count])
+        lo += count
+        yield (count,) + _kraus(us, f.reshape(len(f), spec.d_anc, -1))
 
 
 def _kraus_steps(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -249,22 +249,18 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
                 observables: Mapping[str, Operator] | None = None) -> Trajectory:
     """Iterated collisions against a product bath, reading its factor rows.
 
-    Up to ``lindblad.DENSE_MAX_DIM``, where every step shares one map (one factor row and no
-    ``h_sys_table``) or d = 2, each step is its d^2 x d^2 superoperator, one per chunk of
-    ``_kraus_chunks``, and the states come from ``qcore.propagate``.  Otherwise each Kraus
-    pair is applied in turn, O(d_a r d^3) per step, which at d = 3..5 beats a superoperator
-    per step (see ``lindblad.DENSE_MAX_DIM``)."""
-    from . import lindblad  # lindblad imports this module; its DENSE_MAX_DIM rules both
-
+    Up to ``qcore.DENSE_MAX_DIM``, where every step shares one map (one factor row and no
+    ``h_sys_table``) or d = 2, the d^2 x d^2 superoperators of the chunks of ``_kraus_chunks``
+    make one stack, the shared map's one row or one row per step, and one ``qcore.propagate``
+    call gives the states.  Otherwise each Kraus pair is applied in turn, O(d_a r d^3) per
+    step, which at d = 3..5 beats a superoperator per step (see ``qcore.DENSE_MAX_DIM``)."""
     _check_bath(spec, bath, bath_mod.PRODUCT, rho0)
     n, d = spec.n_steps, rho0.side
     shared = len(bath.etas) == 1 and spec.h_sys_table is None
-    if d <= lindblad.DENSE_MAX_DIM and (shared or d == 2):
-        states, lo = np.empty((n + 1, d * d), dtype=complex), 0
-        states[0] = rho0.data.reshape(-1)
-        for count, ks, _ in _kraus_chunks(spec, n, bath.etas):
-            states[lo:lo + count + 1] = qcore.propagate(_superoperator(ks), states[lo], count)
-            lo += count
+    if d <= qcore.DENSE_MAX_DIM and (shared or d == 2):
+        maps = [_superoperator(ks) for _, ks, _ in _kraus_chunks(spec, n, bath.etas)]
+        maps = np.concatenate(maps or [np.empty((0, d * d, d * d))])  # no chunk: n = 0, per-step maps
+        states = qcore.propagate(maps, rho0.data.reshape(-1), n)
         return _checked_trajectory(spec.dt, states.reshape(-1, d, d), observables)
 
     states = np.empty((n + 1, d, d), dtype=complex)

@@ -9,7 +9,7 @@ rate g^2 dt, and its bath-induced Hamiltonian shift is the ancilla average
 sum_x conj(F_ar) J_x = Tr_a[v (I (x) eta)].  Exact propagation with the
 Liouvillian exponential (dense, or as a Taylor series of its action on
 larger systems) provides the independent continuous-time dynamics that the
-discrete collision runs are checked against.  Up to DENSE_MAX_DIM the
+discrete collision runs are checked against.  Up to ``qcore.DENSE_MAX_DIM`` the
 reference propagates as the collision runs do, as a linear recursion of
 d^2 x d^2 maps scanned by ``qcore.propagate``.  A step-dependent generator
 holds its Hamiltonians as one (L, d, d) table and its trajectory as one
@@ -33,20 +33,6 @@ from .qcore import DensityMatrix, Operator
 
 # Jump operators that vanish identically are dropped from the generator.
 ZERO_JUMP_TOL = 1e-14
-
-# Up to this system dimension every step of the ME is a dense d^2 x d^2 propagator (expm_stack),
-# and so is every step of a product collision run whose steps share one map, or of any run at
-# d = 2 (collision superoperators); qcore.propagate scans them.  Otherwise the ME sums a Taylor
-# series per substep and a product run applies its Kraus pairs.  Per step, dense against the
-# other, at d = 2 / 3 / 4 / 5 / 6 (ranges of medians over three rounds of 2,000-step runs, one
-# BLAS thread, 2-vCPU x86-64 VM): the ME with a static generator 0.8-1.4 / 1.1-2.1 / 1.6-2.7 /
-# 2.5-4.0 / 5.4-7.9 against 84-167 us, and with one Hamiltonian per substep 5-8 / 14-22 /
-# 39-55 / 91-129 / 198-243 against 85-132 / 86-139 / 91-163 / 102-165 / 99-174 us; a product
-# run with one map for all steps (d_a = 6) 1.2-2.5 / 2.3-3.6 / 3.3-5.4 / 5.0-8.0 / 8-13 against
-# 6-19 us.  With one map per step (coherent kets, d_a = 6) the scan gains only at d = 2 (5-9
-# against 8-14 us): at d = 3 / 4 / 5 it took 13-20 / 37-44 / 83-112 against 10-18 / 9-17 /
-# 13-22 us, as ``collision._superoperator`` sums d^4 d_a terms per step in extended precision.
-DENSE_MAX_DIM = 5
 
 JumpList = tuple[tuple[Operator, float], ...]
 
@@ -235,7 +221,7 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
 
     A step-dependent generator is sampled at the midpoint of every
     substep and held constant over it, so rho_{k+1} = exp(h L_k) rho_k is
-    exact.  Up to DENSE_MAX_DIM the table entries in use are exponentiated
+    exact.  Up to ``qcore.DENSE_MAX_DIM`` the table entries in use are exponentiated
     as d^2 x d^2 Liouvillians, batched a chunk of substeps at a time (a
     static generator is one propagator), and ``qcore.propagate`` takes the
     products; above it exp(h L_k) rho_k is summed as a Taylor series to
@@ -254,7 +240,7 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     compiled, damping = _compile_jumps(gen.jumps)
     hs, rows = gen._terms((np.arange(n_substeps) + 0.5) * h)
     d = rho0.side
-    if d > DENSE_MAX_DIM:
+    if d > qcore.DENSE_MAX_DIM:
         states = np.empty((n_substeps + 1, d, d), dtype=complex)
         states[0] = rho = rho0.data
         for k, row in enumerate(rows.tolist()):

@@ -9,7 +9,7 @@ stack in closed form, every other size by one batched ``eigvalsh``.
 ``expm_stack`` forms every matrix exponential of the package (collision unitaries, dense
 master-equation propagators) a whole stack at a time, and ``propagate`` runs every linear
 recursion x_k = T_k x_{k-1} of small maps (product collision runs, the dense master
-equation) as a blocked prefix scan.
+equation) as a blocked prefix scan, which its callers take up to ``DENSE_MAX_DIM`` levels.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.data.conj().T, self.dims)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return first_non_hermitian(self.data[None], tol) is None
+    def is_hermitian(self) -> bool:
+        return first_non_hermitian(self.data[None]) is None
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_same_space(other)
@@ -353,6 +353,20 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
             sq = s > k
             x[sq] = x[sq] @ x[sq]
     return x.reshape(shape)
+
+
+# Up to this system dimension ``propagate`` scans d^2 x d^2 maps: the ME's dense propagators, and
+# the superoperators of a product collision run whose steps share one map, or of any run at d = 2.
+# Otherwise the ME sums a Taylor series per substep and a product run applies its Kraus pairs.  Per
+# step, dense against the other, at d = 2 / 3 / 4 / 5 / 6 (ranges of medians over three rounds of
+# 2,000-step runs, one BLAS thread, 2-vCPU x86-64 VM): the ME with a static generator 0.8-1.4 /
+# 1.1-2.1 / 1.6-2.7 / 2.5-4.0 / 5.4-7.9 against 84-167 us, and with one Hamiltonian per substep
+# 5-8 / 14-22 / 39-55 / 91-129 / 198-243 against 85-132 / 86-139 / 91-163 / 102-165 / 99-174 us; a
+# product run with one map for all steps (d_a = 6) 1.2-2.5 / 2.3-3.6 / 3.3-5.4 / 5.0-8.0 / 8-13
+# against 6-19 us.  With one map per step (coherent kets, d_a = 6) the scan gains only at d = 2 (5-9
+# against 8-14 us): at d = 3 / 4 / 5 it took 13-20 / 37-44 / 83-112 against 10-18 / 9-17 / 13-22
+# us, as ``collision._superoperator`` sums d^4 d_a terms a step in extended precision.
+DENSE_MAX_DIM = 5
 
 
 def propagate(maps: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:

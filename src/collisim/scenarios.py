@@ -204,9 +204,7 @@ def discretize_input_output(cfg: FieldConfig) -> tuple[CollisionSpec, BathSpec]:
 
 
 def trace_distance_series(a: Trajectory, b: Trajectory) -> np.ndarray:
-    """Pointwise trace distance between two trajectories on the same grid."""
-    if len(a) != len(b):
-        raise ValidationError("trajectories have different lengths")
+    """Pointwise trace distance of two trajectories of one shape, by ``qcore.trace_distances``."""
     return qcore.trace_distances(a.states, b.states)
 
 

@@ -290,6 +290,24 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_config_that_is_not_utf8_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'\xff\xfe{"scenario": 1}')
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_config_nested_too_deeply_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("gamma", [1e20, 1e100])
 def test_numeric_blowup_exits_two(tmp_path, capsys, gamma):
     # 1e20 breaks the trace at step 1; 1e100 makes the state non-finite there

@@ -188,10 +188,9 @@ def test_run_product_agrees_with_per_step_kernel_across_chunks(monkeypatch, tabl
 
 @pytest.mark.parametrize("kets", [False, True])
 def test_run_product_above_the_dense_dimension_applies_kraus_pairs(monkeypatch, kets):
-    # a 6-level system is past lindblad.DENSE_MAX_DIM: no superoperator and no scan, each step
+    # a 6-level system is past qcore.DENSE_MAX_DIM: no superoperator and no scan, each step
     # its Kraus pair, across chunks of two 18 x 18 unitaries
-    from collisim import lindblad
-    assert lindblad.DENSE_MAX_DIM < 6
+    assert qcore.DENSE_MAX_DIM < 6
     monkeypatch.setattr(qcore, "propagate", lambda *args: pytest.fail("scan used"))
     monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 2 * 16 * 18 * 18)
     rng = np.random.default_rng(29)
@@ -212,10 +211,9 @@ def test_run_product_above_the_dense_dimension_applies_kraus_pairs(monkeypatch, 
 ])
 def test_run_product_scans_shared_maps_and_qubits(monkeypatch, d, kets, table, scanned):
     # a superoperator per step costs more than the step's Kraus pair at d = 3..5 (see
-    # lindblad.DENSE_MAX_DIM): those runs apply the pairs, and steps that share one map, or
-    # any qubit's, are scanned; across chunks of two unitaries
-    from collisim import lindblad
-    assert lindblad.DENSE_MAX_DIM >= 5
+    # qcore.DENSE_MAX_DIM): those runs apply the pairs, and steps that share one map, or
+    # any qubit's, are scanned in one call; across chunks of two unitaries
+    assert qcore.DENSE_MAX_DIM >= 5
     maps = []
     propagate = qcore.propagate
 
@@ -238,7 +236,28 @@ def test_run_product_scans_shared_maps_and_qubits(monkeypatch, d, kets, table, s
     rho0 = random_density(rng, d)
     states = run_product(spec, bath, rho0).states
     assert np.max(np.abs(states - per_step_run(spec, bath, rho0))) <= 1e-12
-    assert maps == ([1, 1, 1, 1] if not (kets or table) else [2, 2, 2, 1] if scanned else [])
+    assert maps == ([1] if not (kets or table) else [7] if scanned else [])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_shared_map_is_formed_and_scanned_once_across_chunks(monkeypatch, d):
+    # steps that share one map (E^n rho0): one Kraus pair, one superoperator row and one scan for
+    # the whole run, however many chunks of unitaries it spans; past qcore.DENSE_MAX_DIM the one
+    # pair is applied at every step
+    calls = []
+    for module, name in [(collision, "_kraus"), (collision, "_superoperator"), (qcore, "propagate")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name, f=getattr(module, name):
+                            calls.append((name, len(args[0]))) or f(*args))
+    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 16 * (3 * d) ** 2)  # one unitary a chunk
+    rng = np.random.default_rng(37 + d)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    spec = CollisionSpec(h_sys=Operator(0.3 * (m + m.conj().T), (d,)), coupling=annihilator(d),
+                         dt=0.1, n_steps=9, d_anc=3, g=1.1)
+    bath = product_bath(random_density(rng, 3), 9)
+    rho0 = random_density(rng, d)
+    states = run_product(spec, bath, rho0).states
+    assert calls == [("_kraus", 1)] + ([("_superoperator", 1), ("propagate", 1)] if d <= 5 else [])
+    assert np.max(np.abs(states - per_step_run(spec, bath, rho0))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

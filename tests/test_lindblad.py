@@ -438,7 +438,7 @@ def test_generator_output_traceless_hermitian():
 def propagations(monkeypatch):
     """Run the loop body with dense propagators, with one entry per batch, and with the series."""
     for module, name, value in [(None, None, None), (qcore, "STACK_CHUNK_BYTES", 1),
-                                (lindblad, "DENSE_MAX_DIM", 0)]:
+                                (qcore, "DENSE_MAX_DIM", 0)]:
         monkeypatch.undo()
         if name is not None:
             monkeypatch.setattr(module, name, value)
@@ -569,7 +569,7 @@ def _random_operator(rng, d):
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 3), n_entries=st.integers(1, 4), per_entry=st.integers(1, 3),
        n_jumps=st.integers(0, 2), t_final=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1),
-       dense_max=st.sampled_from([lindblad.DENSE_MAX_DIM, 0]))
+       dense_max=st.sampled_from([qcore.DENSE_MAX_DIM, 0]))
 def test_substep_refinement_agrees_on_shared_grid(d, n_entries, per_entry, n_jumps,
                                                   t_final, seed, dense_max):
     # the table grid is a subgrid of both substep grids, so n and 2n
@@ -586,7 +586,7 @@ def test_substep_refinement_agrees_on_shared_grid(d, n_entries, per_entry, n_jum
     rho0 = random_density(rng, d)
     n = n_entries * per_entry
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lindblad, "DENSE_MAX_DIM", dense_max)
+        mp.setattr(qcore, "DENSE_MAX_DIM", dense_max)
         coarse = integrate_me(gen, rho0, t_final, n)
         fine = integrate_me(gen, rho0, t_final, 2 * n)
     for k in range(n + 1):
@@ -601,9 +601,9 @@ def test_series_matches_dense_propagators_on_coarse_steps(monkeypatch):
     jumps = tuple((Operator(_random_operator(rng, d), (d,)), rate) for rate in (0.8, 2.5))
     gen = LindbladGenerator(h_eff=Operator(m + m.conj().T, (d,)), jumps=jumps)
     rho0 = random_density(rng, d)
-    monkeypatch.setattr(lindblad, "DENSE_MAX_DIM", d - 1)
+    monkeypatch.setattr(qcore, "DENSE_MAX_DIM", d - 1)
     series = integrate_me(gen, rho0, t_final=3.0, n_substeps=4)
-    monkeypatch.setattr(lindblad, "DENSE_MAX_DIM", d)
+    monkeypatch.setattr(qcore, "DENSE_MAX_DIM", d)
     dense = integrate_me(gen, rho0, t_final=3.0, n_substeps=4)
     lv = liouvillian(gen.h_eff.data, [(op.data, rate) for op, rate in jumps])
     vec = rho0.data.reshape(-1)
@@ -613,7 +613,7 @@ def test_series_matches_dense_propagators_on_coarse_steps(monkeypatch):
         assert np.max(np.abs(series.states[k] - vec.reshape(d, d))) < 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, lindblad.DENSE_MAX_DIM])
+@pytest.mark.parametrize("d", [2, 3, qcore.DENSE_MAX_DIM])
 @pytest.mark.parametrize("chunked", [False, True])
 def test_dense_scan_matches_the_series_step_by_step(monkeypatch, d, chunked):
     # the scan of dense propagators against the Taylor series of each substep's generator,

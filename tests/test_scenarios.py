@@ -8,6 +8,7 @@ from collisim import (
     FieldConfig,
     GaussianEnvelope,
     TabulatedSpectrum,
+    Trajectory,
     ValidationError,
     bloch_run,
     convergence_study,
@@ -324,6 +325,16 @@ def test_witness_never_fires_for_product_baths():
         traj_b = run_product(spec, field_bath, fock_dm(2, 0), obs)
         dist = trace_distance_series(traj_a, traj_b)
         assert np.all(np.diff(dist) <= 1e-6)
+
+
+@pytest.mark.parametrize("steps, d", [(4, 2), (3, 3)])
+def test_distance_series_rejects_trajectories_of_different_shapes(steps, d):
+    # neither a longer run nor one on another space is broadcast against a 3-step qubit run
+    def trajectory(n, side):
+        return Trajectory(np.arange(n) * 0.1, np.repeat(np.eye(side)[None] / side, n, 0), {})
+
+    with pytest.raises(ValidationError, match="stacks of shapes"):
+        trace_distance_series(trajectory(3, 2), trajectory(steps, d))
 
 
 # ---------------------------------------------------------------------------
