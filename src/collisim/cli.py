@@ -1,8 +1,11 @@
 """Configuration ingestion, scenario dispatch, and result emission.
 
 Configs are strict JSON documents (unknown keys are rejected); results are
-written as CSV or JSON with the full config echoed for provenance.  All
-runs are deterministic: identical configs produce byte-identical files.
+written as CSV or JSON with the full config echoed for provenance.  The
+rows are rendered and written ROW_BLOCK at a time, so the memory that
+writing an artifact takes does not grow with the step count; the bytes
+are those of rendering the whole text at once.  All runs are
+deterministic: identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or filesystem problem, 2 numeric or
 invariant failure during a run.  No run has a size cap: a single-photon
@@ -18,7 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .scenarios import FieldConfig, GaussianEnvelope, TabulatedSpectrum
 
 SCENARIOS = ("spontaneous_emission", "bloch", "single_photon", "convergence")
 FORMATS = ("csv", "json")
+ROW_BLOCK = 256  # rows rendered and written at a time: the text held does not grow with N
 
 _ALLOWED_KINDS = {  # the first kind of a scenario is its default
     "spontaneous_emission": (scenarios.VACUUM,),
@@ -337,9 +341,10 @@ def _execute(cfg: RunConfig) -> tuple[list[tuple[str, Sequence]], dict]:
     return columns, meta
 
 
-def _render_csv(cfg: RunConfig, columns, meta) -> str:
-    """Integer cells as integers, real cells as %.16e; a complex column becomes two, _re and _im.
-    Rows fill one row template from the Python scalars of each column's .tolist(), which
+def _render_csv(cfg: RunConfig, columns, meta) -> Iterator[str]:
+    """Yield the CSV text, the comment and header lines first, then ROW_BLOCK rows at a time.
+    Integer cells as integers, real cells as %.16e; a complex column becomes two, _re and _im.
+    Rows fill one row template from the Python scalars of each block's .tolist(), which
     format as its numpy scalars would, at a fraction of their cost."""
     header, cols, fmts = [], [], []
     for name, values in columns:
@@ -347,44 +352,53 @@ def _render_csv(cfg: RunConfig, columns, meta) -> str:
         parts = {"_re": arr.real, "_im": arr.imag} if np.iscomplexobj(arr) else {"": arr}
         for suffix, col in parts.items():
             header.append(name + suffix)
-            cols.append(col.tolist())
+            cols.append(col)
             fmts.append("{}" if col.dtype.kind in "iu" else "{:.16e}")
-    lines = [f"# collisim {__version__}", "# config: " + json.dumps(cfg.echo, sort_keys=True),
-             "# meta: " + json.dumps(meta, sort_keys=True), ",".join(header)]
-    row = ",".join(fmts)
-    lines += (row.format(*cells) for cells in zip(*cols))  # row by row: no per-cell strings held
-    return "\n".join(lines) + "\n"
+    head = [f"# collisim {__version__}", "# config: " + json.dumps(cfg.echo, sort_keys=True),
+            "# meta: " + json.dumps(meta, sort_keys=True), ",".join(header)]
+    yield "\n".join(head) + "\n"
+    row = ",".join(fmts) + "\n"
+    for lo in range(0, len(cols[0]), ROW_BLOCK):
+        block = [col[lo:lo + ROW_BLOCK].tolist() for col in cols]
+        yield "".join(row.format(*cells) for cells in zip(*block))
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_cells(col: np.ndarray) -> list[str]:
-    """A real column's cells as JSON text, from one repr of the whole column: int and float
-    reprs are what json writes, except for NaN and the infinities."""
-    cells = repr(col.tolist())[1:-1].split(", ") if len(col) else []
+    """A non-empty real column's cells as JSON text, from one repr of the whole column: int and
+    float reprs are what json writes, except for NaN and the infinities."""
+    cells = repr(col.tolist())[1:-1].split(", ")
     if col.dtype.kind == "f" and not np.isfinite(col).all():
         cells = [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
     return cells
 
 
-def _render_json(cfg: RunConfig, columns, meta) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2) + "\n" of doc = {"version", "config", "meta",
-    "rows": [{name: cell, ...} per row]}, complex cells as {"re", "im"}, to the byte, without
-    building the rows: each column is encoded once, the rows are filled into one row template,
-    and the row block is spliced into json.dumps of the rest of the document."""
-    fields, cells = [], []
+def _render_json(cfg: RunConfig, columns, meta) -> Iterator[str]:
+    """Yield json.dumps(doc, sort_keys=True, indent=2) + "\n" of doc = {"version", "config",
+    "meta", "rows": [{name: cell, ...} per row]}, complex cells as {"re", "im"}, to the byte,
+    ROW_BLOCK rows at a time, without building the rows: each block of a column is encoded
+    once, its rows are filled into one row template, and the blocks are spliced into
+    json.dumps of the rest of the document."""
+    fields, cols = [], []
     for name, values in sorted(columns, key=lambda column: column[0]):
         arr = np.asarray(values)
         parts = (arr.imag, arr.real) if np.iscomplexobj(arr) else (arr,)
         value = '{{\n        "im": {},\n        "re": {}\n      }}' if len(parts) == 2 else "{}"
         fields.append(f"      {json.dumps(name)}: " + value)
-        cells += [_json_cells(part) for part in parts]
+        cols += parts
     row = "    {{\n" + ",\n".join(fields) + "\n    }}"
-    rows = ",\n".join(row.format(*cell_row) for cell_row in zip(*cells))
     doc = {"version": __version__, "config": cfg.echo, "meta": meta, "rows": []}
     head, empty, tail = json.dumps(doc, sort_keys=True, indent=2).rpartition('"rows": []')
-    return head + (f'"rows": [\n{rows}\n  ]' if rows else empty) + tail + "\n"
+    if not len(cols[0]):
+        yield head + empty + tail + "\n"
+        return
+    yield head + '"rows": [\n'
+    for lo in range(0, len(cols[0]), ROW_BLOCK):
+        block = [_json_cells(col[lo:lo + ROW_BLOCK]) for col in cols]
+        yield (",\n" if lo else "") + ",\n".join(row.format(*cells) for cells in zip(*block))
+    yield "\n  ]" + tail + "\n"
 
 
 def run(cfg: RunConfig, out_path: str | None = None, output: str | None = None) -> str:
@@ -401,10 +415,10 @@ def run(cfg: RunConfig, out_path: str | None = None, output: str | None = None) 
         raise ConfigError(f"output directory does not exist: {parent}")
     fmt = output or cfg.output
 
-    columns, meta = _execute(cfg)
-    text = _render_csv(cfg, columns, meta) if fmt == "csv" else _render_json(cfg, columns, meta)
+    columns, meta = _execute(cfg)  # a failed run never opens, so never truncates, the file
+    render = _render_csv if fmt == "csv" else _render_json
     with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(render(cfg, columns, meta))
     return path
 
 

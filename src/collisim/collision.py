@@ -199,6 +199,18 @@ def _superoperator(k: np.ndarray) -> np.ndarray:
     return s.reshape(-1, d, d, d, d).swapaxes(2, 3).reshape(-1, d * d, d * d)
 
 
+def _superoperator_stack(spec: CollisionSpec, n: int, fs, rows: int) -> np.ndarray:
+    """The (rows, d^2, d^2) stack of the ``_superoperator`` of each chunk of
+    ``_kraus_chunks(spec, n, fs)``, in order: one row for a map shared by every step, else one
+    per step.  Each chunk fills its rows of one preallocated stack, so the stack is held once."""
+    d = spec.d_sys
+    maps, lo = np.empty((rows, d * d, d * d), dtype=complex), 0
+    for _, ks, _ in _kraus_chunks(spec, n, fs):
+        maps[lo:lo + len(ks)] = _superoperator(ks)
+        lo += len(ks)
+    return maps
+
+
 def _collide(k: np.ndarray, k_dag: np.ndarray, m: np.ndarray) -> np.ndarray:
     """sum_x K_x m K_x^dag for m of shape (..., q, q), as two matrix products, with k = [i, (j, x)]
     of shape (p, q n) and k_dag = [j, (x, i)] of shape (q, n p)."""
@@ -258,9 +270,8 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
     n, d = spec.n_steps, rho0.side
     shared = len(bath.etas) == 1 and spec.h_sys_table is None
     if d <= qcore.DENSE_MAX_DIM and (shared or d == 2):
-        maps = [_superoperator(ks) for _, ks, _ in _kraus_chunks(spec, n, bath.etas)]
-        maps = np.concatenate(maps or [np.empty((0, d * d, d * d))])  # no chunk: n = 0, per-step maps
-        states = qcore.propagate(maps, rho0.data.reshape(-1), n)
+        states = qcore.propagate(_superoperator_stack(spec, n, bath.etas, 1 if shared else n),
+                                 rho0.data.reshape(-1), n)  # the stack is freed before the check
         return _checked_trajectory(spec.dt, states.reshape(-1, d, d), observables)
 
     states = np.empty((n + 1, d, d), dtype=complex)

@@ -4,14 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import collisim
-from collisim import __version__, qcore
-from collisim.cli import ConfigError, _render_csv, _render_json, main, parse_config
+from collisim import __version__, cli, qcore
+from collisim.cli import (ROW_BLOCK, ConfigError, _render_csv, _render_json, main,
+                           parse_config)
 
 
 def vacuum_config(**overrides):
@@ -207,7 +209,7 @@ RENDER_COLUMNS = [("step", np.arange(3)), ("t", np.array([0.0, 0.5, 1.0])),
 
 def test_csv_rows_are_rendered_to_the_exact_bytes():
     cfg = parse_config(json.dumps(vacuum_config()))
-    assert _render_csv(cfg, RENDER_COLUMNS, {"dt": 0.5}).split("\n") == [
+    assert "".join(_render_csv(cfg, RENDER_COLUMNS, {"dt": 0.5})).split("\n") == [
         f"# collisim {__version__}",
         "# config: " + json.dumps(cfg.echo, sort_keys=True),
         '# meta: {"dt": 0.5}',
@@ -232,17 +234,18 @@ def test_csv_columns_render_as_rows_of_numpy_scalars():
         flat += [arr.real, arr.imag] if np.iscomplexobj(arr) else [arr]
     rows = [",".join(("{}" if col.dtype.kind in "iu" else "{:.16e}").format(col[k]) for col in flat)
             for k in range(5)]
-    assert _render_csv(cfg, columns, {}).split("\n")[4:] == rows + [""]
+    assert "".join(_render_csv(cfg, columns, {})).split("\n")[4:] == rows + [""]
     negative_zero = "-0.0000000000000000e+00"
     assert rows[3] == ",".join([negative_zero, "1099511627776", "3", negative_zero, negative_zero])
     assert "nan" in rows[1] and "-inf" in rows[2]
-    empty = _render_csv(cfg, [("step", np.arange(0)), ("x", np.zeros(0, dtype=complex))], {})
+    empty = "".join(_render_csv(cfg, [("step", np.arange(0)), ("x", np.zeros(0, dtype=complex))],
+                                {}))
     assert empty.split("\n")[3:] == ["step,x_re,x_im", ""]
 
 
 def test_json_rows_are_rendered_to_the_exact_bytes():
     cfg = parse_config(json.dumps(vacuum_config()))
-    text = _render_json(cfg, RENDER_COLUMNS, {"dt": 0.5})
+    text = "".join(_render_json(cfg, RENDER_COLUMNS, {"dt": 0.5}))
     rows = [
         '{"pop": {"im": 0.0, "re": 1.0}, "step": 0, "t": 0.0}',
         '{"pop": {"im": -2.5e-17, "re": 0.1}, "step": 1, "t": 0.5}',
@@ -266,8 +269,62 @@ def test_json_rows_are_rendered_to_the_exact_bytes():
                  for _, v in columns]
         doc = {"version": __version__, "config": cfg.echo, "meta": meta,
                "rows": [dict(zip([name for name, _ in columns], row)) for row in zip(*cells)]}
-        assert _render_json(cfg, columns, meta) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    assert "NaN" in _render_json(cfg, *cases[1]) and "-Infinity" in _render_json(cfg, *cases[1])
+        text = "".join(_render_json(cfg, columns, meta))
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = "".join(_render_json(cfg, *cases[1]))
+    assert "NaN" in text and "-Infinity" in text
+
+
+@pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 5 * ROW_BLOCK // 2])
+def test_rows_rendered_in_blocks_are_the_whole_artifact(n):
+    # ROW_BLOCK rows a block: the joined blocks are the bytes of the whole text, at every row
+    # count around a block's edge, with int, real, complex, signed-zero and non-finite cells
+    cfg = parse_config(json.dumps(vacuum_config()))
+    rng, k = np.random.default_rng(n), np.arange(n)
+    real = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    real[k % 7 == 3] = -0.0
+    real[k % ROW_BLOCK == ROW_BLOCK - 1] = math.nan  # last row of each block
+    real[(k % ROW_BLOCK == 0) & (k > 0)] = -math.inf  # first row of the next
+    cplx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cplx[k % 5 == 1] = complex(math.inf, -0.0)
+    count = rng.integers(-2**40, 2**40, n)
+    columns = [("step", k), ("z", cplx), ("count", count), ("a", real)]
+    meta = {"dt": 0.5, "revival_steps": [1, 2]}
+    blocks = list(_render_csv(cfg, columns, meta))
+    assert len(blocks) == 1 + -(-n // ROW_BLOCK)
+    flat = [k, cplx.real, cplx.imag, count, real]
+    rows = [",".join(("{}" if col.dtype.kind in "iu" else "{:.16e}").format(col[i]) for col in flat)
+            + "\n" for i in range(n)]
+    assert "".join(blocks).split("\n", 3)[3] == "step,z_re,z_im,count,a\n" + "".join(rows)
+    blocks = list(_render_json(cfg, columns, meta))
+    assert len(blocks) == (1 if n == 0 else 2 + -(-n // ROW_BLOCK))
+    cells = [[{"re": c.real, "im": c.imag} if isinstance(c, complex) else c for c in v.tolist()]
+             for _, v in columns]
+    doc = {"version": __version__, "config": cfg.echo, "meta": meta,
+           "rows": [dict(zip([name for name, _ in columns], row)) for row in zip(*cells)]}
+    assert "".join(blocks) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_writing_an_artifact_holds_a_block_not_the_file(tmp_path, monkeypatch):
+    # rendering and writing 20,001 rows traces less than a quarter of the file they write: the
+    # text of one block of rows is held at a time, not the whole artifact
+    doc = single_photon_config(tmp_path, 20_000)
+    execute = cli._execute
+
+    def execute_then_trace(cfg):
+        result = execute(cfg)
+        tracemalloc.start()
+        return result
+
+    monkeypatch.setattr(cli, "_execute", execute_then_trace)
+    try:
+        path = cli.run(parse_config(json.dumps(doc)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = Path(path).read_text().splitlines()
+    assert len(lines) == 4 + 20_001 and lines[-1].startswith("20000,")
+    assert peak < os.path.getsize(path) / 4
 
 
 def test_missing_output_directory_exits_one(tmp_path, capsys):
@@ -319,6 +376,10 @@ def test_numeric_blowup_exits_two(tmp_path, capsys, gamma):
     assert "numeric failure" in err and "step 1:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+    # the file is opened only once the run has succeeded: a failed run leaves one in place as it was
+    (tmp_path / "x.csv").write_bytes(b"old artifact\n")
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert (tmp_path / "x.csv").read_bytes() == b"old artifact\n"
 
 
 def test_max_state_error_is_the_maximum_of_the_distance_column(tmp_path, monkeypatch):

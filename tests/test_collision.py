@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,29 @@ def test_shared_map_is_formed_and_scanned_once_across_chunks(monkeypatch, d):
     states = run_product(spec, bath, rho0).states
     assert calls == [("_kraus", 1)] + ([("_superoperator", 1), ("propagate", 1)] if d <= 5 else [])
     assert np.max(np.abs(states - per_step_run(spec, bath, rho0))) <= 1e-12
+
+
+def test_qubit_map_stack_is_filled_once_across_chunks(monkeypatch):
+    # a per-step qubit run fills one (n, 4, 4) stack chunk by chunk: the maps of the chunks'
+    # superoperators concatenated, to the bit, held once and not beside a list of the chunks
+    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 64 * 16 * 6 * 6)  # 64 unitaries a chunk
+    n = 4000
+    spec = two_level_spec(gamma=1.0, dt=0.001, n_steps=n, d_anc=3)
+    bath = coherent_bath(1.5 - 0.5j, omega=0.7, dt=0.001, n=n, d=3)
+    rho0 = random_density(np.random.default_rng(41), 2)
+    chunks = [collision._superoperator(ks)
+              for _, ks, _ in collision._kraus_chunks(spec, n, bath.etas)]
+    assert len(chunks) > 60
+    expected = qcore.propagate(np.concatenate(chunks), rho0.data.reshape(-1), n).reshape(-1, 2, 2)
+    del chunks
+    tracemalloc.start()
+    try:
+        states = run_product(spec, bath, rho0).states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.tobytes() == expected.tobytes()
+    assert peak < 1.5 * n * 16 * 4 * 4  # the stack's bytes: a list and its concatenation take 2x
 
 
 # ---------------------------------------------------------------------------
