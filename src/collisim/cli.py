@@ -7,10 +7,10 @@ writing an artifact takes does not grow with the step count; the bytes
 are those of rendering the whole text at once.  All runs are
 deterministic: identical configs produce byte-identical files.
 
-Exit codes: 0 success, 1 configuration or filesystem problem, 2 numeric or
-invariant failure during a run.  No run has a size cap: a single-photon
-field is propagated in its one-excitation sector, whose cost grows
-linearly with the step count.
+Exit codes: 0 success, 1 configuration or filesystem problem (or a run whose
+arrays cannot be allocated), 2 numeric or invariant failure during a run.  No
+run has a size cap: a single-photon field is propagated in its one-excitation
+sector, whose cost grows linearly with the step count.
 """
 
 from __future__ import annotations
@@ -244,9 +244,13 @@ def parse_config(text: str) -> RunConfig:
         if "n_list" not in doc:
             raise ConfigError("convergence runs need 'n_list'")
         raw = doc["n_list"]
-        if not isinstance(raw, list) or len(raw) < 3:
-            raise ConfigError("n_list must list at least 3 step counts")
+        if not isinstance(raw, list):
+            raise ConfigError("n_list must be a list of step counts")
         n_list = tuple(_positive_int(n, "n_list entry") for n in raw)
+        try:
+            scenarios.step_counts(n_list)
+        except ValidationError as exc:
+            raise ConfigError(f"n_list: {exc}") from exc
         if "fixed_g" in doc:
             fixed_g = _positive_number(doc["fixed_g"], "fixed_g")
     else:
@@ -447,7 +451,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         path = run(cfg, out_path=args.out, output=args.format)
         print(f"wrote {path}")
         return 0
-    except (ConfigError, ValidationError, OSError) as exc:
+    except (ConfigError, ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PropagationError as exc:

@@ -114,11 +114,11 @@ class Operator:
             )
 
 
-def first_non_hermitian(stack: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[int, str] | None:
+def first_non_hermitian(stack: np.ndarray) -> tuple[int, str] | None:
     """(index, reason) of the first matrix of a (T, d, d) stack that deviates from Hermitian
-    by more than tol, or is not finite; None if none does."""
+    by more than HERMITICITY_TOL, or is not finite; None if none does."""
     dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(~(dev <= tol))  # NaN compares False, so it counts as a deviation
+    bad = np.flatnonzero(~(dev <= HERMITICITY_TOL))  # NaN compares False: it counts as deviating
     return (int(bad[0]), f"not Hermitian: deviation {dev[bad[0]]:.3e}") if bad.size else None
 
 

@@ -5,7 +5,7 @@ discretized into a collision specification plus matching bath: step
 dt = t/N, coupling g = sqrt(gamma/dt), exchange interaction between the
 system coupling operator and the step's input mode.  On top of that sit
 the three field-state scenarios (vacuum decay, coherent drive, single
-photon), a convergence study against a high-resolution master-equation
+photon), a convergence study against one exactly propagated master-equation
 reference, and a trace-distance memory witness.
 """
 
@@ -30,11 +30,6 @@ from .qcore import DensityMatrix, Operator
 VACUUM = "vacuum"
 COHERENT = "coherent"
 SINGLE_PHOTON = "single_photon"
-
-# The convergence reference samples a drive with omega != 0, which is genuinely
-# time dependent, this many times more finely than the finest collision grid.
-# It is not an accuracy knob; the ME is propagated exactly.
-REFERENCE_DRIVE_REFINE = 10
 
 DEFAULT_COHERENT_TRUNCATION = 8
 REVIVAL_THRESHOLD = 1e-6
@@ -172,11 +167,17 @@ class MemoryWitnessReport:
 def _single_photon_amplitudes(cfg: FieldConfig) -> np.ndarray:
     t = np.arange(1, cfg.n_steps + 1) * cfg.dt
     env = cfg.envelope
-    if isinstance(env, GaussianEnvelope):
-        return np.exp(-((t - env.center) ** 2) / (4.0 * env.width**2)).astype(complex)
-    d_omega = env.omegas[1] - env.omegas[0]
-    phases = np.exp(-1j * np.outer(t, env.omegas))
-    with np.errstate(over="ignore", invalid="ignore"):  # single_photon_bath rejects non-finite sums
+    # an overflow is a bin far outside the envelope, amplitude 0; single_photon_bath rejects an
+    # envelope that is zero throughout, and non-finite sums.  A Gaussian's ((t - c) / 2w)^2 has
+    # t - c and w = m 2^e scaled by 2^-e, which is exact: 4 m^2 cannot underflow, and the
+    # quotient nearly always keeps the bits of (t - c)^2 / (4 w^2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(env, GaussianEnvelope):
+            m, e = math.frexp(env.width)
+            x = np.ldexp(t - env.center, -e)
+            return np.exp(-(x**2 / (4.0 * m**2))).astype(complex)
+        d_omega = env.omegas[1] - env.omegas[0]
+        phases = np.exp(-1j * np.outer(t, env.omegas))
         return math.sqrt(cfg.dt) / math.sqrt(2.0 * math.pi) * d_omega * (phases @ env.amplitudes)
 
 
@@ -250,10 +251,9 @@ def _drive_hamiltonian(cfg: FieldConfig, times: np.ndarray) -> np.ndarray:
 
 def _driven_me_generator(cfg: FieldConfig, drive: np.ndarray, duration: float) -> LindbladGenerator:
     """Decay plus the classical drive: row k of ``drive`` held over the k-th interval of
-    ``duration``, or its first row throughout when omega = 0 makes the drive static."""
+    ``duration``, the last row from then on, so a one-row drive is static throughout."""
     h0, jumps = Operator(drive[0], cfg.h_sys.dims), ((cfg.coupling, cfg.gamma),)
-    table = None if cfg.omega == 0 else drive
-    return LindbladGenerator(h0, jumps, h_table=table, step_duration=duration)
+    return LindbladGenerator(h0, jumps, h_table=drive, step_duration=duration)
 
 
 def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:
@@ -296,7 +296,6 @@ def single_photon_run(
     cfg: FieldConfig,
     rho_a: DensityMatrix | None = None,
     rho_b: DensityMatrix | None = None,
-    revival_threshold: float = REVIVAL_THRESHOLD,
 ) -> tuple[Trajectory, Trajectory, MemoryWitnessReport]:
     """Single-photon field from two distinguishable starts, plus revival witness."""
     if cfg.kind != SINGLE_PHOTON:
@@ -314,47 +313,38 @@ def single_photon_run(
                                     np.stack([rho_a.data, rho_b.data]))
     traj_a, traj_b = (coll._checked_trajectory(spec.dt, states, obs) for states in runs)
     dist = trace_distance_series(traj_a, traj_b)
-    revivals = tuple(int(n) for n in np.flatnonzero(np.diff(dist) > revival_threshold))
-    report = MemoryWitnessReport(
-        times=traj_a.times,
-        distances=dist,
-        revival_steps=revivals,
-        threshold=revival_threshold,
-    )
-    return traj_a, traj_b, report
+    revivals = tuple(int(n) for n in np.flatnonzero(np.diff(dist) > REVIVAL_THRESHOLD))
+    return traj_a, traj_b, MemoryWitnessReport(traj_a.times, dist, revivals, REVIVAL_THRESHOLD)
 
 
-def _reference_substeps(cfg: FieldConfig, n_list: Sequence[int]) -> int:
-    # a static generator is exact on the common grid; a drive is resolved finer
-    base = math.lcm(*n_list)
-    refine = REFERENCE_DRIVE_REFINE if cfg.omega != 0 else 1
-    return base * math.ceil(refine * max(n_list) / base)
+def step_counts(n_list: Sequence[int]) -> list[int]:
+    """The step counts of a convergence study, ascending: at least 3, all distinct."""
+    n_list = sorted(int(n) for n in n_list)
+    if len(n_list) < 3 or len(set(n_list)) != len(n_list):
+        raise ValidationError(f"need at least 3 distinct step counts, got {n_list}")
+    return n_list
 
 
 def convergence_study(
     cfg: FieldConfig, n_list: Sequence[int], fixed_g: float | None = None
 ) -> ConvergenceReport:
-    """Error of the collision dynamics against one high-resolution ME reference.
+    """Error of the collision dynamics against one exactly propagated ME reference.
 
     For each step count N the collision run is compared, on its own time
-    grid, against a single exactly propagated reference trajectory whose
-    substep count is a common multiple of all the N; a drive with
-    omega != 0 is sampled at least REFERENCE_DRIVE_REFINE times finer
-    than the largest.  With ``fixed_g`` the coupling is held constant
-    instead of scaling as 1/sqrt(dt); the emergent dissipation then dies
-    away with N and the error stops shrinking.
+    grid, against a single reference trajectory whose substeps are the
+    least common multiple of all the N.  A drive with omega != 0 is held
+    over each substep at its midpoint value (the exponential midpoint rule,
+    second order) and a static one is exact.  With ``fixed_g`` the coupling
+    is held constant instead of scaling as 1/sqrt(dt); the emergent
+    dissipation then dies away with N and the error stops shrinking.
     """
-    n_list = sorted(int(n) for n in n_list)
-    if len(n_list) < 3:
-        raise ValidationError("convergence study needs at least 3 step counts")
-    if len(set(n_list)) != len(n_list):
-        raise ValidationError("step counts must be distinct")
+    n_list = step_counts(n_list)
     if cfg.kind == SINGLE_PHOTON:
         raise ValidationError("no Lindblad reference exists for single-photon fields")
 
-    substeps = _reference_substeps(cfg, n_list)
+    substeps = math.lcm(*n_list)
     h = cfg.t_final / substeps
-    drive = _drive_hamiltonian(cfg, np.arange(1, substeps + 1 if cfg.omega != 0 else 2) * h)
+    drive = _drive_hamiltonian(cfg, (np.arange(substeps if cfg.omega != 0 else 1) + 0.5) * h)
     gen = _driven_me_generator(cfg, drive, h)
     obs = _excited_population(cfg)
     reference = lind.integrate_me(gen, cfg.rho0, cfg.t_final, substeps, obs)

@@ -382,6 +382,33 @@ def test_numeric_blowup_exits_two(tmp_path, capsys, gamma):
     assert (tmp_path / "x.csv").read_bytes() == b"old artifact\n"
 
 
+@pytest.mark.parametrize("scenario, field, n_list", [
+    ("spontaneous_emission", {"n_steps": 10**15}, None),  # a 56.8 PiB state stack
+    ("convergence", {"n_steps": 100}, [99991, 99989, 99971]),  # a reference on ~1e15 substeps
+], ids=["state_stack", "reference_grid"])
+def test_run_that_cannot_allocate_exits_one(tmp_path, capsys, scenario, field, n_list):
+    # each request is beyond any 47-bit address space, so it fails at once and touches nothing
+    doc = vacuum_config(scenario=scenario)
+    doc["field"].update(field)
+    if n_list is not None:
+        doc["n_list"] = n_list
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "PiB" in err
+    assert "Traceback" not in err and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_repeated_step_count_exits_one(tmp_path, capsys, command):
+    # validate applies the rule that the run applies, with the same message
+    doc = vacuum_config(scenario="convergence", n_list=[100, 100, 200],
+                        out_path=str(tmp_path / "x.csv"))
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: n_list: need at least 3 distinct step counts, got [100, 100, 200]\n"
+
+
 def test_max_state_error_is_the_maximum_of_the_distance_column(tmp_path, monkeypatch):
     calls = []
     distances = qcore.trace_distances
@@ -432,6 +459,24 @@ def test_overflowing_photon_envelope_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "envelope amplitudes must have a finite total weight" in err
     assert "Traceback" not in err and not (tmp_path / "sp.csv").exists()
+
+
+@pytest.mark.parametrize("center, width, code", [
+    (3.0, 1e-300, 0),    # the bin at t = 3 alone
+    (3.1, 1e-300, 1),    # no bin within the envelope: identically zero
+    (3.0, 1e-160, 0),
+    (1e200, 1.0, 1),
+])
+def test_extreme_gaussian_envelope_exits_cleanly(tmp_path, capsys, center, width, code):
+    # the exponent's overflow and underflow are its limits, 0 or 1, not warnings (here errors)
+    doc = single_photon_config(tmp_path, 12)
+    doc["field"]["envelope"].update(center=center, width=width)
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "error: envelope is identically zero\n")
+    if code == 0:
+        rows = (tmp_path / "sp.csv").read_text().splitlines()[4:]
+        assert len(rows) == 13
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.7])
