@@ -4,8 +4,10 @@ Configs are strict JSON documents (unknown keys are rejected); results are
 written as CSV or JSON with the full config echoed for provenance.  The
 rows are rendered and written ROW_BLOCK at a time, so the memory that
 writing an artifact takes does not grow with the step count; the bytes
-are those of rendering the whole text at once.  All runs are
-deterministic: identical configs produce byte-identical files.
+are those of rendering the whole text at once.  Each block is filled
+column by column into one flat list of cells and formatted by one % of
+the row template.  All runs are deterministic: identical configs produce
+byte-identical files.
 
 Exit codes: 0 success, 1 configuration or filesystem problem (or a run whose
 arrays cannot be allocated), 2 numeric or invariant failure during a run.  No
@@ -272,19 +274,13 @@ def parse_config(text: str) -> RunConfig:
 # result emission
 # ---------------------------------------------------------------------------
 
-def _base_meta(cfg: RunConfig) -> dict:
+def _execute(cfg: RunConfig) -> tuple[list[tuple[str, Sequence]], dict]:
+    """Run the scenario; return (columns, metadata)."""
     field = cfg.field
     meta = {"dt": field.dt, "n_steps": field.n_steps, "gamma": field.gamma}
     if cfg.scenario != "convergence":
         meta["g"] = math.sqrt(field.gamma / field.dt)
         meta["rate"] = field.gamma
-    return meta
-
-
-def _execute(cfg: RunConfig) -> tuple[list[tuple[str, Sequence]], dict]:
-    """Run the scenario; return (columns, metadata)."""
-    field = cfg.field
-    meta = _base_meta(cfg)
 
     if cfg.scenario == "spontaneous_emission":
         traj_cm, traj_me, row = scenarios.spontaneous_emission_run(field)
@@ -345,11 +341,22 @@ def _execute(cfg: RunConfig) -> tuple[list[tuple[str, Sequence]], dict]:
     return columns, meta
 
 
+def _row_blocks(row: str, cols: list[np.ndarray], cells) -> Iterator[str]:
+    """The rows of the k columns, ROW_BLOCK at a time: column j's cells(block) fill slots j,
+    j + k, j + 2k, ... of one flat list, and a block's m rows are one % of row * m."""
+    k = len(cols)
+    for lo in range(0, len(cols[0]), ROW_BLOCK):
+        m = min(ROW_BLOCK, len(cols[0]) - lo)
+        flat = [None] * (k * m)
+        for j, col in enumerate(cols):
+            flat[j::k] = cells(col[lo:lo + m])
+        yield row * m % tuple(flat)
+
+
 def _render_csv(cfg: RunConfig, columns, meta) -> Iterator[str]:
     """Yield the CSV text, the comment and header lines first, then ROW_BLOCK rows at a time.
-    Integer cells as integers, real cells as %.16e; a complex column becomes two, _re and _im.
-    Rows fill one row template from the Python scalars of each block's .tolist(), which
-    format as its numpy scalars would, at a fraction of their cost."""
+    Integer cells as %d, real cells as %.16e, from the Python scalars of each block's .tolist(),
+    which format as its numpy scalars would; a complex column becomes two, _re and _im."""
     header, cols, fmts = [], [], []
     for name, values in columns:
         arr = np.asarray(values)
@@ -357,51 +364,44 @@ def _render_csv(cfg: RunConfig, columns, meta) -> Iterator[str]:
         for suffix, col in parts.items():
             header.append(name + suffix)
             cols.append(col)
-            fmts.append("{}" if col.dtype.kind in "iu" else "{:.16e}")
+            fmts.append("%d" if col.dtype.kind in "iu" else "%.16e")
     head = [f"# collisim {__version__}", "# config: " + json.dumps(cfg.echo, sort_keys=True),
             "# meta: " + json.dumps(meta, sort_keys=True), ",".join(header)]
     yield "\n".join(head) + "\n"
-    row = ",".join(fmts) + "\n"
-    for lo in range(0, len(cols[0]), ROW_BLOCK):
-        block = [col[lo:lo + ROW_BLOCK].tolist() for col in cols]
-        yield "".join(row.format(*cells) for cells in zip(*block))
+    yield from _row_blocks(",".join(fmts) + "\n", cols, np.ndarray.tolist)
 
 
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_cells(col: np.ndarray) -> list[str]:
-    """A non-empty real column's cells as JSON text, from one repr of the whole column: int and
-    float reprs are what json writes, except for NaN and the infinities."""
-    cells = repr(col.tolist())[1:-1].split(", ")
+def _json_cells(col: np.ndarray) -> list:
+    """A real column's cells for %s: its Python scalars, whose str is what json writes, or, in a
+    column that holds a NaN or an infinity, json's text of each (NaN, Infinity, -Infinity)."""
+    cells = col.tolist()
     if col.dtype.kind == "f" and not np.isfinite(col).all():
-        cells = [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
+        cells = list(map(json.dumps, cells))
     return cells
 
 
 def _render_json(cfg: RunConfig, columns, meta) -> Iterator[str]:
     """Yield json.dumps(doc, sort_keys=True, indent=2) + "\n" of doc = {"version", "config",
     "meta", "rows": [{name: cell, ...} per row]}, complex cells as {"re", "im"}, to the byte,
-    ROW_BLOCK rows at a time, without building the rows: each block of a column is encoded
-    once, its rows are filled into one row template, and the blocks are spliced into
-    json.dumps of the rest of the document."""
+    ROW_BLOCK rows at a time, without building the rows: the blocks of the row template (its
+    names escaped for %) are spliced into json.dumps of the rest of the document."""
     fields, cols = [], []
     for name, values in sorted(columns, key=lambda column: column[0]):
         arr = np.asarray(values)
         parts = (arr.imag, arr.real) if np.iscomplexobj(arr) else (arr,)
-        value = '{{\n        "im": {},\n        "re": {}\n      }}' if len(parts) == 2 else "{}"
-        fields.append(f"      {json.dumps(name)}: " + value)
+        value = '{\n        "im": %s,\n        "re": %s\n      }' if len(parts) == 2 else "%s"
+        fields.append(f"      {json.dumps(name).replace('%', '%%')}: " + value)
         cols += parts
-    row = "    {{\n" + ",\n".join(fields) + "\n    }}"
+    row = ",\n    {\n" + ",\n".join(fields) + "\n    }"  # the first row drops its ",\n"
     doc = {"version": __version__, "config": cfg.echo, "meta": meta, "rows": []}
     head, empty, tail = json.dumps(doc, sort_keys=True, indent=2).rpartition('"rows": []')
     if not len(cols[0]):
         yield head + empty + tail + "\n"
         return
     yield head + '"rows": [\n'
-    for lo in range(0, len(cols[0]), ROW_BLOCK):
-        block = [_json_cells(col[lo:lo + ROW_BLOCK]) for col in cols]
-        yield (",\n" if lo else "") + ",\n".join(row.format(*cells) for cells in zip(*block))
+    blocks = _row_blocks(row, cols, _json_cells)
+    yield next(blocks)[2:]
+    yield from blocks
     yield "\n  ]" + tail + "\n"
 
 

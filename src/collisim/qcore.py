@@ -125,14 +125,22 @@ def first_non_hermitian(stack: np.ndarray) -> tuple[int, str] | None:
 def first_invalid_state(stack: np.ndarray, psd_tol: float = PSD_TOL) -> tuple[int, str] | None:
     """(index, reason) of the first matrix of a (T, d, d) stack that is not finite,
     Hermitian, of unit trace and with min eigenvalue >= psd_tol; None if all are.  The
-    eigenvalues are ``eigvalsh_stack``'s: closed form for qubits, batched eigvalsh else."""
+    eigenvalues are ``eigvalsh_stack``'s: closed form for qubits, batched eigvalsh else.
+    So are a qubit's Hermiticity deviation, max(2 |Im rho_ii|, |rho_01 - conj rho_10|), and
+    trace, each bit for bit the generic one, so the reasons do not depend on the path."""
     step = max(1, STACK_CHUNK_BYTES // (16 * stack.shape[-1] ** 2))
     for lo in range(0, len(stack), step):
         part = stack[lo:lo + step]
         finite = np.isfinite(part).all(axis=(1, 2))
         part = np.where(finite[:, None, None], part, 0.0)  # eigvalsh needs finite input
-        herm = np.abs(part - part.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        trace = np.trace(part, axis1=1, axis2=2)
+        if stack.shape[-1] == 2:
+            a, e = part[:, 0, 0], part[:, 1, 1]
+            herm = np.maximum(2.0 * np.maximum(abs(a.imag), abs(e.imag)),
+                              abs(part[:, 0, 1] - part[:, 1, 0].conj()))
+            trace = a + e + 0.0  # np.trace's sum starts at +0: -0 + -0 is +0
+        else:
+            herm = np.abs(part - part.conj().swapaxes(1, 2)).max(axis=(1, 2))
+            trace = np.trace(part, axis1=1, axis2=2)
         min_eig = eigvalsh_stack(part)[:, 0]
         bad = ~finite | (herm > HERMITICITY_TOL) | (abs(trace - 1.0) > TRACE_TOL) | (min_eig < psd_tol)
         if bad.any():
@@ -376,7 +384,8 @@ def propagate(maps: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
     A blocked prefix scan (Blelloch 1990), over a chunk of STACK_CHUNK_BYTES of maps at a time,
     the last state carried into the next chunk: in blocks of b ~ sqrt(steps), the prefix
     products P_j = T_j ... T_1 of every block in b - 1 batched products, one state carried from
-    block to block, and each block's states P_j y in one batched product.  A one-row stack
+    block to block, and each block's states P_j y in one batched product written into the
+    output, a partial last block through a padded one; one chunk's P_j at a time.  A one-row stack
     takes the same products as n copies of its row, to the bit, with one block of P_j.
     Products that overflow give non-finite output, which the callers' state checks reject.
     """
@@ -399,7 +408,13 @@ def propagate(maps: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
             y[0, :, 0] = out[lo]
             for i in range(1, blocks):
                 np.matmul(p[min(i - 1, len(p) - 1), -1], y[i - 1], out=y[i])
-            out[lo + 1:lo + 1 + steps] = (p @ y[:, None]).reshape(-1, dim)[:steps]
+            full = steps // b
+            np.matmul(p[:full], y[:full, None],
+                      out=out[lo + 1:lo + 1 + full * b].reshape(full, b, dim, 1))
+            if full < blocks:
+                last = (p[min(full, len(p) - 1)] @ y[full])[:steps - full * b, :, 0]
+                out[lo + 1 + full * b:lo + 1 + steps] = last
+            del p  # so that two chunks' products are never held at once
     return out
 
 

@@ -191,15 +191,32 @@ def test_json_output_encodes_complex_as_re_im(tmp_path):
 
 
 def test_bloch_json_artifact_is_json_dumps_of_its_document(tmp_path):
-    field = {"kind": "coherent", "gamma": 1.0, "t_final": 1.0, "n_steps": 60, "z": 1.5,
+    # 601 rows cross two ROW_BLOCK edges of the real Bloch path
+    field = {"kind": "coherent", "gamma": 1.0, "t_final": 1.0, "n_steps": 600, "z": 1.5,
              "omega": 0.7, "d_anc": 6}
     doc = {"scenario": "bloch", "field": field, "output": "json"}
     out = tmp_path / "bloch.json"
     assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     text = out.read_text()
     report = json.loads(text)
-    assert len(report["rows"]) == 61 and report["rows"][60]["step"] == 60
+    assert len(report["rows"]) == 601 and report["rows"][600]["step"] == 600
     assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_vacuum_csv_artifact_is_a_per_row_render_of_its_columns(tmp_path):
+    # 601 rows cross two ROW_BLOCK edges of the real vacuum path; each row is rendered here
+    # one cell at a time, as format() of its numpy scalar
+    doc = vacuum_config()
+    doc["field"]["n_steps"] = 600
+    out = tmp_path / "vac.csv"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    columns, _ = cli._execute(parse_config(json.dumps(doc)))
+    flat = []
+    for _, arr in columns:
+        flat += [arr.real, arr.imag] if np.iscomplexobj(arr) else [arr]
+    rows = [",".join(("{}" if col.dtype.kind in "iu" else "{:.16e}").format(col[k]) for col in flat)
+            for k in range(601)]
+    assert out.read_text().split("\n")[4:] == rows + [""]
 
 
 # an int, a real and a complex column, with a signed zero
@@ -273,6 +290,26 @@ def test_json_rows_are_rendered_to_the_exact_bytes():
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     text = "".join(_render_json(cfg, *cases[1]))
     assert "NaN" in text and "-Infinity" in text
+
+
+def test_column_names_never_enter_the_format():
+    # CSV names go into the header alone; JSON names go into the row template, escaped for %
+    cfg = parse_config(json.dumps(vacuum_config()))
+    names = ["%d", "{0}", '"%s"}{', "50%"]
+    columns = list(zip(names, [values for _, values in RENDER_COLUMNS] + [np.arange(3)]))
+    assert "".join(_render_csv(cfg, columns, {})).split("\n")[3:] == [
+        '%d,{0},"%s"}{_re,"%s"}{_im,50%',
+        "0,0.0000000000000000e+00,1.0000000000000000e+00,0.0000000000000000e+00,0",
+        "1,5.0000000000000000e-01,1.0000000000000001e-01,-2.4999999999999999e-17,1",
+        "2,1.0000000000000000e+00,-0.0000000000000000e+00,3.3333333333333331e-01,2",
+        "",
+    ]
+    cells = [[{"re": c.real, "im": c.imag} if isinstance(c, complex) else c for c in v.tolist()]
+             for _, v in columns]
+    doc = {"version": __version__, "config": cfg.echo, "meta": {},
+           "rows": [dict(zip(names, row)) for row in zip(*cells)]}
+    text = "".join(_render_json(cfg, columns, {}))
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 5 * ROW_BLOCK // 2])

@@ -102,6 +102,56 @@ def test_stack_check_reports_the_first_failing_matrix(monkeypatch, chunk_bytes):
     assert np.array_equal(qcore.trace_distances(a, b), pairwise)
 
 
+def generic_first_invalid_state(stack, psd_tol=qcore.PSD_TOL):
+    # the check at every d, on the whole stack at once: Hermiticity deviation and trace of the
+    # matrices themselves, spectra from eigvalsh_stack
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    part = np.where(finite[:, None, None], stack, 0.0)
+    herm = np.abs(part - part.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    trace = np.trace(part, axis1=1, axis2=2)
+    min_eig = qcore.eigvalsh_stack(part)[:, 0]
+    bad = np.flatnonzero(~finite | (herm > qcore.HERMITICITY_TOL)
+                         | (abs(trace - 1.0) > qcore.TRACE_TOL) | (min_eig < psd_tol))
+    if not bad.size:
+        return None
+    k = bad[0]
+    return int(k), "non-finite entries" if not finite[k] else (
+        f"not a density matrix: Hermiticity deviation {herm[k]:.3e}, trace "
+        f"{trace[k]:.12g}, min eigenvalue {min_eig[k]:.3e} (floor {psd_tol})")
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 3 * 64])
+def test_qubit_state_check_matches_the_generic_one(monkeypatch, chunk_bytes):
+    # the closed-form qubit deviation and trace give the (index, reason) of the generic check on
+    # imaginary diagonals, asymmetric off-diagonals, signed zeros and non-finite rows; at
+    # 3 * 64 bytes, with faults on both sides of the edges of three-state chunks
+    if chunk_bytes is not None:
+        monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(17)
+    good = np.stack([random_density(rng, 2).data for _ in range(12)])
+    faults = [
+        lambda m: m + np.diag(1j * rng.choice([1e-11, 3e-10, -0.2], 2)),
+        lambda m: m + np.diag([1j * rng.choice([-1e-9, 4e-10]), 0.0]),
+        lambda m: m + np.array([[0, rng.choice([1e-11, 2e-10, 0.3j])], [0, 0]]),
+        lambda m: m + np.array([[0, 0], [rng.choice([-2e-10j, 5e-11]), 0]]),
+        lambda m: m + np.diag([rng.choice([1e-11, 2e-10, -0.5]), 0.0]),
+        lambda m: np.diag([complex(-0.0, -0.0), complex(-0.0, rng.choice([0.0, -0.0]))]),
+        lambda m: np.where(rng.random((2, 2)) < 0.5, rng.choice([np.nan, np.inf, -np.inf]), m),
+        lambda m: m * complex(rng.choice([1.0, 1e-300]), 0) + np.diag([0, 1e-13j]),
+    ]
+    seen = set()
+    for trial in range(200):
+        stack = good.copy()
+        for row in rng.choice(12, rng.integers(1, 4), replace=False):
+            stack[row] = faults[rng.integers(len(faults))](stack[row])
+        expected = generic_first_invalid_state(stack)
+        assert first_invalid_state(stack) == expected
+        for row in stack:
+            assert first_invalid_state(row[None]) == generic_first_invalid_state(row[None])
+        seen.add(None if expected is None else expected[0] % 3)
+    assert seen == {None, 0, 1, 2}  # first failures at each place in a chunk, and none
+
+
 def random_hermitian_stack(rng, n, d, scale):
     # entries of modulus <= scale / sqrt(2), so every eigenvalue stays finite up to scale 1e308
     m = rng.uniform(-0.5, 0.5, (n, d, d)) + 1j * rng.uniform(-0.5, 0.5, (n, d, d))
