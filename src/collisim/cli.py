@@ -18,6 +18,7 @@ sector, whose cost grows linearly with the step count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from .scenarios import FieldConfig, GaussianEnvelope, TabulatedSpectrum
 SCENARIOS = ("spontaneous_emission", "bloch", "single_photon", "convergence")
 FORMATS = ("csv", "json")
 ROW_BLOCK = 256  # rows rendered and written at a time: the text held does not grow with N
+MAX_ENTRIES = 2**59  # complex entries in an array of under 2^63 bytes, the most numpy indexes
 
 _ALLOWED_KINDS = {  # the first kind of a scenario is its default
     "spontaneous_emission": (scenarios.VACUUM,),
@@ -68,10 +70,9 @@ def _check_keys(doc: Mapping[str, Any], allowed: set[str], where: str) -> None:
 def _finite_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
-    value = float(value)
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # compared exactly: float() overflows on huge ints
         raise ConfigError(f"{name} must be finite")
-    return value
+    return float(value)
 
 
 def _positive_number(value: Any, name: str) -> float:
@@ -81,17 +82,17 @@ def _positive_number(value: Any, name: str) -> float:
     return out
 
 
-def _positive_int(value: Any, name: str) -> int:
+def _positive_int(value: Any, name: str, low: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer")
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}")
     return value
 
 
 def _complex_value(value: Any, name: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(_finite_number(value, name), 0.0)
     if isinstance(value, dict):
         _check_keys(value, {"re", "im"}, name)
         if "re" not in value or "im" not in value:
@@ -127,7 +128,7 @@ def _parse_envelope(doc: Any):
         )
     if kind == "tabulated":
         _check_keys(doc, {"type", "omega", "psi"}, "field.envelope")
-        if "omega" not in doc or "psi" not in doc:
+        if not (isinstance(doc.get("omega"), list) and isinstance(doc.get("psi"), list)):
             raise ConfigError("field.envelope needs 'omega' and 'psi' arrays")
         omegas = [_finite_number(w, "field.envelope.omega") for w in doc["omega"]]
         psi = [_complex_value(p, "field.envelope.psi") for p in doc["psi"]]
@@ -168,11 +169,7 @@ def _parse_field(doc: Any, scenario: str) -> FieldConfig:
     z = _complex_value(doc["z"], "field.z") if "z" in doc else 0j
     omega = _finite_number(doc.get("omega", 0.0), "field.omega")
     envelope = _parse_envelope(doc["envelope"]) if "envelope" in doc else None
-    d_anc = None
-    if "d_anc" in doc:
-        d_anc = _positive_int(doc["d_anc"], "d_anc")
-        if d_anc < 2:
-            raise ConfigError("d_anc must be >= 2")
+    d_anc = _positive_int(doc["d_anc"], "d_anc", 2) if "d_anc" in doc else None
 
     if "system" in doc:
         sysdoc = doc["system"]
@@ -212,6 +209,18 @@ def _parse_field(doc: Any, scenario: str) -> FieldConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_size(field: FieldConfig, steps: int, name: str) -> None:
+    """ConfigError unless numpy can index every array that a run of ``field`` over ``steps`` steps
+    forms: the collision unitary, (d d_anc)^2 entries, and steps + 1 rows of 4 d^2 (two photon
+    starts' states, a qubit's superoperators), d_anc (a moving coherent field's kets) or the
+    tabulated envelope's grid length (its phases)."""
+    d, d_anc = field.h_sys.side, field.truncation
+    grid = len(field.envelope.omegas) if isinstance(field.envelope, TabulatedSpectrum) else 0
+    if max((steps + 1) * max(4 * d * d, d_anc, grid), (d * d_anc) ** 2) >= MAX_ENTRIES:
+        raise ConfigError(f"{name} with d_anc {d_anc} at system dimension {d}: a run would form "
+                          "arrays too large for numpy to index")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document (strict mode)."""
     try:
@@ -222,6 +231,8 @@ def parse_config(text: str) -> RunConfig:
         ) from exc
     except RecursionError:
         raise ConfigError("malformed config: nested too deeply") from None
+    except ValueError as exc:  # an integer literal of more digits than Python converts
+        raise ConfigError(f"malformed config: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(doc, {"scenario", "field", "output", "out_path", "n_list", "fixed_g"}, "top level")
@@ -232,6 +243,7 @@ def parse_config(text: str) -> RunConfig:
     if "field" not in doc:
         raise ConfigError("missing required key 'field'")
     field = _parse_field(doc["field"], scenario)
+    _check_size(field, field.n_steps, "n_steps")
 
     output = doc.get("output", "csv")
     if output not in FORMATS:
@@ -240,8 +252,7 @@ def parse_config(text: str) -> RunConfig:
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError("out_path must be a string")
 
-    n_list = None
-    fixed_g = None
+    n_list = fixed_g = None
     if scenario == "convergence":
         if "n_list" not in doc:
             raise ConfigError("convergence runs need 'n_list'")
@@ -253,6 +264,9 @@ def parse_config(text: str) -> RunConfig:
             scenarios.step_counts(n_list)
         except ValidationError as exc:
             raise ConfigError(f"n_list: {exc}") from exc
+        # capped as it goes, so that no lcm of huge entries is formed
+        _check_size(field, functools.reduce(lambda a, b: min(math.lcm(a, b), MAX_ENTRIES), n_list),
+                    "lcm(n_list)")
         if "fixed_g" in doc:
             fixed_g = _positive_number(doc["fixed_g"], "fixed_g")
     else:

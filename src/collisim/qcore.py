@@ -7,9 +7,9 @@ they can be shared freely across concurrent workers.  ``first_invalid_state``,
 ``eigvalsh_stack`` gives the spectra behind the state check and ``trace_distances``: a qubit
 stack in closed form, every other size by one batched ``eigvalsh``.
 ``expm_stack`` forms every matrix exponential of the package (collision unitaries, dense
-master-equation propagators) a whole stack at a time, and ``propagate`` runs every linear
-recursion x_k = T_k x_{k-1} of small maps (product collision runs, the dense master
-equation) as a blocked prefix scan, which its callers take up to ``DENSE_MAX_DIM`` levels.
+master-equation propagators) a whole stack at a time, by one Pade evaluation for every order,
+and ``propagate`` runs every linear recursion x_k = T_k x_{k-1} of small maps (product collision
+runs, the dense master equation) as a blocked prefix scan, up to ``DENSE_MAX_DIM`` levels.
 """
 
 from __future__ import annotations
@@ -33,20 +33,13 @@ NORM_TOL = 1e-10
 STACK_CHUNK_BYTES = 2 * 2**20
 
 # Scaling-and-squaring Pade exponential (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)):
-# (theta_m, coefficients b_0..b_m) for m = 3, 5, 7, 9; the [m/m] approximant is accurate to
-# double precision for ||A||_1 <= theta_m, and order 13 serves every larger norm after scaling.
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
-                            1.0)),
-    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-                           2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-)
-_THETA_13 = 5.371920351148152e0
-_B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-         40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+# (theta_m, coefficients b_j = (2m - j)! / (j! (m - j)!), j = 0..m) for m = 3, 5, 7, 9, 13; the
+# [m/m] approximant is accurate to double precision for ||A||_1 <= theta_m.
+_PADE = tuple((theta, tuple(float(math.perm(2 * m - j, m) // math.factorial(j))
+                            for j in range(m + 1)))
+              for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+                               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+                               (13, 5.371920351148152e0)))
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -324,38 +317,30 @@ def expm(a: Operator, scale: complex) -> Operator:
 def expm_stack(a: np.ndarray) -> np.ndarray:
     """exp(A) of every matrix of an (..., D, D) stack, by scaling and squaring (Higham 2005).
 
-    The smallest Pade order m in {3, 5, 7, 9} whose theta_m bounds the largest 1-norm in the
-    stack serves the whole stack; past theta_9 each matrix is scaled by its own 2^-s_i to
-    within theta_13, takes the order-13 approximant and is squared s_i times.  A zero matrix
-    gives the identity exactly.  Non-finite input, or squarings that overflow, give
-    non-finite output, which the callers' state checks reject.
+    The smallest Pade order m in {3, 5, 7, 9, 13} whose theta_m bounds the largest 1-norm in the
+    stack serves the whole stack, each order by one evaluation, (V - U)^-1 (V + U) from the even
+    powers of A; past theta_13 each matrix is scaled by its own 2^-s_i to within it and squared
+    s_i times.  A zero matrix gives the identity exactly.  Non-finite input, or squarings that
+    overflow, give non-finite output, which the callers' state checks reject.
     """
     a = np.asarray(a, dtype=complex)
     shape, eye = a.shape, np.eye(a.shape[-1])
     a = a.reshape((-1,) + shape[-2:])
     norms = np.abs(a).sum(axis=1).max(axis=1, initial=0.0)  # 1-norm: largest column sum
     top = norms.max(initial=0.0)
-    for theta, b in _PADE:
-        if top <= theta:
-            a2 = a @ a
-            powers = [eye, a2]
-            while len(powers) < len(b) // 2:
-                powers.append(powers[-1] @ a2)
-            u = a @ sum(c * p for c, p in zip(b[1::2], powers))
-            v = sum(c * p for c, p in zip(b[0::2], powers))
-            return np.linalg.solve(v - u, v + u).reshape(shape)
+    theta, b = next((pade for pade in _PADE if top <= pade[0]), _PADE[-1])
+    s = np.zeros(len(a), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.ceil(np.log2(np.maximum(norms, _THETA_13) / _THETA_13))
-        s = np.where(np.isfinite(s), s, 0).astype(int)
-        a = a * np.exp2(-s)[:, None, None]
-        b = _B_13
+        if not top <= theta:  # past theta_13, or not finite
+            s = np.ceil(np.log2(np.maximum(norms, theta) / theta))
+            s = np.where(np.isfinite(s), s, 0).astype(int)
+            a = a * np.exp2(-s)[:, None, None]
         a2 = a @ a
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
-                 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
-             + b[0] * eye)
+        powers = [eye, a2]
+        while len(powers) < len(b) // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(c * p for c, p in zip(b[1::2], powers))
+        v = sum(c * p for c, p in zip(b[0::2], powers))
         x = np.linalg.solve(v - u, v + u)
         for k in range(s.max(initial=0)):
             sq = s > k

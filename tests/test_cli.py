@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import collisim
-from collisim import __version__, cli, qcore
+from collisim import __version__, cli, qcore, scenarios
 from collisim.cli import (ROW_BLOCK, ConfigError, _render_csv, _render_json, main,
                            parse_config)
 
@@ -444,6 +444,144 @@ def test_repeated_step_count_exits_one(tmp_path, capsys, command):
     assert main([command, "--config", write_config(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert err == "error: n_list: need at least 3 distinct step counts, got [100, 100, 200]\n"
+
+
+def field_with(**keys):
+    return lambda doc: doc["field"].update(keys) or doc
+
+
+def config_with(**keys):
+    return lambda doc: doc.update(keys) or doc
+
+
+def coherent(**keys):
+    return config_with(scenario="bloch", field=dict(vacuum_config()["field"], kind="coherent",
+                                                    **keys))
+
+
+def photon(envelope):
+    field = {"kind": "single_photon", "gamma": 1.0, "t_final": 6.0, "n_steps": 10}
+    if envelope is not None:
+        field["envelope"] = envelope
+    return config_with(scenario="single_photon", field=field)
+
+
+def system(**matrices):
+    return field_with(system=dict({"h_sys": [[0, 0], [0, 0]], "coupling": [[0, 1], [0, 0]],
+                                   "rho0": [[0, 0], [0, 1]]}, **matrices))
+
+
+def tabulated(omega, psi):
+    return photon({"type": "tabulated", "omega": omega, "psi": psi})
+
+
+TOO_LARGE = "a run would form arrays too large for numpy to index"
+
+# each a config that once passed validate and then failed its run, or raised a traceback
+READER_HOLES = {
+    "z_nan": (coherent(z=math.nan), "field.z must be finite"),
+    "coupling_infinity": (system(coupling=[[0, math.inf], [0, 0]]),
+                          "field.system.coupling[0][1] must be finite"),
+    "psi_number": (tabulated([0.0, 1.0], 3), "field.envelope needs 'omega' and 'psi' arrays"),
+    "omega_number": (tabulated(5, [1, 1]), "field.envelope needs 'omega' and 'psi' arrays"),
+    "omega_null": (tabulated(None, [1, 1]), "field.envelope needs 'omega' and 'psi' arrays"),
+    "gamma_int_past_float": (field_with(gamma=10**400), "gamma must be finite"),
+    "h_sys_int_past_float": (system(h_sys=[[10**400, 0], [0, 0]]),
+                             "field.system.h_sys[0][0] must be finite"),
+    "n_steps_1e30": (field_with(n_steps=10**30),
+                     f"n_steps with d_anc 2 at system dimension 2: {TOO_LARGE}"),
+    "d_anc_1e30": (field_with(d_anc=10**30),
+                   f"n_steps with d_anc {10**30} at system dimension 2: {TOO_LARGE}"),
+    "n_list_entry_1e30": (config_with(scenario="convergence", n_list=[100, 200, 10**30]),
+                          f"lcm(n_list) with d_anc 2 at system dimension 2: {TOO_LARGE}"),
+}
+
+
+@pytest.mark.parametrize("case", READER_HOLES)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_config_reader_holes_exit_one(tmp_path, capsys, command, case):
+    edit, message = READER_HOLES[case]
+    doc = edit(vacuum_config(out_path=str(tmp_path / "x.csv")))
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_integer_of_more_digits_than_python_converts_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": ' + "1" * 5000 + "}")
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# one config per ConfigError the parser or the run raises
+CONFIG_ERRORS = {
+    "gamma_string": (field_with(gamma="fast"), "gamma must be a number"),
+    "gamma_nan": (field_with(gamma=math.nan), "gamma must be finite"),
+    "n_steps_bool": (field_with(n_steps=True), "n_steps must be an integer"),
+    "n_steps_zero": (field_with(n_steps=0), "n_steps must be >= 1"),
+    "z_without_im": (coherent(z={"re": 1.0}), "field.z must have both 're' and 'im'"),
+    "z_string": (coherent(z="1+1j"), "field.z must be a number or a {re, im} object"),
+    "h_sys_empty": (system(h_sys=[]),
+                    "field.system.h_sys must be a non-empty matrix (list of rows)"),
+    "h_sys_not_square": (system(h_sys=[[0, 0]]), "field.system.h_sys must be square"),
+    "envelope_list": (photon([]), "field.envelope must be an object"),
+    "envelope_without_width": (photon({"type": "gaussian", "center": 1.0}),
+                               "missing required key field.envelope.width"),
+    "envelope_ragged": (tabulated([0.0, 1.0], [1.0]), "field.envelope: spectrum needs "
+                        "matching 1-d omega and amplitude arrays"),
+    "envelope_type": (photon({"type": "lorentzian"}),
+                      "field.envelope.type must be 'gaussian' or 'tabulated'"),
+    "field_list": (config_with(field=[]), "'field' must be an object"),
+    "kind_thermal": (field_with(kind="thermal"),
+                     "field.kind must be one of vacuum, coherent, single_photon"),
+    "no_t_final": (lambda doc: doc["field"].pop("t_final") and doc,
+                   "missing required key field.t_final"),
+    "photon_without_envelope": (photon(None), "single-photon fields need field.envelope"),
+    "envelope_on_vacuum": (field_with(envelope={"type": "gaussian", "center": 1, "width": 1}),
+                           "'envelope' applies only to single-photon fields"),
+    "d_anc_one": (field_with(d_anc=1), "d_anc must be >= 2"),
+    "system_list": (field_with(system=[]), "field.system must be an object"),
+    "system_without_rho0": (field_with(system={"h_sys": [[0]], "coupling": [[0]]}),
+                            "missing required key field.system.rho0"),
+    "config_list": (lambda doc: [doc], "config must be a JSON object"),
+    "scenario_unknown": (config_with(scenario="decay"), "scenario must be one of "
+                         "spontaneous_emission, bloch, single_photon, convergence"),
+    "no_field": (lambda doc: doc.pop("field") and doc, "missing required key 'field'"),
+    "output_xml": (config_with(output="xml"), "output must be 'csv' or 'json'"),
+    "out_path_number": (config_with(out_path=3), "out_path must be a string"),
+    "n_list_string": (config_with(scenario="convergence", n_list="100"),
+                      "n_list must be a list of step counts"),
+    "fixed_g_outside_convergence": (config_with(fixed_g=3.0),
+                                    "'n_list' and 'fixed_g' apply only to convergence runs"),
+    "no_output_path": (lambda doc: doc.pop("out_path") and doc,
+                       "no output path: set 'out_path' in the config or pass --out"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_error_exits_one_with_its_message(tmp_path, capsys, case):
+    edit, message = CONFIG_ERRORS[case]
+    doc = edit(vacuum_config(out_path=str(tmp_path / "x.csv")))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_convergence_run_with_fixed_g_is_the_study_with_fixed_g(tmp_path):
+    doc = vacuum_config(scenario="convergence", output="json", n_list=[50, 100, 200], fixed_g=3)
+    out = tmp_path / "conv.json"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    field = parse_config(json.dumps(doc)).field
+    study = scenarios.convergence_study(field, [50, 100, 200], fixed_g=3.0)
+    assert report["meta"]["fixed_g"] == 3.0 and report["meta"]["fitted_slope"] == study.slope
+    assert report["rows"] == [{"n_steps": row.n_steps, "dt": row.dt,
+                               "max_state_error": row.max_state_error,
+                               "endpoint_observable_error": row.endpoint_observable_error}
+                              for row in study.rows]
 
 
 def test_max_state_error_is_the_maximum_of_the_distance_column(tmp_path, monkeypatch):

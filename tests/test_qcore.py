@@ -352,9 +352,17 @@ def with_norm(a, norm):
     return a * (norm / np.abs(a).sum(axis=0).max())
 
 
-# 1-norms just under each Pade order's theta_m, then order 13 unscaled, squared 3 and 6 times
-ORACLE_NORMS = [0.9 * theta for theta, _ in qcore._PADE] + [
-    0.9 * qcore._THETA_13, 8 * qcore._THETA_13, 50 * qcore._THETA_13]
+THETA_13 = qcore._PADE[-1][0]
+# 1-norms just under each Pade order's theta_m (order 13 unscaled), then squared 3 and 6 times
+ORACLE_NORMS = [0.9 * theta for theta, _ in qcore._PADE] + [8 * THETA_13, 50 * THETA_13]
+
+
+def test_pade_coefficients_are_highams():
+    # Higham's (2005) published b_j for m = 3, and b_0 for m = 13
+    orders = {len(b) - 1: b for _, b in qcore._PADE}
+    assert sorted(orders) == [3, 5, 7, 9, 13]
+    assert orders[3] == (120.0, 60.0, 12.0, 1.0)
+    assert orders[13][0] == 64764752532480000.0 and orders[13][-1] == 1.0
 
 
 @pytest.mark.parametrize("norm", ORACLE_NORMS)
@@ -375,7 +383,7 @@ def test_expm_stack_matches_scipy(kind, norm):
 def test_expm_stack_scales_each_matrix_by_its_own_norm():
     # every norm here takes order 13; scaling all by the largest would change the others' bits
     rng = np.random.default_rng(23)
-    norms = [1.2 * qcore._PADE[-1][0], 0.9 * qcore._THETA_13, 8 * qcore._THETA_13, 300.0]
+    norms = [1.2 * qcore._PADE[3][0], 0.9 * THETA_13, 8 * THETA_13, 300.0]
     stack = np.array([with_norm(random_liouvillian(rng, 2), n) for n in norms]).reshape(2, 2, 4, 4)
     got = qcore.expm_stack(stack)
     assert got.shape == (2, 2, 4, 4)
