@@ -122,7 +122,8 @@ def coherent_bath(z: complex, omega: float, dt: float, n: int, d: int) -> BathSp
     rows = n if omega != 0 else 1  # a static field is one ancilla for every step
     t = np.arange(1, rows + 1) * dt
     xi = (z / math.sqrt(2.0 * math.pi)) * np.exp(1j * omega * t) * math.sqrt(dt)
-    max_sq = float(np.max(np.abs(xi) ** 2))
+    with np.errstate(over="ignore"):  # a finite z near the largest double: inf, which fails
+        max_sq = float(np.max(np.abs(xi) ** 2))
     if max_sq >= d / 4.0:
         raise ValidationError(
             f"truncation guard: max |xi_n|^2 = {max_sq:.3e} >= d/4 = {d / 4.0}; "

@@ -264,9 +264,13 @@ def parse_config(text: str) -> RunConfig:
             scenarios.step_counts(n_list)
         except ValidationError as exc:
             raise ConfigError(f"n_list: {exc}") from exc
-        # capped as it goes, so that no lcm of huge entries is formed
-        _check_size(field, functools.reduce(lambda a, b: min(math.lcm(a, b), MAX_ENTRIES), n_list),
-                    "lcm(n_list)")
+        # a static study runs each N on its own grid; a moving drive's reference runs on
+        # lcm(n_list) substeps, capped as it goes, so that no lcm of huge entries is formed
+        if field.omega == 0:
+            _check_size(field, max(n_list), "max(n_list)")
+        else:
+            _check_size(field, functools.reduce(lambda a, b: min(math.lcm(a, b), MAX_ENTRIES),
+                                                n_list), "lcm(n_list)")
         if "fixed_g" in doc:
             fixed_g = _positive_number(doc["fixed_g"], "fixed_g")
     else:

@@ -8,11 +8,13 @@ with F = I_2 (Baragiola et al., PRA 86, 013811 (2012)).
 ``_kraus_chunks`` builds the blocks a chunk of steps at a time, with one batched
 product per chunk of unitaries, and a map shared by every step once for all steps.
 Up to ``qcore.DENSE_MAX_DIM`` a product run whose steps share one map, or any at
-d = 2, stacks their d^2 x d^2 superoperators and propagates them by one call of the
-blocked prefix scan ``qcore.propagate``; otherwise, and in the photon sector, a
-per-step loop applies the pairs.
+d = 2, stacks their d^2 x d^2 superoperators and propagates them by one call of
+``qcore.propagate``, which raises a shared map by doubling and scans a map per
+step; otherwise, and in the photon sector, a per-step loop applies the pairs.
 Step-indexed inputs are raw read-only arrays, each checked once where it is
-built; a run keeps its states the same way, checked once at the end.
+built.  ``_checked_trajectory`` is the one place that stores a run's states, of
+this module and of the master equation alike: it checks them raw, once, then
+stores each as (rho + rho^dag) / 2, exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -234,11 +236,18 @@ def collide_once(rho: DensityMatrix, eta: DensityMatrix, u: Operator) -> Density
 
 def _checked_trajectory(dt: float, states: np.ndarray,
                         observables: Mapping[str, Operator] | None) -> Trajectory:
-    """Trajectory on the grid k dt; PropagationError names the first non-state (RUN_PSD_TOL)."""
+    """Trajectory on the grid k dt of a run's raw (T, d, d) states, which it takes over: they are
+    checked as they came (PropagationError names the first non-state, RUN_PSD_TOL), then stored
+    as (rho + rho^dag) / 2 in place, a chunk at a time, so every stored state is exactly
+    Hermitian and its populations exactly real."""
     bad = qcore.first_invalid_state(states, RUN_PSD_TOL)
     if bad is not None:
         step, reason = bad
         raise PropagationError(f"state invariant breached at step {step}: {reason}", step=step)
+    chunk = max(1, qcore.STACK_CHUNK_BYTES // (16 * states.shape[-1] ** 2))
+    for lo in range(0, len(states), chunk):
+        part = states[lo:lo + chunk]
+        part[:] = 0.5 * (part + part.conj().swapaxes(1, 2))
     obs = {name: np.einsum("ij,tji->t", op.data, states) for name, op in (observables or {}).items()}
     return Trajectory(np.arange(len(states)) * dt, states, obs)
 

@@ -11,9 +11,10 @@ Liouvillian exponential (dense, or as a Taylor series of its action on
 larger systems) provides the independent continuous-time dynamics that the
 discrete collision runs are checked against.  Up to ``qcore.DENSE_MAX_DIM`` the
 reference propagates as the collision runs do, as a linear recursion of
-d^2 x d^2 maps scanned by ``qcore.propagate``.  A step-dependent generator
-holds its Hamiltonians as one (L, d, d) table and its trajectory as one
-(T, d, d) array, each checked once.
+d^2 x d^2 maps by ``qcore.propagate``: a static generator's one propagator raised
+by doubling, a step-dependent one's scanned.  A step-dependent generator
+holds its Hamiltonians as one (L, d, d) table.  Its trajectory is one (T, d, d)
+array, checked raw and stored Hermitian by ``collision._checked_trajectory``.
 """
 
 from __future__ import annotations
@@ -223,11 +224,12 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     substep and held constant over it, so rho_{k+1} = exp(h L_k) rho_k is
     exact.  Up to ``qcore.DENSE_MAX_DIM`` the table entries in use are exponentiated
     as d^2 x d^2 Liouvillians, batched a chunk of substeps at a time (a
-    static generator is one propagator), and ``qcore.propagate`` takes the
-    products; above it exp(h L_k) rho_k is summed as a Taylor series to
-    round-off, O(d^3) work per term and O(d^2) memory.  States are
-    re-symmetrized as they are stored, then checked once; a PSD breach
-    beyond the run tolerance aborts.
+    static generator is one propagator, raised by doubling), and
+    ``qcore.propagate`` takes the products; above it exp(h L_k) rho_k is
+    summed as a Taylor series to round-off, O(d^3) work per term and O(d^2)
+    memory.  The raw states are checked once, then stored as
+    (rho + rho^dag) / 2 (``collision._checked_trajectory``); a breach of
+    Hermiticity, trace or PSD beyond the run tolerances aborts.
     """
     if n_substeps < 1:
         raise ValidationError("n_substeps must be >= 1")
@@ -245,8 +247,7 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
         states[0] = rho = rho0.data
         for k, row in enumerate(rows.tolist()):
             g = -1j * hs[row] - damping
-            rho = _expm_series(h, g, g.conj().T, compiled, rho)
-            rho = states[k + 1] = 0.5 * (rho + rho.conj().T)
+            rho = states[k + 1] = _expm_series(h, g, g.conj().T, compiled, rho)
         return _checked_trajectory(h, states, observables)
 
     # rows never decrease: a chunk of substeps exponentiates the rows it uses, and a static
@@ -259,5 +260,4 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
         props = qcore.expm_stack(h * _liouvillian(-1j * hs[used] - damping, compiled))
         states[lo:lo + len(inv) + 1] = qcore.propagate(props if len(used) == 1 else props[inv],
                                                        states[lo], len(inv))
-    states = states.reshape(-1, d, d)
-    return _checked_trajectory(h, 0.5 * (states + states.conj().swapaxes(1, 2)), observables)
+    return _checked_trajectory(h, states.reshape(-1, d, d), observables)

@@ -9,7 +9,8 @@ stack in closed form, every other size by one batched ``eigvalsh``.
 ``expm_stack`` forms every matrix exponential of the package (collision unitaries, dense
 master-equation propagators) a whole stack at a time, by one Pade evaluation for every order,
 and ``propagate`` runs every linear recursion x_k = T_k x_{k-1} of small maps (product collision
-runs, the dense master equation) as a blocked prefix scan, up to ``DENSE_MAX_DIM`` levels.
+runs, the dense master equation), up to ``DENSE_MAX_DIM`` levels: one map shared by every step
+raised by doubling, one map per step by a blocked prefix scan.
 """
 
 from __future__ import annotations
@@ -109,8 +110,10 @@ class Operator:
 
 def first_non_hermitian(stack: np.ndarray) -> tuple[int, str] | None:
     """(index, reason) of the first matrix of a (T, d, d) stack that deviates from Hermitian
-    by more than HERMITICITY_TOL, or is not finite; None if none does."""
-    dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    by more than HERMITICITY_TOL, or is not finite; None if none does.  A finite entry near the
+    largest double may overflow the deviation to inf, which fails too, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(~(dev <= HERMITICITY_TOL))  # NaN compares False: it counts as deviating
     return (int(bad[0]), f"not Hermitian: deviation {dev[bad[0]]:.3e}") if bad.size else None
 
@@ -120,21 +123,24 @@ def first_invalid_state(stack: np.ndarray, psd_tol: float = PSD_TOL) -> tuple[in
     Hermitian, of unit trace and with min eigenvalue >= psd_tol; None if all are.  The
     eigenvalues are ``eigvalsh_stack``'s: closed form for qubits, batched eigvalsh else.
     So are a qubit's Hermiticity deviation, max(2 |Im rho_ii|, |rho_01 - conj rho_10|), and
-    trace, each bit for bit the generic one, so the reasons do not depend on the path."""
+    trace, each bit for bit the generic one, so the reasons do not depend on the path.  Finite
+    entries near the largest double may overflow a measure to inf, which fails too, without a
+    warning."""
     step = max(1, STACK_CHUNK_BYTES // (16 * stack.shape[-1] ** 2))
     for lo in range(0, len(stack), step):
         part = stack[lo:lo + step]
         finite = np.isfinite(part).all(axis=(1, 2))
         part = np.where(finite[:, None, None], part, 0.0)  # eigvalsh needs finite input
-        if stack.shape[-1] == 2:
-            a, e = part[:, 0, 0], part[:, 1, 1]
-            herm = np.maximum(2.0 * np.maximum(abs(a.imag), abs(e.imag)),
-                              abs(part[:, 0, 1] - part[:, 1, 0].conj()))
-            trace = a + e + 0.0  # np.trace's sum starts at +0: -0 + -0 is +0
-        else:
-            herm = np.abs(part - part.conj().swapaxes(1, 2)).max(axis=(1, 2))
-            trace = np.trace(part, axis1=1, axis2=2)
-        min_eig = eigvalsh_stack(part)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if stack.shape[-1] == 2:
+                a, e = part[:, 0, 0], part[:, 1, 1]
+                herm = np.maximum(2.0 * np.maximum(abs(a.imag), abs(e.imag)),
+                                  abs(part[:, 0, 1] - part[:, 1, 0].conj()))
+                trace = a + e + 0.0  # np.trace's sum starts at +0: -0 + -0 is +0
+            else:
+                herm = np.abs(part - part.conj().swapaxes(1, 2)).max(axis=(1, 2))
+                trace = np.trace(part, axis1=1, axis2=2)
+            min_eig = eigvalsh_stack(part)[:, 0]
         bad = ~finite | (herm > HERMITICITY_TOL) | (abs(trace - 1.0) > TRACE_TOL) | (min_eig < psd_tol)
         if bad.any():
             k = int(np.argmax(bad))
@@ -348,17 +354,19 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
     return x.reshape(shape)
 
 
-# Up to this system dimension ``propagate`` scans d^2 x d^2 maps: the ME's dense propagators, and
+# Up to this system dimension ``propagate`` takes d^2 x d^2 maps: the ME's dense propagators, and
 # the superoperators of a product collision run whose steps share one map, or of any run at d = 2.
 # Otherwise the ME sums a Taylor series per substep and a product run applies its Kraus pairs.  Per
-# step, dense against the other, at d = 2 / 3 / 4 / 5 / 6 (ranges of medians over three rounds of
-# 2,000-step runs, one BLAS thread, 2-vCPU x86-64 VM): the ME with a static generator 0.8-1.4 /
-# 1.1-2.1 / 1.6-2.7 / 2.5-4.0 / 5.4-7.9 against 84-167 us, and with one Hamiltonian per substep
-# 5-8 / 14-22 / 39-55 / 91-129 / 198-243 against 85-132 / 86-139 / 91-163 / 102-165 / 99-174 us; a
-# product run with one map for all steps (d_a = 6) 1.2-2.5 / 2.3-3.6 / 3.3-5.4 / 5.0-8.0 / 8-13
-# against 6-19 us.  With one map per step (coherent kets, d_a = 6) the scan gains only at d = 2 (5-9
-# against 8-14 us): at d = 3 / 4 / 5 it took 13-20 / 37-44 / 83-112 against 10-18 / 9-17 / 13-22
-# us, as ``collision._superoperator`` sums d^4 d_a terms a step in extended precision.
+# step, dense against the other, at d = 2 / 3 / 4 / 5 (ranges of medians over three rounds of
+# 2,000-step runs, one BLAS thread, 2-vCPU x86-64 VM): the ME with a static generator, its one
+# propagator raised by doubling, 0.25-0.43 / 1.5-2.7 / 2.7-4.1 / 3.9-6.3 against 65-109 us, and a
+# product run with one map for all steps (a coherent ket, d_a = 6) 0.30-0.47 / 1.6-2.7 / 2.7-4.1 /
+# 4.0-6.5 against 4.7-14 us; at d = 6 (4,000 steps) 4.9-8.3 against 74-120 and 4.8-7.7 against
+# 8.9-14 us.  With one Hamiltonian per substep the scanned ME took 5-8 / 14-22 / 39-55 / 91-129 /
+# 198-243 against 85-132 / 86-139 / 91-163 / 102-165 / 99-174 us at d = 2 / 3 / 4 / 5 / 6.  With
+# one map per step (coherent kets, d_a = 6) the scan gains only at d = 2 (5-9 against 8-14 us): at
+# d = 3 / 4 / 5 it took 13-20 / 37-44 / 83-112 against 10-18 / 9-17 / 13-22 us, as
+# ``collision._superoperator`` sums d^4 d_a terms a step in extended precision.
 DENSE_MAX_DIM = 5
 
 
@@ -366,39 +374,51 @@ def propagate(maps: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
     """x0 and x_k = T_k ... T_1 x0 for k = 1..n, as an (n + 1, D) array, for an (M, D, D) stack
     of maps with M = n (row k - 1 at step k) or M = 1 (its one row at every step).
 
-    A blocked prefix scan (Blelloch 1990), over a chunk of STACK_CHUNK_BYTES of maps at a time,
-    the last state carried into the next chunk: in blocks of b ~ sqrt(steps), the prefix
-    products P_j = T_j ... T_1 of every block in b - 1 batched products, one state carried from
-    block to block, and each block's states P_j y in one batched product written into the
-    output, a partial last block through a padded one; one chunk's P_j at a time.  A one-row stack
-    takes the same products as n copies of its row, to the bit, with one block of P_j.
-    Products that overflow give non-finite output, which the callers' state checks reject.
+    One row T is raised by doubling, x_{m+i} = T^m x_i: each pass fills states m..2m - 1 from
+    states 0..m - 1 by one (m x D)(D x D) product, then squares T^m.  The powers are formed in
+    extended precision and rounded to the output's precision once a pass, so n steps take
+    ceil(log2(n + 1)) passes, and each state at most that many roundings.
+    A stack of n rows is a blocked prefix scan (Blelloch 1990), over a chunk of STACK_CHUNK_BYTES
+    of maps at a time, the last state carried into the next chunk: in blocks of b ~ sqrt(steps),
+    the prefix products P_j = T_j ... T_1 of every block in b - 1 batched products, one state
+    carried from block to block, and each block's states P_j y in one batched product written
+    into the output, a partial last block through a padded one; one chunk's P_j at a time.
+    Products or powers that overflow give non-finite output, which the callers' state checks
+    reject.
     """
     dim = maps.shape[-1]
     out = np.empty((n + 1, dim), dtype=np.result_type(maps, x0))
     out[0] = x0
-    chunk = max(1, STACK_CHUNK_BYTES // (out.itemsize * dim * dim))
     with np.errstate(over="ignore", invalid="ignore"):
+        if len(maps) == 1:
+            power, m = maps[0].astype(np.promote_types(maps.dtype, np.longdouble)), 1  # T^m
+            while m <= n:
+                rows = min(m, n + 1 - m)
+                np.matmul(out[:rows], power.astype(out.dtype).T, out=out[m:m + rows])
+                m *= 2
+                if m <= n:
+                    power = power @ power
+            return out
+        chunk = max(1, STACK_CHUNK_BYTES // (out.itemsize * dim * dim))
         for lo in range(0, n, chunk):
             steps = min(chunk, n - lo)
             b = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps))
             blocks = -(-steps // b)
-            p = np.empty((b * blocks if len(maps) > 1 else b, dim, dim), dtype=out.dtype)
+            p = np.empty((b * blocks, dim, dim), dtype=out.dtype)
             p[:] = np.eye(dim)  # the last block's unused rows, whose products are dropped
-            p[:steps] = maps[lo:lo + steps] if len(maps) > 1 else maps
+            p[:steps] = maps[lo:lo + steps]
             p = p.reshape(-1, b, dim, dim)
             for j in range(1, b):
                 np.matmul(p[:, j], p[:, j - 1], out=p[:, j])
             y = np.empty((blocks, dim, 1), dtype=out.dtype)
             y[0, :, 0] = out[lo]
             for i in range(1, blocks):
-                np.matmul(p[min(i - 1, len(p) - 1), -1], y[i - 1], out=y[i])
+                np.matmul(p[i - 1, -1], y[i - 1], out=y[i])
             full = steps // b
             np.matmul(p[:full], y[:full, None],
                       out=out[lo + 1:lo + 1 + full * b].reshape(full, b, dim, 1))
             if full < blocks:
-                last = (p[min(full, len(p) - 1)] @ y[full])[:steps - full * b, :, 0]
-                out[lo + 1 + full * b:lo + 1 + steps] = last
+                out[lo + 1 + full * b:lo + 1 + steps] = (p[full] @ y[full])[:steps - full * b, :, 0]
             del p  # so that two chunks' products are never held at once
     return out
 

@@ -5,8 +5,8 @@ discretized into a collision specification plus matching bath: step
 dt = t/N, coupling g = sqrt(gamma/dt), exchange interaction between the
 system coupling operator and the step's input mode.  On top of that sit
 the three field-state scenarios (vacuum decay, coherent drive, single
-photon), a convergence study against one exactly propagated master-equation
-reference, and a trace-distance memory witness.
+photon), a convergence study against exactly propagated master-equation
+references, and a trace-distance memory witness.
 """
 
 from __future__ import annotations
@@ -328,26 +328,29 @@ def step_counts(n_list: Sequence[int]) -> list[int]:
 def convergence_study(
     cfg: FieldConfig, n_list: Sequence[int], fixed_g: float | None = None
 ) -> ConvergenceReport:
-    """Error of the collision dynamics against one exactly propagated ME reference.
+    """Error of the collision dynamics against an exactly propagated ME reference.
 
-    For each step count N the collision run is compared, on its own time
-    grid, against a single reference trajectory whose substeps are the
-    least common multiple of all the N.  A drive with omega != 0 is held
-    over each substep at its midpoint value (the exponential midpoint rule,
-    second order) and a static one is exact.  With ``fixed_g`` the coupling
-    is held constant instead of scaling as 1/sqrt(dt); the emergent
-    dissipation then dies away with N and the error stops shrinking.
+    For each step count N the collision run is compared, on its own time grid, against the
+    reference on that grid.  A static generator (omega = 0) is exact on any grid: each N's
+    reference is its own ``integrate_me`` run of N substeps, one propagator exp(L t / N).  A
+    drive with omega != 0 is held over each substep at its midpoint value (the exponential
+    midpoint rule, second order), on one reference trajectory whose substeps are the least
+    common multiple of all the N.  With ``fixed_g`` the coupling is held constant instead of
+    scaling as 1/sqrt(dt); the emergent dissipation then dies away with N and the error stops
+    shrinking.
     """
     n_list = step_counts(n_list)
     if cfg.kind == SINGLE_PHOTON:
         raise ValidationError("no Lindblad reference exists for single-photon fields")
 
-    substeps = math.lcm(*n_list)
-    h = cfg.t_final / substeps
-    drive = _drive_hamiltonian(cfg, (np.arange(substeps if cfg.omega != 0 else 1) + 0.5) * h)
-    gen = _driven_me_generator(cfg, drive, h)
     obs = _excited_population(cfg)
-    reference = lind.integrate_me(gen, cfg.rho0, cfg.t_final, substeps, obs)
+    if cfg.omega == 0:
+        gen = _driven_me_generator(cfg, _drive_hamiltonian(cfg, np.zeros(1)), cfg.t_final)
+    else:
+        substeps = math.lcm(*n_list)
+        h = cfg.t_final / substeps
+        gen = _driven_me_generator(cfg, _drive_hamiltonian(cfg, (np.arange(substeps) + 0.5) * h), h)
+        reference = lind.integrate_me(gen, cfg.rho0, cfg.t_final, substeps, obs)
 
     rows = []
     for n in n_list:
@@ -356,7 +359,9 @@ def convergence_study(
         if fixed_g is not None:
             spec = replace(spec, g=fixed_g, gamma=None)
         traj = coll.run_product(spec, field_bath, cfg_n.rho0, obs)
-        ref_states = reference.states[:: substeps // n]
+        if cfg.omega == 0:
+            reference = lind.integrate_me(gen, cfg.rho0, cfg.t_final, n, obs)
+        ref_states = reference.states[::(len(reference) - 1) // n]
         rows.append(_error_row(cfg_n, traj, ref_states, reference.observables))
     log_n = np.log([row.n_steps for row in rows])
     log_err = np.log([max(row.max_state_error, 1e-300) for row in rows])

@@ -421,7 +421,9 @@ def test_numeric_blowup_exits_two(tmp_path, capsys, gamma):
 
 @pytest.mark.parametrize("scenario, field, n_list", [
     ("spontaneous_emission", {"n_steps": 10**15}, None),  # a 56.8 PiB state stack
-    ("convergence", {"n_steps": 100}, [99991, 99989, 99971]),  # a reference on ~1e15 substeps
+    # a moving drive's reference on ~1e15 substeps
+    ("convergence", {"n_steps": 100, "kind": "coherent", "z": 1.0, "omega": 0.7},
+     [99991, 99989, 99971]),
 ], ids=["state_stack", "reference_grid"])
 def test_run_that_cannot_allocate_exits_one(tmp_path, capsys, scenario, field, n_list):
     # each request is beyond any 47-bit address space, so it fails at once and touches nothing
@@ -493,7 +495,7 @@ READER_HOLES = {
     "d_anc_1e30": (field_with(d_anc=10**30),
                    f"n_steps with d_anc {10**30} at system dimension 2: {TOO_LARGE}"),
     "n_list_entry_1e30": (config_with(scenario="convergence", n_list=[100, 200, 10**30]),
-                          f"lcm(n_list) with d_anc 2 at system dimension 2: {TOO_LARGE}"),
+                          f"max(n_list) with d_anc 2 at system dimension 2: {TOO_LARGE}"),
 }
 
 
@@ -505,6 +507,45 @@ def test_config_reader_holes_exit_one(tmp_path, capsys, command, case):
     assert main([command, "--config", write_config(tmp_path, doc)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+# finite entries near the largest double, whose checks overflow to inf and fail without a
+# numpy warning on the way
+NEAR_MAX = {"re": 1e308, "im": 1e308}
+OVERFLOWING_CHECKS = {
+    "h_sys_diagonal": (system(h_sys=[[{"re": -1, "im": 1e308}, 0], [0, 0]]),
+                       "h_sys is not Hermitian"),
+    "rho0_entry": (system(rho0=[[NEAR_MAX, 0], [0, 0]]),
+                   "field.system: not a density matrix: Hermiticity deviation inf, trace "
+                   "1e+308+1e+308j, min eigenvalue 0.000e+00 (floor -1e-09)"),
+    "z": (coherent(z=NEAR_MAX), "truncation guard: max |xi_n|^2 = inf >= d/4 = 2.0; increase "
+          "the ancilla dimension (need d > inf)"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_CHECKS)
+def test_checks_that_overflow_exit_one_without_a_warning(tmp_path, capsys, case):
+    edit, message = OVERFLOWING_CHECKS[case]
+    doc = edit(vacuum_config(out_path=str(tmp_path / "x.csv")))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_static_study_runs_each_step_count_on_its_own_grid(tmp_path):
+    # [100, 101, 103] share no grid short of 1,040,300 substeps, where a static reference once
+    # drifted past the trace tolerance; each step count's own reference keeps the study small
+    doc = vacuum_config(scenario="convergence", n_list=[100, 101, 103])
+    out = tmp_path / "conv.csv"
+    tracemalloc.start()
+    try:
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    meta = json.loads(out.read_text().splitlines()[2][len("# meta: "):])
+    assert -1.2 <= meta["fitted_slope"] <= -0.8
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

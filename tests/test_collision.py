@@ -263,7 +263,8 @@ def test_shared_map_is_formed_and_scanned_once_across_chunks(monkeypatch, d):
 
 def test_qubit_map_stack_is_filled_once_across_chunks(monkeypatch):
     # a per-step qubit run fills one (n, 4, 4) stack chunk by chunk: the maps of the chunks'
-    # superoperators concatenated, to the bit, held once and not beside a list of the chunks
+    # superoperators concatenated, to the bit, held once and not beside a list of the chunks;
+    # the states are stored as (rho + rho^dag) / 2
     monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 64 * 16 * 6 * 6)  # 64 unitaries a chunk
     n = 4000
     spec = two_level_spec(gamma=1.0, dt=0.001, n_steps=n, d_anc=3)
@@ -273,6 +274,7 @@ def test_qubit_map_stack_is_filled_once_across_chunks(monkeypatch):
               for _, ks, _ in collision._kraus_chunks(spec, n, bath.etas)]
     assert len(chunks) > 60
     expected = qcore.propagate(np.concatenate(chunks), rho0.data.reshape(-1), n).reshape(-1, 2, 2)
+    expected = 0.5 * (expected + expected.conj().swapaxes(1, 2))
     del chunks
     tracemalloc.start()
     try:

@@ -12,10 +12,12 @@ from collisim import (
     FieldConfig,
     LindbladGenerator,
     Operator,
+    PropagationError,
     ValidationError,
     annihilator,
     apply_generator,
     bloch_run,
+    coherent_bath,
     collision_unitary,
     displacement,
     effective_hamiltonian,
@@ -25,6 +27,9 @@ from collisim import (
     jump_operators,
     lindblad,
     qcore,
+    run_correlated,
+    run_product,
+    single_photon_bath,
     spontaneous_emission_run,
 )
 from collisim import bath as bath_mod
@@ -661,3 +666,52 @@ def test_large_system_is_propagated_without_dense_liouvillians(monkeypatch):
                             jumps=((b, 1.0),))
     traj = integrate_me(gen, fock_dm(d, 1), t_final=0.5, n_substeps=5)
     assert abs(traj.states[-1][1, 1].real - math.exp(-0.5)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stored states
+# ---------------------------------------------------------------------------
+
+def _random_hermitian(rng, d):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return Operator(0.5 * (m + m.conj().T), (d,))
+
+
+def _stored_states(path, rng):
+    n, dt = 200, 0.01
+    if path == "me_dense" or path == "me_series":
+        d = 2 if path == "me_dense" else qcore.DENSE_MAX_DIM + 1
+        gen = LindbladGenerator(h_eff=_random_hermitian(rng, d), jumps=((annihilator(d), 1.0),))
+        return integrate_me(gen, random_density(rng, d), n * dt, n).states
+    d = 3 if path == "kraus_loop" else 2  # a moving field's per-step maps: Kraus pairs at d = 3
+    spec = CollisionSpec(h_sys=_random_hermitian(rng, d), coupling=annihilator(d), dt=dt,
+                         n_steps=n, d_anc=2 if path == "photon_sector" else 3, gamma=1.0)
+    if path == "photon_sector":
+        phi = np.exp(-((np.arange(n) - 80.0) / 30.0) ** 2)
+        return run_correlated(spec, single_photon_bath(phi, n), random_density(rng, d)).states
+    bath = coherent_bath(1.5 - 0.5j, omega=0.7, dt=dt, n=n, d=3)
+    return run_product(spec, bath, random_density(rng, d)).states
+
+
+@pytest.mark.parametrize("path", ["scan", "kraus_loop", "photon_sector", "me_dense", "me_series"])
+def test_stored_states_are_exactly_hermitian(path):
+    # every run stores (rho + rho^dag) / 2 of the states it checked: Hermitian to the bit, so
+    # each population is exactly real
+    states = _stored_states(path, np.random.default_rng(53))
+    assert np.array_equal(states, states.conj().swapaxes(1, 2))
+    assert not np.diagonal(states, axis1=1, axis2=2).imag.any()
+
+
+def test_me_checks_its_raw_states(monkeypatch):
+    # states off Hermitian by 1e-8 fail the check before they are symmetrized for storage
+    propagate = qcore.propagate
+
+    def skewed(maps, x0, n):
+        states = propagate(maps, x0, n)
+        states[1:, 1] += 1e-8j  # rho_01 of every step, rho_10 as it was
+        return states
+
+    monkeypatch.setattr(qcore, "propagate", skewed)
+    gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
+    with pytest.raises(PropagationError, match="step 1: .*Hermiticity deviation 1.000e-08"):
+        integrate_me(gen, fock_dm(2, 1), 1.0, 10)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -435,8 +436,9 @@ def test_propagate_matches_a_per_step_loop(n, one_map):
     assert states.shape == (n + 1, 4) and states.dtype == complex
     assert np.array_equal(states[0], x0)
     assert np.abs(states - propagate_by_loop(maps, x0, n)).max() <= 1e-14
-    if one_map:  # one row is n copies of it, bit for bit
-        assert np.array_equal(states, qcore.propagate(np.repeat(maps, max(n, 1), 0), x0, n))
+    if one_map:  # one row, raised by doubling, is n copies of it scanned, to round-off
+        copies = qcore.propagate(np.repeat(maps, max(n, 1), 0), x0, n)
+        assert np.abs(states - copies).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [7, 23, 40])
@@ -451,7 +453,7 @@ def test_propagate_carries_the_state_across_chunks(monkeypatch, n, one_map):
     assert np.abs(chunked - propagate_by_loop(maps, x0, n)).max() <= 1e-14
     assert np.abs(chunked - whole).max() <= 1e-14
     if one_map:
-        assert np.array_equal(chunked, qcore.propagate(np.repeat(maps, n, 0), x0, n))
+        assert np.abs(chunked - qcore.propagate(np.repeat(maps, n, 0), x0, n)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [0, 9, 26, 300])
@@ -468,8 +470,66 @@ def test_propagate_in_extended_precision(monkeypatch, n, one_map):
     assert np.abs(states - propagate_by_loop(maps, x0, n)).max() <= 1e-18
 
 
+# 2^k - 1, 2^k and 2^k + 1 steps at k = 3 and 10, around whole passes of the doubling
+DOUBLING_STEPS = [0, 1, 2, 3, 7, 8, 9, 1023, 1024, 1025, 20000]
+
+
+@functools.cache
+def unitary_run(dim):
+    """A random unitary map as a one-row stack, a start, and its DOUBLING_STEPS[-1] steps by a
+    per-step loop in extended precision.  A unitary neither damps nor grows the states, so
+    round-off builds up over the steps instead of fading with them."""
+    rng = np.random.default_rng(dim)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    maps = (q * (np.diag(r) / abs(np.diag(r))))[None]
+    x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    loop = np.empty((DOUBLING_STEPS[-1] + 1, dim), dtype=np.clongdouble)
+    loop[0] = x0
+    t = maps[0].astype(np.clongdouble)
+    for k in range(DOUBLING_STEPS[-1]):
+        loop[k + 1] = t @ loop[k]
+    return maps, x0, loop
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 9, 16, 25])
+def test_one_map_is_raised_by_doubling_closer_than_a_scan(dim):
+    # against an extended-precision loop the doubled states are no further off than the scan of
+    # n copies of the row, the way a one-row stack was scanned before: ~10x closer at 1,023 steps
+    # and more; at up to nine steps both are a few ulps off, either may be the closer
+    maps, x0, loop = unitary_run(dim)
+    ulps = 4 * np.finfo(float).eps * np.linalg.norm(x0)
+    for n in DOUBLING_STEPS:
+        states = qcore.propagate(maps, x0, n)
+        assert states.shape == (n + 1, dim) and states.dtype == complex
+        assert np.array_equal(states[0], x0)
+        scan = qcore.propagate(np.broadcast_to(maps, (max(n, 1), dim, dim)), x0, n)
+        err, scan_err = (np.abs(s - loop[:n + 1]).max() for s in (states, scan))
+        assert err <= max(scan_err, ulps), n
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 9, 16, 25])
+def test_one_extended_precision_map_is_raised_by_doubling(dim):
+    # clongdouble maps keep their precision; the loop shares it, so the doubled states are held
+    # to the bound of doubling itself: squaring doubles a power's relative error, so the power
+    # of n steps is off by some n roundings
+    maps, x0, loop = unitary_run(dim)
+    eps = np.finfo(np.longdouble).eps
+    for n in DOUBLING_STEPS:
+        states = qcore.propagate(maps.astype(np.clongdouble), x0.astype(np.clongdouble), n)
+        assert states.dtype == np.clongdouble and np.array_equal(states[0], x0)
+        assert np.abs(states - loop[:n + 1]).max() <= (n + 1) * dim * eps * np.linalg.norm(x0), n
+
+
 def test_propagate_overflow_is_non_finite_without_a_warning():
+    # T^2 = 1e400 is finite in extended precision and overflows as it is cast to complex
     states = qcore.propagate(np.array([1e200 * np.eye(2)], dtype=complex), np.ones(2, complex), 10)
+    assert np.isfinite(states[1]).all() and not np.isfinite(states[-1]).any()
+
+
+def test_extended_precision_overflow_is_non_finite_without_a_warning():
+    # the squarings of 1e3000 overflow in extended precision itself
+    maps = (np.longdouble("1e3000") * np.eye(2)).astype(np.clongdouble)[None]
+    states = qcore.propagate(maps, np.ones(2, np.clongdouble), 10)
     assert np.isfinite(states[1]).all() and not np.isfinite(states[-1]).any()
 
 
