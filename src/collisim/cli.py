@@ -4,10 +4,11 @@ Configs are strict JSON documents (unknown keys are rejected); results are
 written as CSV or JSON with the full config echoed for provenance.  The
 rows are rendered and written ROW_BLOCK at a time, so the memory that
 writing an artifact takes does not grow with the step count; the bytes
-are those of rendering the whole text at once.  Each block is filled
-column by column into one flat list of cells and formatted by one % of
-the row template.  All runs are deterministic: identical configs produce
-byte-identical files.
+are those of rendering the whole text at once.  A column whose cells all
+hold the same bits is written into the row template once; each block
+fills the other columns, column by column, into one flat list of cells
+and is formatted by one % of the row template.  All runs are
+deterministic: identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or filesystem problem (or a run whose
 arrays cannot be allocated), 2 numeric or invariant failure during a run.  No
@@ -359,14 +360,43 @@ def _execute(cfg: RunConfig) -> tuple[list[tuple[str, Sequence]], dict]:
     return columns, meta
 
 
-def _row_blocks(row: str, cols: list[np.ndarray], cells) -> Iterator[str]:
-    """The rows of the k columns, ROW_BLOCK at a time: column j's cells(block) fill slots j,
-    j + k, j + 2k, ... of one flat list, and a block's m rows are one % of row * m."""
-    k = len(cols)
-    for lo in range(0, len(cols[0]), ROW_BLOCK):
-        m = min(ROW_BLOCK, len(cols[0]) - lo)
+def _constant(col: np.ndarray) -> bool:
+    """Whether every cell of a non-empty column holds its first cell's bits: a float column is
+    compared as unsigned integers, so -0.0 beside +0.0, or NaNs of different payloads, are not
+    constant."""
+    if col.dtype.kind == "f":
+        col = col.view(f"u{col.itemsize}")
+    return len(col) > 0 and bool((col == col[0]).all())
+
+
+def _row_template(parts: list) -> tuple[str, list]:
+    """The % template of one row and the (column, cells) slots it leaves to fill, from
+    ``parts``: text, escaped for %, or a (spec, column, cells) slot.  A constant column's one
+    cell is written into the template once, as spec % cells(its first cell), escaped for %;
+    every other slot keeps its spec."""
+    row, slots = [], []
+    for part in parts:
+        if isinstance(part, str):
+            row.append(part.replace("%", "%%"))
+        elif _constant(part[1]):
+            spec, col, cells = part
+            row.append((spec % cells(col[:1])[0]).replace("%", "%%"))
+        else:
+            row.append(part[0])
+            slots.append(part[1:])
+    return "".join(row), slots
+
+
+def _row_blocks(row: str, slots: list, n: int) -> Iterator[str]:
+    """The n rows of a table, ROW_BLOCK at a time, from ``_row_template``'s row and slots: slot
+    j's cells(block of its column) fill places j, j + k, j + 2k, ... of one flat list, and a
+    block's m rows are one % of row * m.  The row count is the table's, so a row whose every
+    column is constant still renders n times."""
+    k = len(slots)
+    for lo in range(0, n, ROW_BLOCK):
+        m = min(ROW_BLOCK, n - lo)
         flat = [None] * (k * m)
-        for j, col in enumerate(cols):
+        for j, (col, cells) in enumerate(slots):
             flat[j::k] = cells(col[lo:lo + m])
         yield row * m % tuple(flat)
 
@@ -375,49 +405,53 @@ def _render_csv(cfg: RunConfig, columns, meta) -> Iterator[str]:
     """Yield the CSV text, the comment and header lines first, then ROW_BLOCK rows at a time.
     Integer cells as %d, real cells as %.16e, from the Python scalars of each block's .tolist(),
     which format as its numpy scalars would; a complex column becomes two, _re and _im."""
-    header, cols, fmts = [], [], []
+    header, slots = [], []
     for name, values in columns:
         arr = np.asarray(values)
         parts = {"_re": arr.real, "_im": arr.imag} if np.iscomplexobj(arr) else {"": arr}
         for suffix, col in parts.items():
             header.append(name + suffix)
-            cols.append(col)
-            fmts.append("%d" if col.dtype.kind in "iu" else "%.16e")
+            slots.append(("%d" if col.dtype.kind in "iu" else "%.16e", col, np.ndarray.tolist))
     head = [f"# collisim {__version__}", "# config: " + json.dumps(cfg.echo, sort_keys=True),
             "# meta: " + json.dumps(meta, sort_keys=True), ",".join(header)]
     yield "\n".join(head) + "\n"
-    yield from _row_blocks(",".join(fmts) + "\n", cols, np.ndarray.tolist)
+    row = [part for slot in slots for part in (",", slot)][1:] + ["\n"]
+    yield from _row_blocks(*_row_template(row), len(slots[0][1]))
 
 
-def _json_cells(col: np.ndarray) -> list:
-    """A real column's cells for %s: its Python scalars, whose str is what json writes, or, in a
-    column that holds a NaN or an infinity, json's text of each (NaN, Infinity, -Infinity)."""
-    cells = col.tolist()
+def _json_cells(col: np.ndarray):
+    """The cells of a real column's blocks for %s, chosen once per column: their Python scalars,
+    whose str is what json writes, or, in a column that holds a NaN or an infinity anywhere,
+    json's text of each (NaN, Infinity, -Infinity)."""
     if col.dtype.kind == "f" and not np.isfinite(col).all():
-        cells = list(map(json.dumps, cells))
-    return cells
+        return lambda block: list(map(json.dumps, block.tolist()))
+    return np.ndarray.tolist
 
 
 def _render_json(cfg: RunConfig, columns, meta) -> Iterator[str]:
     """Yield json.dumps(doc, sort_keys=True, indent=2) + "\n" of doc = {"version", "config",
     "meta", "rows": [{name: cell, ...} per row]}, complex cells as {"re", "im"}, to the byte,
-    ROW_BLOCK rows at a time, without building the rows: the blocks of the row template (its
-    names escaped for %) are spliced into json.dumps of the rest of the document."""
-    fields, cols = [], []
+    ROW_BLOCK rows at a time, without building the rows: the blocks of the row template are
+    spliced into json.dumps of the rest of the document."""
+    parts = [",\n    {\n"]  # the first row drops its ",\n"
     for name, values in sorted(columns, key=lambda column: column[0]):
         arr = np.asarray(values)
-        parts = (arr.imag, arr.real) if np.iscomplexobj(arr) else (arr,)
-        value = '{\n        "im": %s,\n        "re": %s\n      }' if len(parts) == 2 else "%s"
-        fields.append(f"      {json.dumps(name).replace('%', '%%')}: " + value)
-        cols += parts
-    row = ",\n    {\n" + ",\n".join(fields) + "\n    }"  # the first row drops its ",\n"
+        parts.append(f"      {json.dumps(name)}: ")
+        if np.iscomplexobj(arr):
+            parts += ['{\n        "im": ', ("%s", arr.imag, _json_cells(arr.imag)),
+                      ',\n        "re": ', ("%s", arr.real, _json_cells(arr.real)), "\n      }"]
+        else:
+            parts.append(("%s", arr, _json_cells(arr)))
+        parts.append(",\n")
+    parts[-1] = "\n    }"
+    n = len(columns[0][1])
     doc = {"version": __version__, "config": cfg.echo, "meta": meta, "rows": []}
     head, empty, tail = json.dumps(doc, sort_keys=True, indent=2).rpartition('"rows": []')
-    if not len(cols[0]):
+    if not n:
         yield head + empty + tail + "\n"
         return
     yield head + '"rows": [\n'
-    blocks = _row_blocks(row, cols, _json_cells)
+    blocks = _row_blocks(*_row_template(parts), n)
     yield next(blocks)[2:]
     yield from blocks
     yield "\n  ]" + tail + "\n"

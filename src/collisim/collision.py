@@ -124,10 +124,19 @@ class Trajectory:
         return len(self.states)
 
 
+def _interaction(spec: CollisionSpec) -> np.ndarray:
+    """The matrix b (x) adag + bdag (x) a on S (x) ancilla, from raw matrices; each Kronecker
+    product is one broadcast multiply, the operation of np.kron without its overhead."""
+    b = spec.coupling.data
+    a = np.diag(np.sqrt(np.arange(1, spec.d_anc, dtype=float)), k=1).astype(complex)
+    side = len(b) * spec.d_anc
+    kron = lambda x, y: (x[:, None, :, None] * y[None, :, None, :]).reshape(side, side)
+    return kron(b, a.conj().T) + kron(b.conj().T, a)
+
+
 def interaction_operator(spec: CollisionSpec) -> Operator:
     """Dimensionless exchange coupling b (x) adag + bdag (x) a on S (x) ancilla."""
-    a = qcore.annihilator(spec.d_anc)
-    return qcore.tensor(spec.coupling, a.dag()) + qcore.tensor(spec.coupling.dag(), a)
+    return Operator(_interaction(spec), spec.h_sys.dims + (spec.d_anc,))
 
 
 def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
@@ -141,7 +150,7 @@ def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[tuple[int,
         raise ValidationError(f"step {off[0] + 1} outside 1..{len(table)} of h_sys_table")
     side = spec.d_sys * spec.d_anc
     batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * side * side))
-    coupling = spec.coupling_strength * interaction_operator(spec).data
+    coupling = spec.coupling_strength * _interaction(spec)
     us = None
     for lo in range(0, len(rows), batch):
         if us is None or table is not None:
@@ -238,17 +247,27 @@ def _checked_trajectory(dt: float, states: np.ndarray,
                         observables: Mapping[str, Operator] | None) -> Trajectory:
     """Trajectory on the grid k dt of a run's raw (T, d, d) states, which it takes over: they are
     checked as they came (PropagationError names the first non-state, RUN_PSD_TOL), then stored
-    as (rho + rho^dag) / 2 in place, a chunk at a time, so every stored state is exactly
-    Hermitian and its populations exactly real."""
+    as (rho + rho^dag) / 2 in place, so every stored state is exactly Hermitian and its
+    populations exactly real.  A qubit stack is stored entry by entry, each by the generic
+    expression's own elementwise operation, so bit for bit: each diagonal entry becomes its real
+    part, rho_01 becomes (rho_01 + conj rho_10) / 2 and rho_10 the conjugate expression; larger
+    stacks a chunk at a time.  Each observable O is one (T, d^2) @ vec(O^T) product, Tr(O rho)."""
     bad = qcore.first_invalid_state(states, RUN_PSD_TOL)
     if bad is not None:
         step, reason = bad
         raise PropagationError(f"state invariant breached at step {step}: {reason}", step=step)
-    chunk = max(1, qcore.STACK_CHUNK_BYTES // (16 * states.shape[-1] ** 2))
-    for lo in range(0, len(states), chunk):
-        part = states[lo:lo + chunk]
-        part[:] = 0.5 * (part + part.conj().swapaxes(1, 2))
-    obs = {name: np.einsum("ij,tji->t", op.data, states) for name, op in (observables or {}).items()}
+    d = states.shape[-1]
+    if d == 2:
+        upper, lower = states[:, 0, 1], states[:, 1, 0]
+        upper[:], lower[:] = 0.5 * (upper + lower.conj()), 0.5 * (lower + upper.conj())
+        states.imag[:, (0, 1), (0, 1)] = 0.0  # 0.5 (x + conj x) of a finite x
+    else:
+        chunk = max(1, qcore.STACK_CHUNK_BYTES // (16 * d * d))
+        for lo in range(0, len(states), chunk):
+            part = states[lo:lo + chunk]
+            part[:] = 0.5 * (part + part.conj().swapaxes(1, 2))
+    rows = states.reshape(len(states), d * d)
+    obs = {name: rows @ op.data.T.reshape(-1) for name, op in (observables or {}).items()}
     return Trajectory(np.arange(len(states)) * dt, states, obs)
 
 

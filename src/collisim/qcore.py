@@ -4,8 +4,9 @@ Everything here is a pure function of immutable values: operators and states
 carry read-only numpy arrays plus an ordered list of subsystem dimensions, so
 they can be shared freely across concurrent workers.  ``first_invalid_state``,
 ``first_non_hermitian`` and ``first_non_unit`` define a state, a Hamiltonian and a ket, stackwise.
-``eigvalsh_stack`` gives the spectra behind the state check and ``trace_distances``: a qubit
-stack in closed form, every other size by one batched ``eigvalsh``.
+The state check, ``eigvalsh_stack`` and ``trace_distances`` take a qubit stack's spectrum in
+closed form from one helper, ``_qubit_spectrum``, and every other size by one batched
+``eigvalsh``.
 ``expm_stack`` forms every matrix exponential of the package (collision unitaries, dense
 master-equation propagators) a whole stack at a time, by one Pade evaluation for every order,
 and ``propagate`` runs every linear recursion x_k = T_k x_{k-1} of small maps (product collision
@@ -119,28 +120,36 @@ def first_non_hermitian(stack: np.ndarray) -> tuple[int, str] | None:
 
 
 def first_invalid_state(stack: np.ndarray, psd_tol: float = PSD_TOL) -> tuple[int, str] | None:
-    """(index, reason) of the first matrix of a (T, d, d) stack that is not finite,
-    Hermitian, of unit trace and with min eigenvalue >= psd_tol; None if all are.  The
-    eigenvalues are ``eigvalsh_stack``'s: closed form for qubits, batched eigvalsh else.
-    So are a qubit's Hermiticity deviation, max(2 |Im rho_ii|, |rho_01 - conj rho_10|), and
-    trace, each bit for bit the generic one, so the reasons do not depend on the path.  Finite
-    entries near the largest double may overflow a measure to inf, which fails too, without a
-    warning."""
+    """(index, reason) of the first matrix of a (T, d, d) complex stack that is not finite,
+    Hermitian, of unit trace and with min eigenvalue >= psd_tol; None if all are.  A chunk is
+    tested finite by one contiguous reduction over the float view of its rows; only a chunk
+    with a non-finite entry forms a per-row mask and is copied with those rows zeroed.  A
+    qubit's min eigenvalue is m - r of ``_qubit_spectrum``, its Hermiticity deviation
+    max(2 |Im rho_ii|, |rho_01 - conj rho_10|) and its trace rho_00 + rho_11, each bit for bit
+    the generic one, so the reasons do not depend on the path; every other size takes a batched
+    eigvalsh.  Finite entries near the largest double may overflow a measure to inf, which
+    fails too, without a warning."""
     step = max(1, STACK_CHUNK_BYTES // (16 * stack.shape[-1] ** 2))
     for lo in range(0, len(stack), step):
         part = stack[lo:lo + step]
-        finite = np.isfinite(part).all(axis=(1, 2))
-        part = np.where(finite[:, None, None], part, 0.0)  # eigvalsh needs finite input
+        finite = np.isfinite(part.reshape(len(part), -1).view(float))
+        if finite.all():
+            finite = np.ones(len(part), dtype=bool)
+        else:
+            finite = finite.all(axis=1)
+            part = np.where(finite[:, None, None], part, 0.0)  # eigvalsh needs finite input
         with np.errstate(over="ignore", invalid="ignore"):
             if stack.shape[-1] == 2:
                 a, e = part[:, 0, 0], part[:, 1, 1]
                 herm = np.maximum(2.0 * np.maximum(abs(a.imag), abs(e.imag)),
                                   abs(part[:, 0, 1] - part[:, 1, 0].conj()))
                 trace = a + e + 0.0  # np.trace's sum starts at +0: -0 + -0 is +0
+                m, r = _qubit_spectrum(a.real, e.real, part[:, 1, 0])
+                min_eig = m - r
             else:
                 herm = np.abs(part - part.conj().swapaxes(1, 2)).max(axis=(1, 2))
                 trace = np.trace(part, axis1=1, axis2=2)
-            min_eig = eigvalsh_stack(part)[:, 0]
+                min_eig = np.linalg.eigvalsh(part)[:, 0]
         bad = ~finite | (herm > HERMITICITY_TOL) | (abs(trace - 1.0) > TRACE_TOL) | (min_eig < psd_tol)
         if bad.any():
             k = int(np.argmax(bad))
@@ -150,19 +159,25 @@ def first_invalid_state(stack: np.ndarray, psd_tol: float = PSD_TOL) -> tuple[in
     return None
 
 
+def _qubit_spectrum(p: np.ndarray, q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, r) of the Hermitian 2 x 2 matrices with real diagonal (p, q) and lower off-diagonal
+    entry b, whose eigenvalues are m -+ r: m and delta the half-sum and half-difference of the
+    diagonal, halved before adding so that no finite input overflows, and r = hypot(delta, |b|).
+    """
+    a, c = 0.5 * p, 0.5 * q
+    return a + c, np.hypot(a - c, np.abs(b))
+
+
 def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues, as a (T, d) array, of the Hermitian matrices of a (T, d, d) stack,
     read from the lower triangle as ``np.linalg.eigvalsh`` reads it.
 
-    At d = 2 they are m -+ hypot(delta, |b|), with m and delta the half-sum and half-difference
-    of the real diagonal, halved before adding so that no finite input overflows, and b the
-    lower off-diagonal entry; that is one LAPACK call fewer per matrix.  Every other size takes
-    one batched ``np.linalg.eigvalsh``.
+    At d = 2 they are (m - r, m + r) of ``_qubit_spectrum``, one LAPACK call fewer per matrix.
+    Every other size takes one batched ``np.linalg.eigvalsh``.
     """
     if stack.shape[-1] != 2:
         return np.linalg.eigvalsh(stack)
-    a, c = 0.5 * stack[:, 0, 0].real, 0.5 * stack[:, 1, 1].real
-    m, r = a + c, np.hypot(a - c, np.abs(stack[:, 1, 0]))
+    m, r = _qubit_spectrum(stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 1, 0])
     return np.stack([m - r, m + r], axis=1)
 
 
@@ -430,13 +445,20 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise trace distances of two (T, d, d) stacks of one shape, (1/2) sum |lambda| over the
-    ``eigvalsh_stack`` spectrum of each difference: closed form for qubits, batched eigvalsh
-    else.  Two empty stacks give an empty array."""
+    spectrum of each difference.  At d = 2 that is (|m - r| + |m + r|) / 2 of the
+    ``_qubit_spectrum`` of the difference's diagonal and lower entries, formed without the full
+    difference or a (T, 2) spectrum, bit for bit ``eigvalsh_stack``'s route; every other size
+    takes a batched eigvalsh.  Two empty stacks give an empty array."""
     if a.shape != b.shape:
         raise ValidationError(f"trace distances of stacks of shapes {a.shape} and {b.shape}")
     out = np.empty(len(a))
     step = max(1, STACK_CHUNK_BYTES // (16 * a.shape[-1] ** 2))
     for lo in range(0, len(a), step):
-        spectra = eigvalsh_stack(a[lo:lo + step] - b[lo:lo + step])
-        out[lo:lo + step] = 0.5 * np.abs(spectra).sum(axis=1)
+        x, y = a[lo:lo + step], b[lo:lo + step]
+        if a.shape[-1] == 2:
+            m, r = _qubit_spectrum(x[:, 0, 0].real - y[:, 0, 0].real,
+                                   x[:, 1, 1].real - y[:, 1, 1].real, x[:, 1, 0] - y[:, 1, 0])
+            out[lo:lo + step] = 0.5 * (abs(m - r) + abs(m + r))
+        else:
+            out[lo:lo + step] = 0.5 * np.abs(np.linalg.eigvalsh(x - y)).sum(axis=1)
     return out

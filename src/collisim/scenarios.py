@@ -76,7 +76,7 @@ Envelope = Union[GaussianEnvelope, TabulatedSpectrum]
 def default_emitter() -> tuple[Operator, Operator, DensityMatrix]:
     """Two-level emitter: no free Hamiltonian, lowering-operator coupling, excited start."""
     h = Operator(np.zeros((2, 2), dtype=complex), (2,))
-    return h, qcore.annihilator(2), qcore.fock_dm(2, 1)
+    return h, qcore.annihilator(2), DensityMatrix(Operator(np.diag([0.0, 1.0]), (2,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,13 +283,13 @@ def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:
     return traj_quantum, traj_me, traj_semi
 
 
-def _distinguishable_pair(cfg: FieldConfig) -> tuple[DensityMatrix, DensityMatrix]:
-    """Orthogonal pair maximizing initial trace distance: extreme eigenvectors of b^dag b."""
+def _distinguishable_pair(cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal pair maximizing initial trace distance: the projectors on the extreme
+    eigenvectors of b^dag b, as raw matrices; a run checks them as its first states."""
     number_op = cfg.coupling.data.conj().T @ cfg.coupling.data
     _, vecs = np.linalg.eigh(number_op)
     lo, hi = vecs[:, 0], vecs[:, -1]
-    make = lambda v: DensityMatrix(Operator(np.outer(v, v.conj()), cfg.h_sys.dims))
-    return make(hi), make(lo)
+    return np.outer(hi, hi.conj()), np.outer(lo, lo.conj())
 
 
 def single_photon_run(
@@ -297,20 +297,18 @@ def single_photon_run(
     rho_a: DensityMatrix | None = None,
     rho_b: DensityMatrix | None = None,
 ) -> tuple[Trajectory, Trajectory, MemoryWitnessReport]:
-    """Single-photon field from two distinguishable starts, plus revival witness."""
+    """Single-photon field from two distinguishable starts, plus revival witness.  A start left
+    out is the one of ``_distinguishable_pair``."""
     if cfg.kind != SINGLE_PHOTON:
         raise ValidationError("single_photon_run needs a single-photon configuration")
     spec, field_bath = discretize_input_output(cfg)
-    if rho_a is None or rho_b is None:
-        default_a, default_b = _distinguishable_pair(cfg)
-        rho_a = rho_a if rho_a is not None else default_a
-        rho_b = rho_b if rho_b is not None else default_b
-    obs = _excited_population(cfg)
     for rho in (rho_a, rho_b):
         coll._check_bath(spec, field_bath, bath_mod.CORRELATED_PURE, rho)
+    starts = [default if rho is None else rho.data
+              for rho, default in zip((rho_a, rho_b), _distinguishable_pair(cfg))]
+    obs = _excited_population(cfg)
     # one sector pass moves both starts; each keeps its own checked trajectory
-    runs = coll._run_correlated_raw(spec, spec.n_steps, field_bath.phi,
-                                    np.stack([rho_a.data, rho_b.data]))
+    runs = coll._run_correlated_raw(spec, spec.n_steps, field_bath.phi, np.stack(starts))
     traj_a, traj_b = (coll._checked_trajectory(spec.dt, states, obs) for states in runs)
     dist = trace_distance_series(traj_a, traj_b)
     revivals = tuple(int(n) for n in np.flatnonzero(np.diff(dist) > REVIVAL_THRESHOLD))

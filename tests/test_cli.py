@@ -342,6 +342,57 @@ def test_rows_rendered_in_blocks_are_the_whole_artifact(n):
     assert "".join(blocks) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def per_row_csv(columns, n):
+    # each row rendered one cell at a time, as format() of its numpy scalar
+    flat = []
+    for _, arr in columns:
+        flat += [arr.real, arr.imag] if np.iscomplexobj(arr) else [arr]
+    return [",".join(("{}" if col.dtype.kind in "iu" else "{:.16e}").format(col[k]) for col in flat)
+            for k in range(n)]
+
+
+def dumped_json(cfg, columns, meta):
+    cells = [[{"re": c.real, "im": c.imag} if isinstance(c, complex) else c for c in v.tolist()]
+             for _, v in columns]
+    doc = {"version": __version__, "config": cfg.echo, "meta": meta,
+           "rows": [dict(zip([name for name, _ in columns], row)) for row in zip(*cells)]}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def templated(col):
+    # whether the column is written into the row template once instead of filled per row
+    return not cli._row_template([("%s", col, np.ndarray.tolist)])[1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, ROW_BLOCK + 1])
+def test_constant_columns_render_as_their_per_row_reference(n):
+    # constant columns go into the row template once, to the bytes of the per-row CSV render and
+    # of json.dumps; a column is constant only if every cell has the first cell's bits
+    cfg = parse_config(json.dumps(vacuum_config()))
+    inf, nan = math.inf, math.nan
+    zero, signed = np.zeros(n), np.zeros(n)
+    signed[n // 2:n // 2 + 1] = -0.0
+    payload = np.full(n, nan)
+    payload.view(np.uint64)[n - 1:] |= 1  # a NaN of another payload in the last row
+    constant = [("zero", zero), ("nan", np.full(n, nan)), ("inf", np.full(n, inf)),
+                ("minus_inf", np.full(n, -inf)), ("seven", np.full(n, 7)),
+                ("pop", np.full(n, 0.25 + 0j))]
+    varying = [("step", np.arange(n)), ("signed", signed), ("payload", payload),
+               ("t", np.arange(n) * 0.1)]
+    if n:
+        assert all(templated(col) for _, col in constant)
+        assert all(templated(col) == (n == 1) for _, col in varying)  # one row is constant
+    for columns in (constant + varying, constant, varying[1:2], varying[2:3]):
+        meta = {"dt": 0.5}
+        assert "".join(_render_csv(cfg, columns, meta)).split("\n")[4:] == per_row_csv(
+            columns, n) + [""]
+        assert "".join(_render_json(cfg, columns, meta)) == dumped_json(cfg, columns, meta)
+    text = "".join(_render_json(cfg, constant, {}))
+    assert n == 0 or all(f'"{name}": {cell}' in text for name, cell in [
+        ("nan", "NaN"), ("inf", "Infinity"), ("minus_inf", "-Infinity"), ("seven", "7"),
+        ("zero", "0.0")])
+
+
 def test_writing_an_artifact_holds_a_block_not_the_file(tmp_path, monkeypatch):
     # rendering and writing 20,001 rows traces less than a quarter of the file they write: the
     # text of one block of rows is held at a time, not the whole artifact

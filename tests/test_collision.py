@@ -111,6 +111,17 @@ def test_exchange_block_is_rabi_rotation():
     assert abs(u.data[2, 2] - math.cos(g * dt)) < 1e-12
 
 
+@pytest.mark.parametrize("d_anc", [2, 5])
+def test_interaction_is_the_operator_expression_bit_for_bit(d_anc):
+    # formed from raw matrices, b (x) adag + bdag (x) a keeps the bits of the Operator algebra
+    spec = random_spec(np.random.default_rng(d_anc), d_anc)
+    a = annihilator(d_anc)
+    expected = qcore.tensor(spec.coupling, a.dag()) + qcore.tensor(spec.coupling.dag(), a)
+    got = collision.interaction_operator(spec)
+    assert got.dims == expected.dims == (2, d_anc)
+    assert np.array_equal(got.data.view(np.uint64), expected.data.view(np.uint64))
+
+
 @pytest.mark.parametrize("d_anc", [2, 3])
 def test_collision_unitary_is_unitary(d_anc):
     rng = np.random.default_rng(d_anc)
@@ -362,6 +373,30 @@ def test_run_states_are_one_read_only_array():
     assert traj.states.shape == (6, 2, 2)
     with pytest.raises(ValueError):
         traj.states[1, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 3 * 64])
+def test_qubit_storage_is_the_generic_symmetrization_bit_for_bit(monkeypatch, chunk_bytes):
+    # raw qubit states, off Hermitian within the check's tolerance, some with signed-zero
+    # coherences and imaginary diagonal parts, are stored with the bits of the generic
+    # (rho + rho^dag) / 2; at 3 * 64 bytes the check runs in three-state chunks
+    if chunk_bytes is not None:
+        monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", chunk_bytes)
+    rng, n = np.random.default_rng(29), 40
+    states = np.stack([random_density(rng, 2).data for _ in range(n)])
+    states += 1e-11 * (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
+    signed = rng.random(n) < 0.4
+    zeros = rng.choice([0.0, -0.0], (n, 2, 2))
+    for i, j in ((0, 1), (1, 0)):
+        states.real[signed, i, j] = zeros[signed, i, j]
+        states.imag[signed, i, j] = -zeros[signed, j, i]
+    states.imag[signed, 0, 0] = zeros[signed, 0, 0]
+    generic = 0.5 * (states + states.conj().swapaxes(1, 2))
+    number = LOWER.dag() @ LOWER + Operator(np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0]]), (2,))
+    traj = collision._checked_trajectory(0.1, states, {"n": number})
+    assert np.array_equal(traj.states.view(np.uint64), generic.view(np.uint64))
+    trace = np.einsum("ij,tji->t", number.data, generic)
+    assert np.abs(traj.observables["n"] - trace).max() <= 1e-15
 
 
 @pytest.mark.parametrize("gamma", [1e20, 1e100])

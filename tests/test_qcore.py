@@ -75,6 +75,8 @@ def test_density_matrix_rejects_non_finite_entries(bad):
         DensityMatrix(Operator(np.array([[bad, 0.0], [0.0, 1.0]]), (2,)))
     with pytest.raises(ValidationError, match="non-finite"):
         DensityMatrix(Operator(np.full((2, 2), bad, dtype=complex), (2,)))
+    with pytest.raises(ValidationError, match="non-finite"):  # eigvalsh would not converge
+        DensityMatrix(Operator(np.full((3, 3), bad, dtype=complex), (3,)))
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 3 * 64])
@@ -124,12 +126,19 @@ def generic_first_invalid_state(stack, psd_tol=qcore.PSD_TOL):
 @pytest.mark.parametrize("chunk_bytes", [None, 3 * 64])
 def test_qubit_state_check_matches_the_generic_one(monkeypatch, chunk_bytes):
     # the closed-form qubit deviation and trace give the (index, reason) of the generic check on
-    # imaginary diagonals, asymmetric off-diagonals, signed zeros and non-finite rows; at
-    # 3 * 64 bytes, with faults on both sides of the edges of three-state chunks
+    # imaginary diagonals, asymmetric off-diagonals, signed zeros and non-finite rows, also rows
+    # whose one non-finite entry is the imaginary part of an off-diagonal one; at 3 * 64 bytes,
+    # with faults on both sides of the edges of three-state chunks
     if chunk_bytes is not None:
         monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(17)
     good = np.stack([random_density(rng, 2).data for _ in range(12)])
+
+    def off_diagonal_imaginary(m):
+        m = m.copy()
+        m.imag[tuple(rng.permutation(2))] = rng.choice([np.nan, np.inf, -np.inf])
+        return m
+
     faults = [
         lambda m: m + np.diag(1j * rng.choice([1e-11, 3e-10, -0.2], 2)),
         lambda m: m + np.diag([1j * rng.choice([-1e-9, 4e-10]), 0.0]),
@@ -139,6 +148,7 @@ def test_qubit_state_check_matches_the_generic_one(monkeypatch, chunk_bytes):
         lambda m: np.diag([complex(-0.0, -0.0), complex(-0.0, rng.choice([0.0, -0.0]))]),
         lambda m: np.where(rng.random((2, 2)) < 0.5, rng.choice([np.nan, np.inf, -np.inf]), m),
         lambda m: m * complex(rng.choice([1.0, 1e-300]), 0) + np.diag([0, 1e-13j]),
+        off_diagonal_imaginary,
     ]
     seen = set()
     for trial in range(200):
@@ -151,6 +161,27 @@ def test_qubit_state_check_matches_the_generic_one(monkeypatch, chunk_bytes):
             assert first_invalid_state(row[None]) == generic_first_invalid_state(row[None])
         seen.add(None if expected is None else expected[0] % 3)
     assert seen == {None, 0, 1, 2}  # first failures at each place in a chunk, and none
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 3 * 64])
+def test_qubit_trace_distances_are_the_spectrum_route_bit_for_bit(monkeypatch, chunk_bytes):
+    # the closed form from the difference's entries gives the bits of (1/2) sum |lambda| over
+    # eigvalsh_stack of the difference, on states, raw non-Hermitian stacks, signed zeros and
+    # extreme scales; at 3 * 64 bytes the 40 rows cross the edges of three-row chunks
+    if chunk_bytes is not None:
+        monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(23)
+    states = [np.stack([random_density(rng, 2).data for _ in range(40)]) for _ in range(2)]
+    raw = [rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))
+           for _ in range(2)]
+    zeros = [rng.choice([0.0, -0.0], (40, 2, 2)) + 1j * rng.choice([0.0, -0.0], (40, 2, 2))
+             for _ in range(2)]
+    for a, b in [states, raw, zeros, (raw[0] * 1e-300, raw[1] * 1e-300),
+                 (raw[0] * 1e-310, raw[1] * 1e-310), (raw[0] * 1e150, raw[1] * -1e150),
+                 (states[0], zeros[0])]:
+        expected = 0.5 * np.abs(qcore.eigvalsh_stack(a - b)).sum(axis=1)
+        got = qcore.trace_distances(a, b)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def random_hermitian_stack(rng, n, d, scale):

@@ -290,6 +290,21 @@ def test_both_photon_starts_share_one_sector_pass(monkeypatch):
                               alone.observables["excited_population"])
 
 
+def test_default_photon_starts_build_no_density_matrix(monkeypatch):
+    # the default starts are raw projectors, checked once as each trajectory's first state
+    cfg = make_cfg(kind="single_photon", t_final=2.0, n_steps=20,
+                   envelope=GaussianEnvelope(center=1.0, width=0.5))
+    built = []
+    check = qcore.DensityMatrix.__post_init__
+    monkeypatch.setattr(qcore.DensityMatrix, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    traj_a, traj_b, report = single_photon_run(cfg)
+    assert built == []
+    assert np.array_equal(traj_a.states[0], np.diag([0.0, 1.0]))
+    assert np.array_equal(traj_b.states[0], np.diag([1.0, 0.0]))
+    assert report.distances[0] == 1.0
+
+
 def test_photon_start_on_the_wrong_space_is_rejected():
     cfg = make_cfg(kind="single_photon", t_final=2.0, n_steps=5,
                    envelope=GaussianEnvelope(center=1.0, width=0.5))
