@@ -6,7 +6,8 @@ every step, or one per step.  A coherent field's ancillas are displaced vacua,
 held as kets (r = 1): a static field (omega = 0) is one ket for every step, and
 only a moving one (omega != 0) stores one per step.  A single-photon field gives
 a correlated pure bath carrying exactly one excitation spread over all ancillas,
-held as its N amplitudes, never as a 2^N joint state.
+held as its N amplitudes, never as a 2^N joint state; a run takes the ancillas not
+yet met as a source qubit (Gough, James & Nurdin, Phil. Trans. R. Soc. A 370, 5408 (2012)).
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def single_photon_bath(envelope: Envelope, n: int) -> BathSpec:
     sequence or as a callable of the 1-based step index.  Amplitudes are
     renormalized to unit total weight; the applied factor is recorded in
     the diagnostics.  Each ancilla is a qubit (truncation d=2); the joint
-    state sum_k phi_k |1_k> is kept as its n amplitudes, and runs propagate
-    it in the one-excitation sector (``collision.run_correlated``).
+    state sum_k phi_k |1_k> is kept as its n amplitudes, which a run hands
+    out through a source qubit (``collision.run_correlated``).
     """
     if n < 1:
         raise ValidationError("step count must be >= 1")

@@ -12,8 +12,8 @@ deterministic: identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or filesystem problem (or a run whose
 arrays cannot be allocated), 2 numeric or invariant failure during a run.  No
-run has a size cap: a single-photon field is propagated in its one-excitation
-sector, whose cost grows linearly with the step count.
+run has a size cap: a single-photon field runs as the system and one source
+qubit, at a cost linear in the step count.
 """
 
 from __future__ import annotations
@@ -212,12 +212,12 @@ def _parse_field(doc: Any, scenario: str) -> FieldConfig:
 
 def _check_size(field: FieldConfig, steps: int, name: str) -> None:
     """ConfigError unless numpy can index every array that a run of ``field`` over ``steps`` steps
-    forms: the collision unitary, (d d_anc)^2 entries, and steps + 1 rows of 4 d^2 (two photon
-    starts' states, a qubit's superoperators), d_anc (a moving coherent field's kets) or the
-    tabulated envelope's grid length (its phases)."""
+    forms: the collision unitary, (d d_anc)^2 entries, and steps + 1 rows of 8 d^2 (the states
+    of two photon starts on source (x) system, 2 (2 d)^2, above a qubit's superoperators, d^4),
+    d_anc (a moving coherent field's kets) or the tabulated envelope's grid length (its phases)."""
     d, d_anc = field.h_sys.side, field.truncation
     grid = len(field.envelope.omegas) if isinstance(field.envelope, TabulatedSpectrum) else 0
-    if max((steps + 1) * max(4 * d * d, d_anc, grid), (d * d_anc) ** 2) >= MAX_ENTRIES:
+    if max((steps + 1) * max(8 * d * d, d_anc, grid), (d * d_anc) ** 2) >= MAX_ENTRIES:
         raise ConfigError(f"{name} with d_anc {d_anc} at system dimension {d}: a run would form "
                           "arrays too large for numpy to index")
 

@@ -3,14 +3,14 @@
 Both bath families run on one Kraus kernel, E(M) = Tr_a[U (M (x) F F^dag) U^dag]
 = sum_x K_x M K_x^dag, formed by ``_kraus`` and applied by ``_collide``: a product
 bath hands over its stack of factors F, one row shared by every step or one per
-step, and a single-photon bath moves the four blocks of its one-excitation sector
-with F = I_2 (Baragiola et al., PRA 86, 013811 (2012)).
+step; a single-photon bath is one of the system and a source qubit that hands each
+vacuum ancilla its share (Gough, James & Nurdin, Phil. Trans. R. Soc. A 370, 5408 (2012)).
 ``_kraus_chunks`` builds the blocks a chunk of steps at a time, with one batched
 product per chunk of unitaries, and a map shared by every step once for all steps.
 Up to ``qcore.DENSE_MAX_DIM`` a product run whose steps share one map, or any at
 d = 2, stacks their d^2 x d^2 superoperators and propagates them by one call of
 ``qcore.propagate``, which raises a shared map by doubling and scans a map per
-step; otherwise, and in the photon sector, a per-step loop applies the pairs.
+step; otherwise, and for a single photon, ``_kraus_loop`` applies the pairs.
 Step-indexed inputs are raw read-only arrays, each checked once where it is
 built.  ``_checked_trajectory`` is the one place that stores a run's states, of
 this module and of the master equation alike: it checks them raw, once, then
@@ -139,17 +139,18 @@ def interaction_operator(spec: CollisionSpec) -> Operator:
     return Operator(_interaction(spec), spec.h_sys.dims + (spec.d_anc,))
 
 
-def _unitaries(spec: CollisionSpec, steps: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+def _unitaries(spec: CollisionSpec, steps: Sequence[int],
+               row: int = 0) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (c, U) for the next c of the 1-based collisions in ``steps``, in order: U the (c, D, D)
-    stack of U_k = exp(-i (H_S (x) I + g v) dt) from one ``qcore.expm_stack`` call of
-    qcore.STACK_CHUNK_BYTES at most, or a static spec's one U as (1, D, D), formed once and
-    yielded for every chunk."""
+    stack of U_k = exp(-i (H_S (x) I + g v) dt) from one ``qcore.expm_stack`` call, c steps of
+    qcore.STACK_CHUNK_BYTES at most of U_k or of the caller's ``row`` entries a step, whichever is
+    larger, or a static spec's one U as (1, D, D), formed once and yielded for every chunk."""
     table, rows = spec.h_sys_table, np.asarray(steps, dtype=int) - 1
     off = [] if table is None else rows[(rows < 0) | (rows >= len(table))]
     if len(off):
         raise ValidationError(f"step {off[0] + 1} outside 1..{len(table)} of h_sys_table")
     side = spec.d_sys * spec.d_anc
-    batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * side * side))
+    batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * max(side * side, row)))
     coupling = spec.coupling_strength * _interaction(spec)
     us = None
     for lo in range(0, len(rows), batch):
@@ -176,14 +177,14 @@ def _kraus(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             k.transpose(*lead, j, r, a, i).conj().reshape(shape))  # [..., j, (r, a, i)]
 
 
-def _kraus_chunks(spec: CollisionSpec, n: int,
-                  fs) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _kraus_chunks(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (c, K, K^dag) for the next c of the collisions 1..n, in order: the Kraus pairs of
-    U_k against F_k = fs[k - 1], a (d_a, r) factor or a ket per row, where a one-row ``fs``
-    serves every step.  The pairs of a chunk of ``_unitaries`` come from one ``_kraus`` call,
-    one row per step; a map shared by every step (a one-row ``fs`` and no ``h_sys_table``) is
-    one row, formed once and yielded once as the chunk of all n steps.  O(d_a r d^3) per step."""
-    chunks = (_unitaries(spec, range(1, n + 1)) if len(fs) > 1 or spec.h_sys_table is not None
+    U_k against F_k = fs[k - 1], a (d_a, r) factor or a ket per row, where a one-row ``fs`` serves
+    every step.  The pairs of a chunk of ``_unitaries``, sized by them where they outgrow U_k, come
+    from one ``_kraus`` call, one row per step; a map shared by every step (a one-row ``fs`` and no
+    ``h_sys_table``) is one row, formed once and yielded once as the chunk of all n steps."""
+    row = 2 * spec.d_sys ** 2 * np.size(fs[0])  # the entries of a step's Kraus pair
+    chunks = (_unitaries(spec, range(1, n + 1), row) if len(fs) > 1 or spec.h_sys_table is not None
               else [(n, next(_unitaries(spec, [1]))[1])])  # one map for every step
     lo = 0
     for count, us in chunks:
@@ -192,11 +193,17 @@ def _kraus_chunks(spec: CollisionSpec, n: int,
         yield (count,) + _kraus(us, f.reshape(len(f), spec.d_anc, -1))
 
 
-def _kraus_steps(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the Kraus pair of each collision 1..n of ``_kraus_chunks``, in order."""
-    for count, ks, ks_dag in _kraus_chunks(spec, n, fs):
-        yield from (zip(ks, ks_dag) if len(ks) == count
-                    else itertools.repeat((ks[0], ks_dag[0]), count))
+def _kraus_loop(chunks, m0: np.ndarray, n: int) -> np.ndarray:
+    """The (n + 1,) + m0.shape states of m0, a matrix or a stack, before and after each of n
+    collisions: each pair of ``chunks``, (c, K, K^dag) in turn, applied as by ``_collide``."""
+    states = np.empty((n + 1,) + m0.shape, dtype=complex)
+    states[0] = m0
+    shape = m0.shape[:-2] + (-1, m0.shape[-1])
+    pairs = (pair for c, ks, ks_dag in chunks for pair in (
+        zip(ks, ks_dag) if len(ks) == c else itertools.repeat((ks[0], ks_dag[0]), c)))
+    for k, (kraus, kraus_dag) in enumerate(pairs):
+        np.matmul(kraus, (states[k] @ kraus_dag).reshape(shape), out=states[k + 1])
+    return states
 
 
 def _superoperator(k: np.ndarray) -> np.ndarray:
@@ -302,47 +309,39 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
                                  rho0.data.reshape(-1), n)  # the stack is freed before the check
         return _checked_trajectory(spec.dt, states.reshape(-1, d, d), observables)
 
-    states = np.empty((n + 1, d, d), dtype=complex)
-    states[0] = rho0.data
-    for k, (kraus, kraus_dag) in enumerate(_kraus_steps(spec, n, bath.etas)):  # _collide, in place
-        np.matmul(kraus, (states[k] @ kraus_dag).reshape(-1, d), out=states[k + 1])
+    states = _kraus_loop(_kraus_chunks(spec, n, bath.etas), rho0.data, n)
     return _checked_trajectory(spec.dt, states, observables)
 
 
-def _run_correlated_raw(spec: CollisionSpec, n: int, phi: np.ndarray,
-                        m0: np.ndarray) -> np.ndarray:
-    """System marginals, shape (..., n + 1, d_S, d_S), of m0 (one matrix or a stack) before and
-    after each of the collisions 1..n of ``spec`` against the one-photon bath
-    sum_k phi_k |1_k>: linear in m0, unchecked.
+def _run_correlated_raw(spec: CollisionSpec, n: int, phi: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """(..., n + 1, d_S, d_S) system marginals of m0, one matrix or a stack, before and after each
+    collision 1..n of ``spec`` against the bath sum_k phi_k |1_k>: linear in m0, unchecked.
 
-    After n collisions the joint state is A (x) |v><v| + B (x) |P_n><v| + B' (x) |v><P_n|
-    + C (x) |P_n><P_n|, with |v> the vacuum and |P_n> = sum_{k>n} phi_k |1_k> unnormalised; its
-    marginal is A + w_n C, w_n = <P_n|P_n>, and B' is not B^dag when m0 is not Hermitian.  As
-    |P_n> = p |1_{n+1}> + |0_{n+1}>|P_{n+1}>, p = phi_{n+1}, each block X meets the next ancilla
-    as Y_X = sum_rs Y_X[r, s] (x) |r><s| on S (x) ancilla (Y_A = [[A, p* B'], [p B, |p|^2 C]],
-    Y_B = [[B, p* C], [0, 0]], Y_B' = [[B', 0], [p C, 0]], Y_C = [[C, 0], [0, 0]]) and leaves as
-    Tr_a[U Y_X U^dag]: one ``_collide`` per step, with F = I_2, for all blocks and all m0."""
+    After n collisions the ancillas not yet met are one source qubit, |0> their vacuum and
+    sqrt(w_n) |1> their photon sum_{k>n} phi_k |1_k>, w_n = sum_{k>n} |phi_k|^2, which hands the
+    next ancilla its share, B: |1, 0> -> c |1, 0> + s |0, 1>, c = sqrt(w_{n+1} / w_n) and
+    s = phi_{n+1} / sqrt(w_n) (1 and 0 once w_n = 0).  The run on source (x) S from |1><1| (x) m0
+    is normalised whatever w_0 is: F[b, (s, t)] = <s, b|B|t, 0> gives blocks K_(s, t, a) on S,
+    regrouped into K_a = sum_st |s><t| (x) K_(s, t, a), and the source is traced out."""
     d = m0.shape[-1]
-    tail = np.append(np.cumsum(np.abs(phi[::-1]) ** 2)[::-1], 0.0).tolist()  # w_n
-    x = np.array([np.zeros_like(m0)] * 3 + [m0], dtype=complex)  # A, B, B', C
-    y = np.zeros(x.shape[:-1] + (2, d, 2), dtype=complex)  # Y[r, s]_ij at [..., i, r, j, s]
-    marginals = [m0]
-    for (k, k_dag), p, w in zip(_kraus_steps(spec, n, np.eye(2)[None]), phi.tolist(), tail[1:]):
-        y[..., 0, :, 0] = x  # Y_X[0, 0] = X
-        y[:2, ..., 0, :, 1] = p.conjugate() * x[2:]  # Y_A[0, 1] = p* B', Y_B[0, 1] = p* C
-        y[::2, ..., 1, :, 0] = p * x[1::2]  # Y_A[1, 0] = p B, Y_B'[1, 0] = p C
-        y[0, ..., 1, :, 1] = abs(p) ** 2 * x[3]  # Y_A[1, 1] = |p|^2 C
-        x = _collide(k, k_dag.reshape(2 * d, -1), y.reshape(x.shape[:-2] + (2 * d, 2 * d)))
-        marginals.append(x[0] + w * x[3])
-    return np.stack(marginals, axis=-3)
+    r = np.sqrt(np.append(np.cumsum(np.abs(phi[::-1]) ** 2)[::-1], 0.0)[:n + 1])  # sqrt(w_n)
+    fs = np.zeros((n, 2, 2, 2), dtype=complex)  # F[k, b, s, t]
+    fs[:, 0, 0, 0] = 1.0
+    fs[:, 0, 1, 1] = np.divide(r[1:], r[:-1], out=np.ones(n), where=r[:-1] > 0)  # c
+    fs[:, 1, 0, 1] = np.divide(phi[:n], r[:-1], out=np.zeros(n, complex), where=r[:-1] > 0)  # s
+    regroup = lambda x, *axes: (x.reshape(len(x), d, *axes).transpose(0, 3, 1, 4, 2, 5)
+                                .reshape(len(x), 2 * d, -1))  # K and K^dag onto source (x) S
+    chunks = ((c, regroup(ks, d, 2, 2, 2), regroup(ks_dag, 2, 2, 2, d))
+              for c, ks, ks_dag in _kraus_chunks(spec, n, fs))
+    states = np.moveaxis(_kraus_loop(chunks, np.kron(np.diag([0.0, 1.0]), m0), n), 0, -3)
+    return np.add(states[..., :d, :d], states[..., d:, d:], order="C")  # Tr_source
 
 
 def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
                    observables: Mapping[str, Operator] | None = None) -> Trajectory:
-    """Collision stream against a single-photon bath (memory-carrying), in its
-    one-excitation sector: O(d_S^3) per step, whatever the number of ancillas."""
+    """Collision stream against a single-photon bath (memory-carrying), as a product run of the
+    system and a source qubit: O(d_S^3) per step, whatever the number of ancillas."""
     _check_bath(spec, bath, bath_mod.CORRELATED_PURE, rho0)
-
     states = _run_correlated_raw(spec, spec.n_steps, bath.phi, rho0.data)
     return _checked_trajectory(spec.dt, states, observables)
 

@@ -307,7 +307,7 @@ def single_photon_run(
     starts = [default if rho is None else rho.data
               for rho, default in zip((rho_a, rho_b), _distinguishable_pair(cfg))]
     obs = _excited_population(cfg)
-    # one sector pass moves both starts; each keeps its own checked trajectory
+    # one source-qubit pass moves both starts; each keeps its own checked trajectory
     runs = coll._run_correlated_raw(spec, spec.n_steps, field_bath.phi, np.stack(starts))
     traj_a, traj_b = (coll._checked_trajectory(spec.dt, states, obs) for states in runs)
     dist = trace_distance_series(traj_a, traj_b)

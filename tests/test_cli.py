@@ -529,6 +529,7 @@ def tabulated(omega, psi):
 
 
 TOO_LARGE = "a run would form arrays too large for numpy to index"
+GAUSSIAN = {"type": "gaussian", "center": 3.0, "width": 1.0}
 
 # each a config that once passed validate and then failed its run, or raised a traceback
 READER_HOLES = {
@@ -547,6 +548,9 @@ READER_HOLES = {
                    f"n_steps with d_anc {10**30} at system dimension 2: {TOO_LARGE}"),
     "n_list_entry_1e30": (config_with(scenario="convergence", n_list=[100, 200, 10**30]),
                           f"max(n_list) with d_anc 2 at system dimension 2: {TOO_LARGE}"),
+    # two photon starts on source (x) system: 2 (2 d)^2 (n_steps + 1) entries reach 2^59 here
+    "photon_steps_2pow54": (lambda doc: field_with(n_steps=2**54 - 1)(photon(GAUSSIAN)(doc)),
+                            f"n_steps with d_anc 2 at system dimension 2: {TOO_LARGE}"),
 }
 
 

@@ -25,7 +25,7 @@ from collisim import (
     step_map_choi,
 )
 from collisim import collision, qcore
-from collisim.bath import PRODUCT, BathSpec
+from collisim.bath import CORRELATED_PURE, PRODUCT, SINGLE_EXCITATION_NORM_TOL, BathSpec
 from collisim.collision import step_map_superoperator
 from oracles import embed_pair_unitary, one_photon_amplitudes
 
@@ -463,6 +463,36 @@ def test_correlated_run_requires_matching_steps():
     bath = single_photon_bath([1.0, 1.0], 2)
     with pytest.raises(ValidationError):
         run_correlated(spec, bath, fock_dm(2, 0))
+
+
+def test_photon_pass_forms_its_kraus_pairs_a_chunk_at_a_time():
+    # a step's pair on source (x) S is four times its 4 x 4 unitary, so chunks are sized by the
+    # pairs: the run holds about its source (x) S states, 16 * 16 (n + 1) bytes, where chunks of
+    # 8,192 steps of pairs once took over 8 times that
+    n = 20_000
+    spec = two_level_spec(gamma=1.0, dt=6.0 / n, n_steps=n)
+    bath = single_photon_bath(np.exp(-0.5 * ((np.arange(1, n + 1) * spec.dt - 3.0) / 0.7) ** 2), n)
+    tracemalloc.start()
+    try:
+        run_correlated(spec, bath, fock_dm(2, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 16 * 16 * n
+
+
+def test_photon_amplitudes_normalised_within_tolerance_keep_the_trace():
+    # a total weight of 1 + 8e-10 passes the bath's own check; the run hands the photon out
+    # through a source qubit that starts normalised, so it gives the normalised bath's states
+    # where it once failed at step 1 with a trace of 1.0000000008
+    n = 40
+    spec = two_level_spec(gamma=1.0, dt=0.15, n_steps=n)
+    exact = single_photon_bath(np.exp(-0.5 * ((np.arange(1, n + 1) - 20) / 6) ** 2), n)
+    weight = 1 + 0.8 * SINGLE_EXCITATION_NORM_TOL
+    loose = BathSpec(kind=CORRELATED_PURE, d=2, n_steps=n, phi=exact.phi * math.sqrt(weight))
+    for rho0 in (fock_dm(2, 0), fock_dm(2, 1)):
+        states = run_correlated(spec, loose, rho0).states
+        assert np.max(np.abs(states - run_correlated(spec, exact, rho0).states)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

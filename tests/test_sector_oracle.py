@@ -1,10 +1,15 @@
-"""The single-photon sector path against the dense joint-state oracle.
+"""The single-photon source-qubit path against the dense joint-state oracle.
 
-The oracle (`oracles.dense_correlated_marginals`) builds the bath as an
-explicit vector of 2^N amplitudes and evolves the whole joint operator.
-run_correlated, the propagation of non-Hermitian matrix units (all of them in
-one batched call), and the correlated step_map_superoperator must all agree
-with it.
+The library runs a single photon as a product run of the system and one
+source qubit, which hands each vacuum ancilla its share of the photon just
+before that ancilla collides (Gough, James & Nurdin, Phil. Trans. R. Soc. A
+370, 5408 (2012)). The oracle (`oracles.dense_correlated_marginals`) builds
+the bath as an explicit vector of 2^N amplitudes and evolves the whole joint
+operator. run_correlated, the propagation of non-Hermitian matrix units (all
+of them in one batched call), and the correlated step_map_superoperator must
+all agree with it. The envelopes include exact zeros at either end, a single
+nonzero bin (the source empties mid-run) and amplitudes whose squares
+underflow, where the source's weight reaches 0.
 """
 
 import numpy as np
@@ -38,7 +43,19 @@ def photon_runs(draw):
         dt=float(rng.uniform(0.01, 0.3)), n_steps=n, d_anc=2, g=float(rng.uniform(0.1, 3.0)),
         h_sys_table=table,
     )
-    bath = single_photon_bath(rng.standard_normal(n) + 1j * rng.standard_normal(n), n)
+    phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shape = draw(st.sampled_from(["random", "zero_ends", "one_bin", "underflow"]))
+    if shape == "zero_ends":
+        lead = draw(st.integers(0, n - 1))
+        trail = draw(st.integers(0, n - 1 - lead))
+        phi[:lead] = phi[n - trail:] = 0.0
+    elif shape == "one_bin":
+        phi[np.arange(n) != draw(st.integers(0, n - 1))] = 0.0
+    elif shape == "underflow":  # |phi|^2 ~ 1e-340 rounds to 0; one bin keeps its size
+        tiny = rng.random(n) < 0.5
+        tiny[draw(st.integers(0, n - 1))] = False
+        phi[tiny] *= 1e-170
+    bath = single_photon_bath(phi, n)
     m = rng.standard_normal((d_s, d_s)) + 1j * rng.standard_normal((d_s, d_s))
     rho0 = DensityMatrix(Operator(m @ m.conj().T / np.trace(m @ m.conj().T), (d_s,)))
     return spec, bath, rho0
