@@ -212,9 +212,9 @@ def _parse_field(doc: Any, scenario: str) -> FieldConfig:
 
 def _check_size(field: FieldConfig, steps: int, name: str) -> None:
     """ConfigError unless numpy can index every array that a run of ``field`` over ``steps`` steps
-    forms: the collision unitary, (d d_anc)^2 entries, and steps + 1 rows of 8 d^2 (the states
-    of two photon starts on source (x) system, 2 (2 d)^2, above a qubit's superoperators, d^4),
-    d_anc (a moving coherent field's kets) or the tabulated envelope's grid length (its phases)."""
+    forms: the collision unitary, (d d_anc)^2 entries, and steps + 1 rows of 8 d^2 (a bound on
+    a photon pass's step factors, 8, and its two starts' marginals, 2 d^2), d_anc (a moving
+    coherent field's kets) or the tabulated envelope's grid length (its phases)."""
     d, d_anc = field.h_sys.side, field.truncation
     grid = len(field.envelope.omegas) if isinstance(field.envelope, TabulatedSpectrum) else 0
     if max((steps + 1) * max(8 * d * d, d_anc, grid), (d * d_anc) ** 2) >= MAX_ENTRIES:

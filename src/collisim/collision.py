@@ -8,7 +8,7 @@ vacuum ancilla its share (Gough, James & Nurdin, Phil. Trans. R. Soc. A 370, 540
 ``_kraus_chunks`` builds the blocks a chunk of steps at a time, with one batched
 product per chunk of unitaries, and a map shared by every step once for all steps.
 Up to ``qcore.DENSE_MAX_DIM`` a product run whose steps share one map, or any at
-d = 2, stacks their d^2 x d^2 superoperators and propagates them by one call of
+d = 2, streams the d^2 x d^2 superoperators of those chunks into one call of
 ``qcore.propagate``, which raises a shared map by doubling and scans a map per
 step; otherwise, and for a single photon, ``_kraus_loop`` applies the pairs.
 Step-indexed inputs are raw read-only arrays, each checked once where it is
@@ -151,7 +151,8 @@ def _unitaries(spec: CollisionSpec, steps: Sequence[int],
         raise ValidationError(f"step {off[0] + 1} outside 1..{len(table)} of h_sys_table")
     side = spec.d_sys * spec.d_anc
     batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * max(side * side, row)))
-    coupling = spec.coupling_strength * _interaction(spec)
+    with np.errstate(invalid="ignore"):  # g = inf, where gamma / dt overflows: NaN, not a warning
+        coupling = spec.coupling_strength * _interaction(spec)
     us = None
     for lo in range(0, len(rows), batch):
         if us is None or table is not None:
@@ -209,24 +210,14 @@ def _kraus_loop(chunks, m0: np.ndarray, n: int) -> np.ndarray:
 def _superoperator(k: np.ndarray) -> np.ndarray:
     """sum_x K_x (x) conj(K_x), the row-major d^2 x d^2 superoperator of M -> sum_x K_x M K_x^dag
     (vec(K M K^dag) = (K (x) conj(K)) vec(M)), for each row of an (M, d, d X) stack of ``_kraus``
-    blocks k = [i, (j, x)], by one batched product.  It is summed in extended precision and
-    rounded once: a map that serves thousands of steps repeats its rounding error at each."""
+    blocks k = [i, (j, x)], by one batched product.  A one-row stack, which may be a map shared by
+    every step, is summed in extended precision and rounded once, as a shared map repeats its
+    rounding error at every step; a map per step is applied once, and summed in plain precision."""
     d = k.shape[-2]
-    b = k.reshape(len(k), d * d, -1).astype(np.clongdouble)  # [(i, j), x]
-    s = (b @ b.conj().swapaxes(1, 2)).astype(complex)  # [(i, j), (k, l)]
+    precision = np.clongdouble if len(k) == 1 else complex
+    b = k.reshape(len(k), d * d, -1).astype(precision, copy=False)  # [(i, j), x]
+    s = (b @ b.conj().swapaxes(1, 2)).astype(complex, copy=False)  # [(i, j), (k, l)]
     return s.reshape(-1, d, d, d, d).swapaxes(2, 3).reshape(-1, d * d, d * d)
-
-
-def _superoperator_stack(spec: CollisionSpec, n: int, fs, rows: int) -> np.ndarray:
-    """The (rows, d^2, d^2) stack of the ``_superoperator`` of each chunk of
-    ``_kraus_chunks(spec, n, fs)``, in order: one row for a map shared by every step, else one
-    per step.  Each chunk fills its rows of one preallocated stack, so the stack is held once."""
-    d = spec.d_sys
-    maps, lo = np.empty((rows, d * d, d * d), dtype=complex), 0
-    for _, ks, _ in _kraus_chunks(spec, n, fs):
-        maps[lo:lo + len(ks)] = _superoperator(ks)
-        lo += len(ks)
-    return maps
 
 
 def _collide(k: np.ndarray, k_dag: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -297,16 +288,17 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
     """Iterated collisions against a product bath, reading its factor rows.
 
     Up to ``qcore.DENSE_MAX_DIM``, where every step shares one map (one factor row and no
-    ``h_sys_table``) or d = 2, the d^2 x d^2 superoperators of the chunks of ``_kraus_chunks``
-    make one stack, the shared map's one row or one row per step, and one ``qcore.propagate``
-    call gives the states.  Otherwise each Kraus pair is applied in turn, O(d_a r d^3) per
-    step, which at d = 3..5 beats a superoperator per step (see ``qcore.DENSE_MAX_DIM``)."""
+    ``h_sys_table``) or d = 2, each chunk of ``_kraus_chunks`` becomes its d^2 x d^2
+    superoperators, the shared map's one row or one row per step, and one ``qcore.propagate``
+    call takes them chunk by chunk, so no more than one chunk's maps is held at once.  Otherwise
+    each Kraus pair is applied in turn, O(d_a r d^3) per step, which at d = 3..5 beats a
+    superoperator per step (see ``qcore.DENSE_MAX_DIM``)."""
     _check_bath(spec, bath, bath_mod.PRODUCT, rho0)
     n, d = spec.n_steps, rho0.side
     shared = len(bath.etas) == 1 and spec.h_sys_table is None
     if d <= qcore.DENSE_MAX_DIM and (shared or d == 2):
-        states = qcore.propagate(_superoperator_stack(spec, n, bath.etas, 1 if shared else n),
-                                 rho0.data.reshape(-1), n)  # the stack is freed before the check
+        chunks = ((c, _superoperator(ks)) for c, ks, _ in _kraus_chunks(spec, n, bath.etas))
+        states = qcore.propagate(chunks, rho0.data.reshape(-1), n)
         return _checked_trajectory(spec.dt, states.reshape(-1, d, d), observables)
 
     states = _kraus_loop(_kraus_chunks(spec, n, bath.etas), rho0.data, n)
@@ -322,7 +314,8 @@ def _run_correlated_raw(spec: CollisionSpec, n: int, phi: np.ndarray, m0: np.nda
     next ancilla its share, B: |1, 0> -> c |1, 0> + s |0, 1>, c = sqrt(w_{n+1} / w_n) and
     s = phi_{n+1} / sqrt(w_n) (1 and 0 once w_n = 0).  The run on source (x) S from |1><1| (x) m0
     is normalised whatever w_0 is: F[b, (s, t)] = <s, b|B|t, 0> gives blocks K_(s, t, a) on S,
-    regrouped into K_a = sum_st |s><t| (x) K_(s, t, a), and the source is traced out."""
+    regrouped into K_a = sum_st |s><t| (x) K_(s, t, a).  Each chunk of steps runs from the last
+    joint state of the one before, and its states are traced over the source as it ends."""
     d = m0.shape[-1]
     r = np.sqrt(np.append(np.cumsum(np.abs(phi[::-1]) ** 2)[::-1], 0.0)[:n + 1])  # sqrt(w_n)
     fs = np.zeros((n, 2, 2, 2), dtype=complex)  # F[k, b, s, t]
@@ -331,10 +324,15 @@ def _run_correlated_raw(spec: CollisionSpec, n: int, phi: np.ndarray, m0: np.nda
     fs[:, 1, 0, 1] = np.divide(phi[:n], r[:-1], out=np.zeros(n, complex), where=r[:-1] > 0)  # s
     regroup = lambda x, *axes: (x.reshape(len(x), d, *axes).transpose(0, 3, 1, 4, 2, 5)
                                 .reshape(len(x), 2 * d, -1))  # K and K^dag onto source (x) S
-    chunks = ((c, regroup(ks, d, 2, 2, 2), regroup(ks_dag, 2, 2, 2, d))
-              for c, ks, ks_dag in _kraus_chunks(spec, n, fs))
-    states = np.moveaxis(_kraus_loop(chunks, np.kron(np.diag([0.0, 1.0]), m0), n), 0, -3)
-    return np.add(states[..., :d, :d], states[..., d:, d:], order="C")  # Tr_source
+    marginals = np.empty(m0.shape[:-2] + (n + 1, d, d), dtype=complex)
+    joint, lo = np.kron(np.diag([0.0, 1.0]), m0), 0
+    for c, ks, ks_dag in _kraus_chunks(spec, n, fs):
+        pair = (c, regroup(ks, d, 2, 2, 2), regroup(ks_dag, 2, 2, 2, d))
+        states = np.moveaxis(_kraus_loop([pair], joint, c), 0, -3)
+        np.add(states[..., :d, :d], states[..., d:, d:], out=marginals[..., lo:lo + c + 1, :, :])
+        joint, lo = states[..., -1, :, :].copy(), lo + c
+        del ks, ks_dag, pair, states  # so that two chunks' blocks and states are never held at once
+    return marginals
 
 
 def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,

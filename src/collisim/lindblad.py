@@ -224,8 +224,9 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     substep and held constant over it, so rho_{k+1} = exp(h L_k) rho_k is
     exact.  Up to ``qcore.DENSE_MAX_DIM`` the table entries in use are exponentiated
     as d^2 x d^2 Liouvillians, batched a chunk of substeps at a time (a
-    static generator is one propagator, raised by doubling), and
-    ``qcore.propagate`` takes the products; above it exp(h L_k) rho_k is
+    static generator is one propagator, raised by doubling), and each chunk
+    is handed to one ``qcore.propagate`` call as it is formed, which carries
+    the state from chunk to chunk; above it exp(h L_k) rho_k is
     summed as a Taylor series to round-off, O(d^3) work per term and O(d^2)
     memory.  The raw states are checked once, then stored as
     (rho + rho^dag) / 2 (``collision._checked_trajectory``); a breach of
@@ -253,11 +254,12 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     # rows never decrease: a chunk of substeps exponentiates the rows it uses, and a static
     # generator is one propagator for all substeps
     chunk = n_substeps if rows[0] == rows[-1] else max(1, qcore.STACK_CHUNK_BYTES // (16 * d**4))
-    states = np.empty((n_substeps + 1, d * d), dtype=complex)
-    states[0] = rho0.data.reshape(-1)
-    for lo in range(0, n_substeps, chunk):
-        used, inv = np.unique(rows[lo:lo + chunk], return_inverse=True)
-        props = qcore.expm_stack(h * _liouvillian(-1j * hs[used] - damping, compiled))
-        states[lo:lo + len(inv) + 1] = qcore.propagate(props if len(used) == 1 else props[inv],
-                                                       states[lo], len(inv))
+
+    def chunks():
+        for lo in range(0, n_substeps, chunk):
+            used, inv = np.unique(rows[lo:lo + chunk], return_inverse=True)
+            props = qcore.expm_stack(h * _liouvillian(-1j * hs[used] - damping, compiled))
+            yield len(inv), props if len(used) == 1 else props[inv]
+
+    states = qcore.propagate(chunks(), rho0.data.reshape(-1), n_substeps)
     return _checked_trajectory(h, states.reshape(-1, d, d), observables)

@@ -10,8 +10,9 @@ closed form from one helper, ``_qubit_spectrum``, and every other size by one ba
 ``expm_stack`` forms every matrix exponential of the package (collision unitaries, dense
 master-equation propagators) a whole stack at a time, by one Pade evaluation for every order,
 and ``propagate`` runs every linear recursion x_k = T_k x_{k-1} of small maps (product collision
-runs, the dense master equation), up to ``DENSE_MAX_DIM`` levels: one map shared by every step
-raised by doubling, one map per step by a blocked prefix scan.
+runs, the dense master equation), up to ``DENSE_MAX_DIM`` levels, from a stream of chunks that
+its caller forms one at a time: a map shared by a chunk's steps raised by doubling, a map per
+step by a blocked prefix scan, the last state carried into the next chunk.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ TRACE_TOL = 1e-10
 PSD_TOL = -1e-9
 NORM_TOL = 1e-10
 
-# Work on stacks of matrices (checks, distances, unitaries, scans) is batched in pieces of this
-# many bytes.
+# Work on stacks of matrices (checks, distances, unitaries and the maps formed from them) is
+# batched in pieces of this many bytes.
 STACK_CHUNK_BYTES = 2 * 2**20
 
 # Scaling-and-squaring Pade exponential (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)):
@@ -379,61 +380,59 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
 # 4.0-6.5 against 4.7-14 us; at d = 6 (4,000 steps) 4.9-8.3 against 74-120 and 4.8-7.7 against
 # 8.9-14 us.  With one Hamiltonian per substep the scanned ME took 5-8 / 14-22 / 39-55 / 91-129 /
 # 198-243 against 85-132 / 86-139 / 91-163 / 102-165 / 99-174 us at d = 2 / 3 / 4 / 5 / 6.  With
-# one map per step (coherent kets, d_a = 6) the scan gains only at d = 2 (5-9 against 8-14 us): at
-# d = 3 / 4 / 5 it took 13-20 / 37-44 / 83-112 against 10-18 / 9-17 / 13-22 us, as
-# ``collision._superoperator`` sums d^4 d_a terms a step in extended precision.
+# one map per step (coherent kets, d_a = 6), summed in plain precision, the scan took 1.9-2.8 /
+# 3.4-5.4 / 6.9-8.8 / 12.5-18.3 against 6.1-8.4 / 7.0-9.5 / 7.0-10.9 / 11.0-12.8 us at d = 2 / 3 /
+# 4 / 5 (six rounds); only d = 2 scans such maps, though d = 3 would now gain.
 DENSE_MAX_DIM = 5
 
 
-def propagate(maps: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
-    """x0 and x_k = T_k ... T_1 x0 for k = 1..n, as an (n + 1, D) array, for an (M, D, D) stack
-    of maps with M = n (row k - 1 at step k) or M = 1 (its one row at every step).
+def propagate(chunks, x0: np.ndarray, n: int) -> np.ndarray:
+    """x0 and x_k = T_k ... T_1 x0 for k = 1..n, as an (n + 1, D) array of x0's dtype, for the
+    (c, maps) pairs of ``chunks`` in turn, which cover the n steps: maps an (M, D, D) stack with
+    M = c (row i at the chunk's step i + 1) or M = 1 (its one row at each of its c steps).  Each
+    chunk starts from the last state of the one before, so the producer alone sizes the chunks.
 
     One row T is raised by doubling, x_{m+i} = T^m x_i: each pass fills states m..2m - 1 from
     states 0..m - 1 by one (m x D)(D x D) product, then squares T^m.  The powers are formed in
-    extended precision and rounded to the output's precision once a pass, so n steps take
-    ceil(log2(n + 1)) passes, and each state at most that many roundings.
-    A stack of n rows is a blocked prefix scan (Blelloch 1990), over a chunk of STACK_CHUNK_BYTES
-    of maps at a time, the last state carried into the next chunk: in blocks of b ~ sqrt(steps),
-    the prefix products P_j = T_j ... T_1 of every block in b - 1 batched products, one state
+    extended precision and rounded to the output's precision once a pass, so c steps take
+    ceil(log2(c + 1)) passes, and each state at most that many roundings.
+    A chunk of c rows is a blocked prefix scan (Blelloch 1990): in blocks of b ~ sqrt(c), the
+    prefix products P_j = T_j ... T_1 of every block in b - 1 batched products, one state
     carried from block to block, and each block's states P_j y in one batched product written
-    into the output, a partial last block through a padded one; one chunk's P_j at a time.
-    Products or powers that overflow give non-finite output, which the callers' state checks
-    reject.
+    into the output, a partial last block through a padded one.  Products or powers that
+    overflow give non-finite output, which the callers' state checks reject.
     """
-    dim = maps.shape[-1]
-    out = np.empty((n + 1, dim), dtype=np.result_type(maps, x0))
-    out[0] = x0
+    dim = len(x0)
+    out = np.empty((n + 1, dim), dtype=x0.dtype)
+    out[0], lo = x0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(maps) == 1:
-            power, m = maps[0].astype(np.promote_types(maps.dtype, np.longdouble)), 1  # T^m
-            while m <= n:
-                rows = min(m, n + 1 - m)
-                np.matmul(out[:rows], power.astype(out.dtype).T, out=out[m:m + rows])
-                m *= 2
-                if m <= n:
-                    power = power @ power
-            return out
-        chunk = max(1, STACK_CHUNK_BYTES // (out.itemsize * dim * dim))
-        for lo in range(0, n, chunk):
-            steps = min(chunk, n - lo)
+        for steps, maps in chunks:
+            x, lo = out[lo:lo + steps + 1], lo + steps  # the chunk's start and its states
+            if len(maps) == 1:
+                power, m = maps[0].astype(np.promote_types(maps.dtype, np.longdouble)), 1  # T^m
+                while m <= steps:
+                    rows = min(m, steps + 1 - m)
+                    np.matmul(x[:rows], power.astype(out.dtype).T, out=x[m:m + rows])
+                    m *= 2
+                    if m <= steps:
+                        power = power @ power
+                continue
             b = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps))
             blocks = -(-steps // b)
             p = np.empty((b * blocks, dim, dim), dtype=out.dtype)
             p[:] = np.eye(dim)  # the last block's unused rows, whose products are dropped
-            p[:steps] = maps[lo:lo + steps]
+            p[:steps] = maps
             p = p.reshape(-1, b, dim, dim)
             for j in range(1, b):
                 np.matmul(p[:, j], p[:, j - 1], out=p[:, j])
             y = np.empty((blocks, dim, 1), dtype=out.dtype)
-            y[0, :, 0] = out[lo]
+            y[0, :, 0] = x[0]
             for i in range(1, blocks):
                 np.matmul(p[i - 1, -1], y[i - 1], out=y[i])
             full = steps // b
-            np.matmul(p[:full], y[:full, None],
-                      out=out[lo + 1:lo + 1 + full * b].reshape(full, b, dim, 1))
+            np.matmul(p[:full], y[:full, None], out=x[1:1 + full * b].reshape(full, b, dim, 1))
             if full < blocks:
-                out[lo + 1 + full * b:lo + 1 + steps] = (p[full] @ y[full])[:steps - full * b, :, 0]
+                x[1 + full * b:] = (p[full] @ y[full])[:steps - full * b, :, 0]
             del p  # so that two chunks' products are never held at once
     return out
 

@@ -453,9 +453,10 @@ def test_config_nested_too_deeply_exits_one(tmp_path, capsys, command):
     assert "nested too deeply" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("gamma", [1e20, 1e100])
+@pytest.mark.parametrize("gamma", [1e20, 1e100, 1.7e308])
 def test_numeric_blowup_exits_two(tmp_path, capsys, gamma):
-    # 1e20 breaks the trace at step 1; 1e100 makes the state non-finite there
+    # 1e20 breaks the trace at step 1; 1e100 makes the state non-finite there, and so does
+    # 1.7e308, whose gamma / dt overflows to g = inf, without a warning
     doc = vacuum_config()
     doc["field"].update(gamma=gamma, n_steps=10)
     cfg_path = write_config(tmp_path, doc)
@@ -548,7 +549,7 @@ READER_HOLES = {
                    f"n_steps with d_anc {10**30} at system dimension 2: {TOO_LARGE}"),
     "n_list_entry_1e30": (config_with(scenario="convergence", n_list=[100, 200, 10**30]),
                           f"max(n_list) with d_anc 2 at system dimension 2: {TOO_LARGE}"),
-    # two photon starts on source (x) system: 2 (2 d)^2 (n_steps + 1) entries reach 2^59 here
+    # 8 d^2 (n_steps + 1) entries, the bound on a run's per-step arrays, reach 2^59 here
     "photon_steps_2pow54": (lambda doc: field_with(n_steps=2**54 - 1)(photon(GAUSSIAN)(doc)),
                             f"n_steps with d_anc 2 at system dimension 2: {TOO_LARGE}"),
 }

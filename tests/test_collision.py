@@ -229,11 +229,12 @@ def test_run_product_scans_shared_maps_and_qubits(monkeypatch, d, kets, table, s
     maps = []
     propagate = qcore.propagate
 
-    def scan(ms, x0, n):
+    def scan(chunks, x0, n):
         if not scanned:
             pytest.fail("scan used for one map per step")
-        maps.append(len(ms))
-        return propagate(ms, x0, n)
+        chunks = list(chunks)
+        maps.append(sum(len(ms) for _, ms in chunks))  # the rows of the chunks
+        return propagate(chunks, x0, n)
 
     monkeypatch.setattr(qcore, "propagate", scan)
     monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 2 * 16 * (3 * d) ** 2)
@@ -253,13 +254,21 @@ def test_run_product_scans_shared_maps_and_qubits(monkeypatch, d, kets, table, s
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6])
 def test_shared_map_is_formed_and_scanned_once_across_chunks(monkeypatch, d):
-    # steps that share one map (E^n rho0): one Kraus pair, one superoperator row and one scan for
-    # the whole run, however many chunks of unitaries it spans; past qcore.DENSE_MAX_DIM the one
-    # pair is applied at every step
+    # steps that share one map (E^n rho0): one Kraus pair, one superoperator row and one scan of
+    # one row for the whole run, however many chunks of unitaries it spans; past
+    # qcore.DENSE_MAX_DIM the one pair is applied at every step
     calls = []
-    for module, name in [(collision, "_kraus"), (collision, "_superoperator"), (qcore, "propagate")]:
+    for module, name in [(collision, "_kraus"), (collision, "_superoperator")]:
         monkeypatch.setattr(module, name, lambda *args, name=name, f=getattr(module, name):
                             calls.append((name, len(args[0]))) or f(*args))
+    propagate = qcore.propagate
+
+    def scan(chunks, x0, n):
+        chunks = list(chunks)
+        calls.append(("propagate", sum(len(maps) for _, maps in chunks)))  # the rows of the chunks
+        return propagate(chunks, x0, n)
+
+    monkeypatch.setattr(qcore, "propagate", scan)
     monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 16 * (3 * d) ** 2)  # one unitary a chunk
     rng = np.random.default_rng(37 + d)
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -272,19 +281,19 @@ def test_shared_map_is_formed_and_scanned_once_across_chunks(monkeypatch, d):
     assert np.max(np.abs(states - per_step_run(spec, bath, rho0))) <= 1e-12
 
 
-def test_qubit_map_stack_is_filled_once_across_chunks(monkeypatch):
-    # a per-step qubit run fills one (n, 4, 4) stack chunk by chunk: the maps of the chunks'
-    # superoperators concatenated, to the bit, held once and not beside a list of the chunks;
-    # the states are stored as (rho + rho^dag) / 2
+def test_qubit_maps_are_streamed_a_chunk_at_a_time(monkeypatch):
+    # a per-step qubit run hands qcore.propagate each chunk's superoperators as it forms them:
+    # its states are those of propagate over the _kraus_chunks stream, to the bit, stored as
+    # (rho + rho^dag) / 2, and it peaks below the bytes an (n, 4, 4) stack of its maps would take
     monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 64 * 16 * 6 * 6)  # 64 unitaries a chunk
     n = 4000
     spec = two_level_spec(gamma=1.0, dt=0.001, n_steps=n, d_anc=3)
     bath = coherent_bath(1.5 - 0.5j, omega=0.7, dt=0.001, n=n, d=3)
     rho0 = random_density(np.random.default_rng(41), 2)
-    chunks = [collision._superoperator(ks)
-              for _, ks, _ in collision._kraus_chunks(spec, n, bath.etas)]
+    chunks = [(c, collision._superoperator(ks))
+              for c, ks, _ in collision._kraus_chunks(spec, n, bath.etas)]
     assert len(chunks) > 60
-    expected = qcore.propagate(np.concatenate(chunks), rho0.data.reshape(-1), n).reshape(-1, 2, 2)
+    expected = qcore.propagate(chunks, rho0.data.reshape(-1), n).reshape(-1, 2, 2)
     expected = 0.5 * (expected + expected.conj().swapaxes(1, 2))
     del chunks
     tracemalloc.start()
@@ -294,7 +303,7 @@ def test_qubit_map_stack_is_filled_once_across_chunks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert states.tobytes() == expected.tobytes()
-    assert peak < 1.5 * n * 16 * 4 * 4  # the stack's bytes: a list and its concatenation take 2x
+    assert peak < n * 16 * 4 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +476,9 @@ def test_correlated_run_requires_matching_steps():
 
 def test_photon_pass_forms_its_kraus_pairs_a_chunk_at_a_time():
     # a step's pair on source (x) S is four times its 4 x 4 unitary, so chunks are sized by the
-    # pairs: the run holds about its source (x) S states, 16 * 16 (n + 1) bytes, where chunks of
-    # 8,192 steps of pairs once took over 8 times that
+    # pairs, and each chunk's source (x) S states are traced out before the next is formed: the
+    # run holds less than 3 times the 16 * 16 n bytes of all its source (x) S states, where
+    # chunks of 8,192 steps of pairs once took over 8 times that
     n = 20_000
     spec = two_level_spec(gamma=1.0, dt=6.0 / n, n_steps=n)
     bath = single_photon_bath(np.exp(-0.5 * ((np.arange(1, n + 1) * spec.dt - 3.0) / 0.7) ** 2), n)
@@ -478,7 +488,7 @@ def test_photon_pass_forms_its_kraus_pairs_a_chunk_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 16 * 16 * n
+    assert peak < 3 * 16 * 16 * n
 
 
 def test_photon_amplitudes_normalised_within_tolerance_keep_the_trace():

@@ -446,6 +446,13 @@ def random_contractions(rng, n, dim, dtype=complex):
     return 0.99 * m / np.linalg.norm(m.astype(complex), 2, axis=(1, 2))[:, None, None]
 
 
+def chunks_of(size, maps, n):
+    """n steps of an (M, D, D) stack, M = n or M = 1, as ``qcore.propagate`` chunks of size steps,
+    the last one shorter; a one-row stack serves each chunk's steps."""
+    return [(min(size, n - lo), maps if len(maps) == 1 else maps[lo:lo + size])
+            for lo in range(0, n, size)]
+
+
 def propagate_by_loop(maps, x0, n):
     states = [x0]
     for k in range(n):
@@ -463,40 +470,48 @@ def test_propagate_matches_a_per_step_loop(n, one_map):
     rng = np.random.default_rng(n)
     maps = random_contractions(rng, 1 if one_map else max(n, 1), 4)
     x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    states = qcore.propagate(maps, x0, n)
+    states = qcore.propagate([(n, maps)], x0, n)
     assert states.shape == (n + 1, 4) and states.dtype == complex
     assert np.array_equal(states[0], x0)
     assert np.abs(states - propagate_by_loop(maps, x0, n)).max() <= 1e-14
     if one_map:  # one row, raised by doubling, is n copies of it scanned, to round-off
-        copies = qcore.propagate(np.repeat(maps, max(n, 1), 0), x0, n)
+        copies = qcore.propagate([(n, np.repeat(maps, max(n, 1), 0))], x0, n)
         assert np.abs(states - copies).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [7, 23, 40])
-@pytest.mark.parametrize("one_map", [False, True])
-def test_propagate_carries_the_state_across_chunks(monkeypatch, n, one_map):
+@pytest.mark.parametrize("one_map", [False, True, "mixed"])
+def test_propagate_carries_the_state_across_chunks(n, one_map):
+    # chunks of five steps, each from the last state of the one before: of a map per step, of
+    # one row for every step, or mixed, per-step chunks, then one row over the next n // 3 steps,
+    # then per-step chunks again
     rng = np.random.default_rng(7)
-    maps = random_contractions(rng, 1 if one_map else n, 3)
+    maps = random_contractions(rng, 1 if one_map is True else n, 3)
     x0 = rng.standard_normal(3) + 0j
-    whole = qcore.propagate(maps, x0, n)
-    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 5 * 16 * 3 * 3)  # chunks of five steps
-    chunked = qcore.propagate(maps, x0, n)
+    if one_map == "mixed":
+        a = k = n // 3
+        maps[a:a + k] = maps[a]
+        chunks = (chunks_of(5, maps[:a], a) + [(k, maps[a:a + 1])]
+                  + chunks_of(5, maps[a + k:], n - a - k))
+    else:
+        chunks = chunks_of(5, maps, n)
+    whole = qcore.propagate([(n, maps)], x0, n)
+    chunked = qcore.propagate(chunks, x0, n)
     assert np.abs(chunked - propagate_by_loop(maps, x0, n)).max() <= 1e-14
     assert np.abs(chunked - whole).max() <= 1e-14
-    if one_map:
-        assert np.abs(chunked - qcore.propagate(np.repeat(maps, n, 0), x0, n)).max() <= 1e-14
+    if one_map is True:
+        assert np.abs(chunked - qcore.propagate([(n, np.repeat(maps, n, 0))], x0, n)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [0, 9, 26, 300])
 @pytest.mark.parametrize("one_map", [False, True])
-def test_propagate_in_extended_precision(monkeypatch, n, one_map):
+def test_propagate_in_extended_precision(n, one_map):
     # the scan keeps the maps' own precision: against a clongdouble loop it is off by
     # round-off of that precision, far below double's
     rng = np.random.default_rng(11)
     maps = random_contractions(rng, 1 if one_map else max(n, 1), 4, np.clongdouble)
     x0 = (rng.standard_normal(4) + 1j * rng.standard_normal(4)).astype(np.clongdouble)
-    monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 40 * 32 * 4 * 4)  # forty clongdouble maps
-    states = qcore.propagate(maps, x0, n)
+    states = qcore.propagate(chunks_of(40, maps, n), x0, n)
     assert states.dtype == np.clongdouble
     assert np.abs(states - propagate_by_loop(maps, x0, n)).max() <= 1e-18
 
@@ -530,10 +545,12 @@ def test_one_map_is_raised_by_doubling_closer_than_a_scan(dim):
     maps, x0, loop = unitary_run(dim)
     ulps = 4 * np.finfo(float).eps * np.linalg.norm(x0)
     for n in DOUBLING_STEPS:
-        states = qcore.propagate(maps, x0, n)
+        states = qcore.propagate([(n, maps)], x0, n)
         assert states.shape == (n + 1, dim) and states.dtype == complex
         assert np.array_equal(states[0], x0)
-        scan = qcore.propagate(np.broadcast_to(maps, (max(n, 1), dim, dim)), x0, n)
+        copies = np.broadcast_to(maps, (max(n, 1), dim, dim))
+        scan = qcore.propagate(chunks_of(qcore.STACK_CHUNK_BYTES // (16 * dim * dim), copies, n),
+                               x0, n)
         err, scan_err = (np.abs(s - loop[:n + 1]).max() for s in (states, scan))
         assert err <= max(scan_err, ulps), n
 
@@ -546,21 +563,22 @@ def test_one_extended_precision_map_is_raised_by_doubling(dim):
     maps, x0, loop = unitary_run(dim)
     eps = np.finfo(np.longdouble).eps
     for n in DOUBLING_STEPS:
-        states = qcore.propagate(maps.astype(np.clongdouble), x0.astype(np.clongdouble), n)
+        states = qcore.propagate([(n, maps.astype(np.clongdouble))], x0.astype(np.clongdouble), n)
         assert states.dtype == np.clongdouble and np.array_equal(states[0], x0)
         assert np.abs(states - loop[:n + 1]).max() <= (n + 1) * dim * eps * np.linalg.norm(x0), n
 
 
 def test_propagate_overflow_is_non_finite_without_a_warning():
     # T^2 = 1e400 is finite in extended precision and overflows as it is cast to complex
-    states = qcore.propagate(np.array([1e200 * np.eye(2)], dtype=complex), np.ones(2, complex), 10)
+    maps = np.array([1e200 * np.eye(2)], dtype=complex)
+    states = qcore.propagate([(10, maps)], np.ones(2, complex), 10)
     assert np.isfinite(states[1]).all() and not np.isfinite(states[-1]).any()
 
 
 def test_extended_precision_overflow_is_non_finite_without_a_warning():
     # the squarings of 1e3000 overflow in extended precision itself
     maps = (np.longdouble("1e3000") * np.eye(2)).astype(np.clongdouble)[None]
-    states = qcore.propagate(maps, np.ones(2, np.clongdouble), 10)
+    states = qcore.propagate([(10, maps)], np.ones(2, np.clongdouble), 10)
     assert np.isfinite(states[1]).all() and not np.isfinite(states[-1]).any()
 
 

@@ -9,14 +9,18 @@ operator. run_correlated, the propagation of non-Hermitian matrix units (all
 of them in one batched call), and the correlated step_map_superoperator must
 all agree with it. The envelopes include exact zeros at either end, a single
 nonzero bin (the source empties mid-run) and amplitudes whose squares
-underflow, where the source's weight reaches 0.
+underflow, where the source's weight reaches 0. Runs are cut into chunks of
+one to three steps, or left whole, so the joint state crosses chunk edges.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisim import CollisionSpec, DensityMatrix, Operator, run_correlated, single_photon_bath
+from collisim import (CollisionSpec, DensityMatrix, Operator, qcore, run_correlated,
+                      single_photon_bath)
 from collisim.collision import _run_correlated_raw, step_map_superoperator
 from oracles import dense_correlated_marginals, one_photon_amplitudes
 
@@ -58,28 +62,32 @@ def photon_runs(draw):
     bath = single_photon_bath(phi, n)
     m = rng.standard_normal((d_s, d_s)) + 1j * rng.standard_normal((d_s, d_s))
     rho0 = DensityMatrix(Operator(m @ m.conj().T / np.trace(m @ m.conj().T), (d_s,)))
-    return spec, bath, rho0
+    # a step's Kraus pair on source (x) S is 2 d_s^2 * 8 entries, which sizes the chunks
+    chunk_steps = draw(st.sampled_from([1, 2, 3, None]))
+    chunk_bytes = qcore.STACK_CHUNK_BYTES if chunk_steps is None else chunk_steps * 16 * 16 * d_s**2
+    return spec, bath, rho0, chunk_bytes
 
 
 @settings(max_examples=40, deadline=None)
 @given(photon_runs())
 def test_sector_path_matches_dense_joint_evolution(setup):
-    spec, bath, rho0 = setup
+    spec, bath, rho0, chunk_bytes = setup
     d_s, n = spec.d_sys, spec.n_steps
     amps = one_photon_amplitudes(bath.phi)
 
-    traj = run_correlated(spec, bath, rho0)
+    with mock.patch.object(qcore, "STACK_CHUNK_BYTES", chunk_bytes):
+        traj = run_correlated(spec, bath, rho0)
+        units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
+        sector_units = _run_correlated_raw(spec, n, bath.phi, units)
+        step_map = step_map_superoperator(spec, bath, n)
     oracle = dense_correlated_marginals(spec, amps, rho0.data[None])[0]
     assert np.max(np.abs(traj.states - oracle)) <= TOL
 
-    units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
     oracle_units = dense_correlated_marginals(spec, amps, units)
-    sector_units = _run_correlated_raw(spec, n, bath.phi, units)
     assert np.max(np.abs(sector_units - oracle_units)) <= TOL
 
     # the step map divides by the map of the earlier steps, which multiplies
     # round-off by that map's condition number; the bound scales with it
     before, after = (oracle_units[:, j].reshape(d_s * d_s, -1) for j in (n - 1, n))
     oracle_map = np.linalg.solve(before, after).T
-    step_map = step_map_superoperator(spec, bath, n)
     assert np.max(np.abs(step_map - oracle_map)) <= TOL * np.linalg.cond(before)
