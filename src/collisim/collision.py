@@ -141,14 +141,11 @@ def interaction_operator(spec: CollisionSpec) -> Operator:
 
 def _unitaries(spec: CollisionSpec, steps: Sequence[int],
                row: int = 0) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (c, U) for the next c of the 1-based collisions in ``steps``, in order: U the (c, D, D)
+    """Yield (c, U) for the next c collisions of ``steps`` (in 1..n_steps) in order: U the (c, D, D)
     stack of U_k = exp(-i (H_S (x) I + g v) dt) from one ``qcore.expm_stack`` call, c steps of
     qcore.STACK_CHUNK_BYTES at most of U_k or of the caller's ``row`` entries a step, whichever is
     larger, or a static spec's one U as (1, D, D), formed once and yielded for every chunk."""
     table, rows = spec.h_sys_table, np.asarray(steps, dtype=int) - 1
-    off = [] if table is None else rows[(rows < 0) | (rows >= len(table))]
-    if len(off):
-        raise ValidationError(f"step {off[0] + 1} outside 1..{len(table)} of h_sys_table")
     side = spec.d_sys * spec.d_anc
     batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * max(side * side, row)))
     with np.errstate(invalid="ignore"):  # g = inf, where gamma / dt overflows: NaN, not a warning
@@ -228,6 +225,8 @@ def _collide(k: np.ndarray, k_dag: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def collision_unitary(spec: CollisionSpec, step: int = 1) -> Operator:
     """U = exp(-i (H_S (x) I + g v) dt) for the collision at `step` (1-based)."""
+    if not 1 <= step <= spec.n_steps:
+        raise ValidationError(f"step {step} outside 1..{spec.n_steps}")
     return Operator(next(_unitaries(spec, [step]))[1][0], spec.h_sys.dims + (spec.d_anc,))
 
 

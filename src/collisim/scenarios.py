@@ -328,39 +328,35 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Error of the collision dynamics against an exactly propagated ME reference.
 
-    For each step count N the collision run is compared, on its own time grid, against the
-    reference on that grid.  A static generator (omega = 0) is exact on any grid: each N's
-    reference is its own ``integrate_me`` run of N substeps, one propagator exp(L t / N).  A
-    drive with omega != 0 is held over each substep at its midpoint value (the exponential
-    midpoint rule, second order), on one reference trajectory whose substeps are the least
-    common multiple of all the N.  With ``fixed_g`` the coupling is held constant instead of
-    scaling as 1/sqrt(dt); the emergent dissipation then dies away with N and the error stops
-    shrinking.
+    Row N is compared, on its own time grid, against a reference of G substeps: G = max(n_list)
+    where the drive moves (omega != 0) and N divides it, N otherwise, as a static generator is
+    exact on any grid.  A moving drive is held over each substep at its midpoint value (the
+    exponential midpoint rule, second order); a static one is one row, one propagator
+    exp(L t / G).  Each G has one reference, formed for its first row and dropped after its
+    last, so step counts that share no grid never form a common one.  With ``fixed_g`` the
+    coupling is held constant instead of scaling as 1/sqrt(dt); the emergent dissipation then
+    dies away with N and the error stops shrinking.
     """
     n_list = step_counts(n_list)
     if cfg.kind == SINGLE_PHOTON:
         raise ValidationError("no Lindblad reference exists for single-photon fields")
 
     obs = _excited_population(cfg)
-    if cfg.omega == 0:
-        gen = _driven_me_generator(cfg, _drive_hamiltonian(cfg, np.zeros(1)), cfg.t_final)
-    else:
-        substeps = math.lcm(*n_list)
-        h = cfg.t_final / substeps
-        gen = _driven_me_generator(cfg, _drive_hamiltonian(cfg, (np.arange(substeps) + 0.5) * h), h)
-        reference = lind.integrate_me(gen, cfg.rho0, cfg.t_final, substeps, obs)
-
-    rows = []
-    for n in n_list:
+    grids = [n if cfg.omega == 0 or n_list[-1] % n else n_list[-1] for n in n_list]
+    references, rows = {}, []
+    for i, (n, grid) in enumerate(zip(n_list, grids)):
         cfg_n = replace(cfg, n_steps=n)
         spec, field_bath = discretize_input_output(cfg_n)
         if fixed_g is not None:
             spec = replace(spec, g=fixed_g, gamma=None)
         traj = coll.run_product(spec, field_bath, cfg_n.rho0, obs)
-        if cfg.omega == 0:
-            reference = lind.integrate_me(gen, cfg.rho0, cfg.t_final, n, obs)
-        ref_states = reference.states[::(len(reference) - 1) // n]
-        rows.append(_error_row(cfg_n, traj, ref_states, reference.observables))
+        if grid not in references:
+            h = cfg.t_final / grid
+            drive = _drive_hamiltonian(cfg, (np.arange(grid if cfg.omega != 0 else 1) + 0.5) * h)
+            gen = _driven_me_generator(cfg, drive, h)
+            references[grid] = lind.integrate_me(gen, cfg.rho0, cfg.t_final, grid, obs)
+        reference = references[grid] if grid in grids[i + 1:] else references.pop(grid)
+        rows.append(_error_row(cfg_n, traj, reference.states[::grid // n], reference.observables))
     log_n = np.log([row.n_steps for row in rows])
     log_err = np.log([max(row.max_state_error, 1e-300) for row in rows])
     slope = float(np.polyfit(log_n, log_err, 1)[0])

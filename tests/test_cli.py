@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -471,18 +472,13 @@ def test_numeric_blowup_exits_two(tmp_path, capsys, gamma):
     assert (tmp_path / "x.csv").read_bytes() == b"old artifact\n"
 
 
-@pytest.mark.parametrize("scenario, field, n_list", [
-    ("spontaneous_emission", {"n_steps": 10**15}, None),  # a 56.8 PiB state stack
-    # a moving drive's reference on ~1e15 substeps
-    ("convergence", {"n_steps": 100, "kind": "coherent", "z": 1.0, "omega": 0.7},
-     [99991, 99989, 99971]),
-], ids=["state_stack", "reference_grid"])
-def test_run_that_cannot_allocate_exits_one(tmp_path, capsys, scenario, field, n_list):
-    # each request is beyond any 47-bit address space, so it fails at once and touches nothing
+@pytest.mark.parametrize("scenario, field", [
+    ("spontaneous_emission", {"n_steps": 10**15}),  # a 56.8 PiB state stack
+], ids=["state_stack"])
+def test_run_that_cannot_allocate_exits_one(tmp_path, capsys, scenario, field):
+    # the request is beyond any 47-bit address space, so it fails at once and touches nothing
     doc = vacuum_config(scenario=scenario)
     doc["field"].update(field)
-    if n_list is not None:
-        doc["n_list"] = n_list
     assert main(["run", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
@@ -589,19 +585,40 @@ def test_checks_that_overflow_exit_one_without_a_warning(tmp_path, capsys, case)
 
 
 def test_static_study_runs_each_step_count_on_its_own_grid(tmp_path):
-    # [100, 101, 103] share no grid short of 1,040,300 substeps, where a static reference once
-    # drifted past the trace tolerance; each step count's own reference keeps the study small
-    doc = vacuum_config(scenario="convergence", n_list=[100, 101, 103])
-    out = tmp_path / "conv.csv"
-    tracemalloc.start()
-    try:
-        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    meta = json.loads(out.read_text().splitlines()[2][len("# meta: "):])
-    assert -1.2 <= meta["fitted_slope"] <= -0.8
-    assert peak < 2**20
+    # [100, 101, 103] share no grid short of 1,040,300 substeps, where a reference once drifted
+    # past the trace tolerance (vacuum; coherent z = 3, d_anc 12) or took 190 MiB (coherent
+    # z = 1); each step count's own reference keeps the study small, static or moving drive
+    coherent_field = {"kind": "coherent", "omega": 0.7}
+    for field in ({}, dict(coherent_field, z=1.0), dict(coherent_field, z=3.0, d_anc=12)):
+        doc = vacuum_config(scenario="convergence", n_list=[100, 101, 103])
+        doc["field"].update(field)
+        out = tmp_path / "conv.csv"
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        meta = json.loads(out.read_text().splitlines()[2][len("# meta: "):])
+        assert -1.2 <= meta["fitted_slope"] <= -0.8
+        assert peak < 2**20
+
+
+def test_generator_accuracy_warning_is_one_line(tmp_path, capsys, monkeypatch):
+    # a system frequency of 5 against g = 1: the run warns, on one line, and exits 0, also
+    # where warnings are errors, as they are in this test suite
+    doc = vacuum_config(out_path=str(tmp_path / "x.csv"))
+    doc["field"].update(t_final=10, n_steps=10)
+    doc = system(h_sys=[[0, 0], [0, 5]])(doc)
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: system frequency scale 5 is not small against the coupling (g = 1); "
+        "the extracted generator may be inaccurate\n")
+    # any other warning keeps the filters in force: here it is still an error
+    monkeypatch.setattr(scenarios, "spontaneous_emission_run",
+                        lambda cfg: warnings.warn("overflow encountered", RuntimeWarning))
+    with pytest.raises(RuntimeWarning, match="overflow encountered"):
+        main(["run", "--config", write_config(tmp_path, doc)])
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

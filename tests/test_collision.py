@@ -129,14 +129,16 @@ def test_collision_unitary_is_unitary(d_anc):
     assert np.max(np.abs(u.data.conj().T @ u.data - np.eye(2 * d_anc))) < 1e-9
 
 
-@pytest.mark.parametrize("step", [0, 4])
+@pytest.mark.parametrize("step", [0, 4, -5, 5, 10**6])
 def test_collision_unitary_rejects_steps_off_the_table(step):
-    # step 0 used to wrap around to the last entry, step 4 raised a bare IndexError
-    table = np.array([w * np.eye(2, dtype=complex) for w in (0.1, 0.2, 0.3)])
-    spec = CollisionSpec(h_sys=H2, coupling=LOWER, dt=0.1, n_steps=3, d_anc=2, g=1.0,
-                         h_sys_table=table)
-    with pytest.raises(ValidationError, match=f"step {step} outside 1..3"):
-        collision_unitary(spec, step)
+    # step 0 used to wrap around to the last entry of a table, step 4 raised a bare IndexError;
+    # a static spec, or a table longer than its steps, once returned a unitary for any step
+    table = np.array([w * np.eye(2, dtype=complex) for w in (0.1, 0.2, 0.3, 0.4, 0.5)])
+    for rows in (table[:3], None, table):
+        spec = CollisionSpec(h_sys=H2, coupling=LOWER, dt=0.1, n_steps=3, d_anc=2, g=1.0,
+                             h_sys_table=rows)
+        with pytest.raises(ValidationError, match=f"step {step} outside 1..3"):
+            collision_unitary(spec, step)
 
 
 def test_spec_checks_its_h_sys_table_once():

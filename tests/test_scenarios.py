@@ -209,15 +209,16 @@ def test_static_semiclassical_drive_forms_one_unitary(monkeypatch):
 
 @pytest.mark.parametrize("omega", [0.0, 0.7])
 def test_static_drive_is_evaluated_at_one_time(monkeypatch, omega):
-    # only a moving drive needs its table, one row per step or reference substep (the lcm of
-    # the step counts); a static one is its first row throughout
+    # only a moving drive needs its table, one row per step or reference substep (here one
+    # reference on max(n_list) = 80 substeps); a static one is one time per reference grid,
+    # and each step count is its own grid
     lengths = []
     drive = scenarios._drive_hamiltonian
     monkeypatch.setattr(scenarios, "_drive_hamiltonian",
                         lambda cfg, times: lengths.append(len(times)) or drive(cfg, times))
     bloch_run(make_cfg(kind="coherent", z=1.5, omega=omega, n_steps=50, d_anc=6))
     convergence_study(make_cfg(kind="coherent", z=1.0, omega=omega, d_anc=6), [20, 40, 80])
-    assert lengths == ([1, 1] if omega == 0 else [50, 80])
+    assert lengths == ([1, 1, 1, 1] if omega == 0 else [50, 80])
 
 
 def test_static_field_is_one_map_for_the_quantum_run(monkeypatch):
@@ -382,32 +383,42 @@ def test_coherent_convergence_runs():
     assert report.rows[-1].max_state_error < report.rows[0].max_state_error
 
 
-@pytest.mark.parametrize("omega, substeps", [(0.0, 400), (1.3, 400)])
-def test_convergence_reference_grid(monkeypatch, omega, substeps):
-    # a moving drive (omega != 0) is one reference on the common grid of the step counts, their
-    # lcm, held over each substep at its midpoint; a static one is one row, and each step
-    # count's reference is its own run on that many substeps
-    grids, gens, props = [], [], []
+@pytest.mark.parametrize("omega, n_list, row_grids", [
+    (0.0, [100, 200, 400], [100, 200, 400]),
+    (1.3, [100, 200, 400], [400, 400, 400]),
+    (1.3, [100, 150, 200], [200, 150, 200]),
+], ids=["0.0-400", "1.3-400", "1.3-150"])
+def test_convergence_reference_grid(monkeypatch, omega, n_list, row_grids):
+    # row N's reference runs on max(n_list) substeps where the drive moves (omega != 0) and N
+    # divides it, on N otherwise, held over each substep at its midpoint; one reference per grid,
+    # kept until its last row.  A static drive is one row, and each step count is its own grid
+    refs, gens, props = [], [], []
     integrate = scenarios.lind.integrate_me
     monkeypatch.setattr(scenarios.lind, "integrate_me", lambda gen, rho0, t, n, obs:
-                        grids.append(n) or gens.append(gen) or integrate(gen, rho0, t, n, obs))
+                        gens.append(gen) or refs.append(integrate(gen, rho0, t, n, obs))
+                        or refs[-1])
     expm_stack = qcore.expm_stack
     monkeypatch.setattr(qcore, "expm_stack", lambda a: props.append(len(a)) or expm_stack(a))
     cfg = make_cfg(kind="coherent", z=1.0, omega=omega, d_anc=8)
-    convergence_study(cfg, [100, 200, 400])
-    assert grids == ([100, 200, substeps] if omega == 0 else [substeps])
-    # the drive held over substep k is the field's at the substep's midpoint, (k + 1/2) t / substeps
-    t = (np.arange(substeps)[:, None, None] + 0.5) * cfg.t_final / substeps
-    b = LOWER.data
-    drive = math.sqrt(cfg.gamma / (2 * math.pi)) * (np.exp(-1j * omega * t) * b
-                                                     + np.exp(1j * omega * t) * b.conj().T)
-    table = gens[0].h_table
-    assert len(table) == (1 if omega == 0 else substeps)
-    assert all(gen is gens[0] for gen in gens)
-    assert np.array_equal(gens[0].h_eff.data, table[0])
-    assert np.max(np.abs(table - drive[:len(table)])) < 1e-14
+    report = convergence_study(cfg, n_list)
+    grids = list(dict.fromkeys(row_grids))
+    assert [len(ref) - 1 for ref in refs] == grids
     if omega == 0:  # one row is a static generator: one propagator serves every substep
         assert props == [1] * 6  # each step count's collision unitary and ME propagator
+    b = LOWER.data
+    for gen, grid in zip(gens, grids):
+        # the drive held over substep k is the field's at the substep's midpoint, (k + 1/2) t / G
+        t = (np.arange(grid)[:, None, None] + 0.5) * cfg.t_final / grid
+        drive = math.sqrt(cfg.gamma / (2 * math.pi)) * (np.exp(-1j * omega * t) * b
+                                                         + np.exp(1j * omega * t) * b.conj().T)
+        assert len(gen.h_table) == (1 if omega == 0 else grid)
+        assert np.array_equal(gen.h_eff.data, gen.h_table[0])
+        assert np.max(np.abs(gen.h_table - drive[:len(gen.h_table)])) < 1e-14
+    # each row reads its grid's reference at its own grid points
+    for row, grid in zip(report.rows, row_grids):
+        traj = run_product(*discretize_input_output(replace(cfg, n_steps=row.n_steps)), cfg.rho0)
+        ref = refs[grids.index(grid)].states[::grid // row.n_steps]
+        assert np.array_equal(row.state_errors, qcore.trace_distances(traj.states, ref))
 
 
 def test_static_reference_on_common_grid_matches_a_finer_one():

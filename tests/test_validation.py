@@ -1,0 +1,118 @@
+"""Every input check of the Python API raises its own ValidationError: one case per check that
+no other test reaches."""
+
+import numpy as np
+import pytest
+
+from collisim import (
+    BathSpec,
+    CollisionSpec,
+    ConvergenceReport,
+    FieldConfig,
+    GaussianEnvelope,
+    LindbladGenerator,
+    Operator,
+    PureState,
+    ValidationError,
+    apply_generator,
+    bloch_run,
+    coherent_bath,
+    convergence_study,
+    effective_hamiltonian,
+    fock,
+    fock_dm,
+    integrate_me,
+    product_bath,
+    single_photon_bath,
+    single_photon_run,
+    spontaneous_emission_run,
+)
+from collisim.bath import PRODUCT
+from collisim.collision import step_map_superoperator
+from collisim.scenarios import ConvergenceRow, default_emitter
+
+H2, LOWER, EXCITED = default_emitter()
+H3 = Operator(np.zeros((3, 3)), (3,))
+RHO3 = fock_dm(3, 0)
+KET = np.array([[1.0, 0.0]])
+GAUSSIAN = GaussianEnvelope(center=3.0, width=1.0)
+
+
+def spec(h=H2, coupling=LOWER, n_steps=3):
+    return CollisionSpec(h_sys=h, coupling=coupling, dt=0.1, n_steps=n_steps, d_anc=2, g=1.0)
+
+
+def field(kind="vacuum", **keys):
+    doc = dict(kind=kind, gamma=1.0, t_final=1.0, n_steps=10, h_sys=H2, coupling=LOWER,
+               rho0=EXCITED, envelope=GAUSSIAN if kind == "single_photon" else None)
+    return FieldConfig(**dict(doc, **keys))
+
+
+def row(n):
+    return ConvergenceRow(n_steps=n, dt=1.0 / n, state_errors=np.zeros(n + 1),
+                          endpoint_observable_error=0.0)
+
+
+GENERATOR = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
+H17 = Operator(np.zeros((17, 17)), (17,))
+VACUUM_BATH = product_bath(fock_dm(2, 0), 3)
+
+CASES = {
+    "bath_kind": (lambda: BathSpec(kind="thermal", d=2, n_steps=1, etas=KET),
+                  "unknown bath kind 'thermal'"),
+    "bath_no_steps": (lambda: BathSpec(kind=PRODUCT, d=2, n_steps=0, etas=KET),
+                      "bath must cover at least one step"),
+    "correlated_ancilla_after_last_step": (
+        lambda: single_photon_bath([0.6, 0.8], 2).ancilla_state(3), r"step 3 outside 1\.\.2"),
+    "coherent_no_steps": (lambda: coherent_bath(1.0, 0.0, 0.1, 0, 4),
+                          "step count must be >= 1"),
+    "coherent_truncation_1": (lambda: coherent_bath(1.0, 0.0, 0.1, 5, 1),
+                              "truncation dimension must be >= 2, got 1"),
+    "photon_no_steps": (lambda: single_photon_bath([1.0], 0), "step count must be >= 1"),
+    "photon_wrong_length": (lambda: single_photon_bath([0.6, 0.8], 3),
+                            r"envelope must supply 3 amplitudes, got shape \(2,\)"),
+    "spec_negative_steps": (lambda: spec(n_steps=-1), "n_steps must be >= 0"),
+    "spec_mismatched_spaces": (lambda: spec(coupling=Operator(np.zeros((3, 3)), (3,))),
+                               "h_sys and coupling act on different spaces"),
+    "step_map_step_0": (lambda: step_map_superoperator(spec(), VACUUM_BATH, 0),
+                        r"step 0 outside 1\.\.3"),
+    "step_map_system_17": (lambda: step_map_superoperator(spec(H17, H17), VACUUM_BATH, 1),
+                           "system dimension 17 too large for a step map"),
+    "generator_jump_space": (lambda: LindbladGenerator(h_eff=H2, jumps=((H3, 1.0),)),
+                             "jump operator on wrong space"),
+    "shift_ancilla_dims": (lambda: effective_hamiltonian(Operator(np.eye(4), (2, 2)), RHO3),
+                           r"interaction dims \(2, 2\) do not end with ancilla dims \(3,\)"),
+    "apply_generator_space": (lambda: apply_generator(GENERATOR, RHO3),
+                              "generator and state act on different spaces"),
+    "integrate_me_space": (lambda: integrate_me(GENERATOR, RHO3, 1.0, 10),
+                           "generator and state act on different spaces"),
+    "operator_sum_spaces": (lambda: H2 + H3,
+                            r"operators act on different spaces: \(2,\) vs \(3,\)"),
+    "pure_state_no_dims": (lambda: PureState(np.array([1.0]), ()),
+                           "dims must be a non-empty list of dimensions >= 1"),
+    "pure_state_length": (lambda: PureState(np.array([1.0, 0.0, 0.0]), (2,)),
+                          r"amplitude vector of length 3 incompatible with dims \(2,\)"),
+    "fock_index_d": (lambda: fock(3, 3), "Fock index 3 outside truncation 3"),
+    "field_kind": (lambda: field(kind="thermal"), "unknown field kind 'thermal'"),
+    "field_no_steps": (lambda: field(n_steps=0), "n_steps must be >= 1"),
+    "photon_field_d_anc_3": (lambda: field(kind="single_photon", d_anc=3),
+                             r"single-photon ancillas are qubits \(d_anc = 2\)"),
+    "field_mismatched_spaces": (lambda: field(rho0=RHO3),
+                                "system operators and initial state on mismatched spaces"),
+    "report_unsorted": (lambda: ConvergenceReport(rows=(row(20), row(10)), slope=-1.0),
+                        "convergence rows must be sorted by N ascending"),
+    "decay_on_coherent": (lambda: spontaneous_emission_run(field(kind="coherent", z=1.0)),
+                          "spontaneous_emission_run needs a vacuum configuration"),
+    "bloch_on_vacuum": (lambda: bloch_run(field()), "bloch_run needs a coherent configuration"),
+    "photon_on_vacuum": (lambda: single_photon_run(field()),
+                         "single_photon_run needs a single-photon configuration"),
+    "convergence_on_photon": (lambda: convergence_study(field(kind="single_photon"), [10, 20, 40]),
+                              "no Lindblad reference exists for single-photon fields"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_invalid_input_raises_its_validation_error(case):
+    call, message = CASES[case]
+    with pytest.raises(ValidationError, match=message):
+        call()
