@@ -56,6 +56,12 @@ class BathSpec:
     def __post_init__(self):
         if self.kind not in (PRODUCT, CORRELATED_PURE):
             raise ValidationError(f"unknown bath kind {self.kind!r}")
+        for name in ("d", "n_steps"):
+            object.__setattr__(self, name, qcore.as_int(getattr(self, name), name))
+        unread = ("eta", "joint") + (("phi",) if self.kind == PRODUCT else ("etas", "xi"))
+        given = [name for name in unread if getattr(self, name) is not None]
+        if given:
+            raise ValidationError(f"a {self.kind} bath takes no {', '.join(given)}")
         if self.n_steps < 1:
             raise ValidationError("bath must cover at least one step")
         if self.kind == PRODUCT:
@@ -63,6 +69,9 @@ class BathSpec:
                                        lambda fs: qcore.first_non_unit(fs.reshape(len(fs), -1)))
             if len(rows) not in (1, self.n_steps):
                 raise ValidationError(f"need 1 or {self.n_steps} ancilla states, got {len(rows)}")
+            if self.xi is not None and np.shape(self.xi) != (len(rows),):
+                raise ValidationError(f"need one xi per ancilla state ({len(rows)}), "
+                                      f"got shape {np.shape(self.xi)}")
             object.__setattr__(self, "etas", tuple(rows))
         else:
             phi = np.asarray(self.phi, dtype=complex)
@@ -76,6 +85,7 @@ class BathSpec:
 
     def factor(self, step: int) -> np.ndarray:
         """F (d x r) of the product ancilla met at `step` (1-based); a one-row stack serves all."""
+        step = qcore.as_int(step, "step")
         if not 1 <= step <= self.n_steps:
             raise ValidationError(f"step {step} outside 1..{self.n_steps}")
         return self.etas[step - 1 if len(self.etas) > 1 else 0].reshape(self.d, -1)
@@ -85,6 +95,7 @@ class BathSpec:
         if self.kind == PRODUCT:
             f = self.factor(step)
             return DensityMatrix(Operator(f @ f.conj().T, (self.d,)))
+        step = qcore.as_int(step, "step")
         if not 1 <= step <= self.n_steps:
             raise ValidationError(f"step {step} outside 1..{self.n_steps}")
         p = float(np.abs(self.phi[step - 1]) ** 2)
@@ -159,6 +170,7 @@ def single_photon_bath(envelope: Envelope, n: int) -> BathSpec:
     state sum_k phi_k |1_k> is kept as its n amplitudes, which a run hands
     out through a source qubit (``collision.run_correlated``).
     """
+    n = qcore.as_int(n, "step count")
     if n < 1:
         raise ValidationError("step count must be >= 1")
     if callable(envelope):

@@ -1,16 +1,16 @@
 """Collision dynamics: per-step unitaries, reduced evolution, CP checks.
 
-Both bath families run on one Kraus kernel, E(M) = Tr_a[U (M (x) F F^dag) U^dag]
-= sum_x K_x M K_x^dag, formed by ``_kraus`` and applied by ``_collide``: a product
-bath hands over its stack of factors F, one row shared by every step or one per
+Both bath families run on one Kraus kernel, E(M) = Tr_a[U (M (x) F F^dag) U^dag] =
+sum_x K_x M K_x^dag, held only as the blocks K = [i, (j, x)] that ``_kraus`` forms: a
+product bath hands over its stack of factors F, one row shared by every step or one per
 step; a single-photon bath is one of the system and a source qubit that hands each
 vacuum ancilla its share (Gough, James & Nurdin, Phil. Trans. R. Soc. A 370, 5408 (2012)).
 ``_kraus_chunks`` builds the blocks a chunk of steps at a time, with one batched
 product per chunk of unitaries, and a map shared by every step once for all steps.
 Up to ``qcore.DENSE_MAX_DIM`` a product run whose steps share one map, or any at
 d = 2, streams the d^2 x d^2 superoperators of those chunks into one call of
-``qcore.propagate``, which raises a shared map by doubling and scans a map per
-step; otherwise, and for a single photon, ``_kraus_loop`` applies the pairs.
+``qcore.propagate``, which raises a shared map by doubling and scans a map per step;
+otherwise ``_kraus_loop``, the one routine that applies a Kraus map, does it step by step.
 Step-indexed inputs are raw read-only arrays, each checked once where it is
 built.  ``_checked_trajectory`` is the one place that stores a run's states, of
 this module and of the master equation alike: it checks them raw, once, then
@@ -61,6 +61,8 @@ class CollisionSpec:
     h_sys_table: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("n_steps", "d_anc"):
+            object.__setattr__(self, name, qcore.as_int(getattr(self, name), name))
         if not self.dt > 0:  # written so that NaN fails too, here and below
             raise ValidationError("dt must be positive")
         if self.n_steps < 0:
@@ -160,47 +162,51 @@ def _unitaries(spec: CollisionSpec, steps: Sequence[int],
         yield len(rows[lo:lo + batch]), us
 
 
-def _kraus(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kraus(u: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The Kraus blocks of E(M) = Tr_a[U (M (x) F F^dag) U^dag] = sum_x K_x M K_x^dag,
-    K_x = sum_b <a|U|b> F_br for x = (r, a), as the pair [..., i, (j, x)] = (K_x)_ij and
-    [..., j, (x, i)] = (K_x^dag)_ji, each of shape (..., d, d r d_a), for U of shape (..., D, D)
-    and F of shape (..., d_a, r), stacks broadcast against each other: one batched product."""
+    K_x = sum_b <a|U|b> F_br for x = (r, a), as the stack [..., i, (j, x)] = (K_x)_ij of shape
+    (..., d, d r d_a), for U of shape (..., D, D) and F of shape (..., d_a, r), stacks broadcast
+    against each other: one batched product.  This is the one form of a collision map."""
     d_a = f.shape[-2]
     d = u.shape[-1] // d_a
     k = u.reshape(u.shape[:-2] + (-1, d_a)) @ f
     k = k.reshape(k.shape[:-2] + (d, d_a, d, -1))
     *lead, i, a, j, r = range(k.ndim)
-    shape = k.shape[:-4] + (d, -1)
-    return (k.transpose(*lead, i, j, r, a).reshape(shape),  # [..., i, (j, r, a)]
-            k.transpose(*lead, j, r, a, i).conj().reshape(shape))  # [..., j, (r, a, i)]
+    return k.transpose(*lead, i, j, r, a).reshape(k.shape[:-4] + (d, -1))  # [..., i, (j, r, a)]
 
 
-def _kraus_chunks(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (c, K, K^dag) for the next c of the collisions 1..n, in order: the Kraus pairs of
-    U_k against F_k = fs[k - 1], a (d_a, r) factor or a ket per row, where a one-row ``fs`` serves
-    every step.  The pairs of a chunk of ``_unitaries``, sized by them where they outgrow U_k, come
-    from one ``_kraus`` call, one row per step; a map shared by every step (a one-row ``fs`` and no
+def _kraus_chunks(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (c, K) for the next c of the collisions 1..n, in order: the Kraus blocks of U_k against
+    F_k = fs[k - 1], a (d_a, r) factor or a ket per row, where a one-row ``fs`` serves every step.
+    A chunk of ``_unitaries``, sized by K and K^dag where they outgrow U_k, gives its blocks by one
+    ``_kraus`` call, one row per step; a map shared by every step (a one-row ``fs`` and no
     ``h_sys_table``) is one row, formed once and yielded once as the chunk of all n steps."""
-    row = 2 * spec.d_sys ** 2 * np.size(fs[0])  # the entries of a step's Kraus pair
+    row = 2 * spec.d_sys ** 2 * np.size(fs[0])  # the entries of a step's K and K^dag
     chunks = (_unitaries(spec, range(1, n + 1), row) if len(fs) > 1 or spec.h_sys_table is not None
               else [(n, next(_unitaries(spec, [1]))[1])])  # one map for every step
     lo = 0
     for count, us in chunks:
         f = np.asarray(fs if len(fs) == 1 else fs[lo:lo + count])
         lo += count
-        yield (count,) + _kraus(us, f.reshape(len(f), spec.d_anc, -1))
+        yield count, _kraus(us, f.reshape(len(f), spec.d_anc, -1))
 
 
 def _kraus_loop(chunks, m0: np.ndarray, n: int) -> np.ndarray:
     """The (n + 1,) + m0.shape states of m0, a matrix or a stack, before and after each of n
-    collisions: each pair of ``chunks``, (c, K, K^dag) in turn, applied as by ``_collide``."""
+    collisions; the one routine that applies a Kraus map.  For each chunk (c, K) of ``chunks``,
+    blocks K = [i, (j, x)] with one row a step or one row shared by the c steps, it forms the
+    adjoint blocks K^dag = [j, (x, i)] once; each step is then sum_x K_x m K_x^dag, two products."""
     states = np.empty((n + 1,) + m0.shape, dtype=complex)
     states[0] = m0
     shape = m0.shape[:-2] + (-1, m0.shape[-1])
-    pairs = (pair for c, ks, ks_dag in chunks for pair in (
-        zip(ks, ks_dag) if len(ks) == c else itertools.repeat((ks[0], ks_dag[0]), c)))
-    for k, (kraus, kraus_dag) in enumerate(pairs):
-        np.matmul(kraus, (states[k] @ kraus_dag).reshape(shape), out=states[k + 1])
+    k = 0
+    for c, ks in chunks:
+        d = ks.shape[-2]
+        ks_dag = ks.reshape(len(ks), d, d, -1).transpose(0, 2, 3, 1).conj().reshape(len(ks), d, -1)
+        for kraus, kraus_dag in (zip(ks, ks_dag) if len(ks) == c
+                                 else itertools.repeat((ks[0], ks_dag[0]), c)):
+            np.matmul(kraus, (states[k] @ kraus_dag).reshape(shape), out=states[k + 1])
+            k += 1
     return states
 
 
@@ -217,14 +223,9 @@ def _superoperator(k: np.ndarray) -> np.ndarray:
     return s.reshape(-1, d, d, d, d).swapaxes(2, 3).reshape(-1, d * d, d * d)
 
 
-def _collide(k: np.ndarray, k_dag: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_x K_x m K_x^dag for m of shape (..., q, q), as two matrix products, with k = [i, (j, x)]
-    of shape (p, q n) and k_dag = [j, (x, i)] of shape (q, n p)."""
-    return k @ (m.reshape(-1, len(k_dag)) @ k_dag).reshape(m.shape[:-2] + (-1, len(k)))
-
-
 def collision_unitary(spec: CollisionSpec, step: int = 1) -> Operator:
     """U = exp(-i (H_S (x) I + g v) dt) for the collision at `step` (1-based)."""
+    step = qcore.as_int(step, "step")
     if not 1 <= step <= spec.n_steps:
         raise ValidationError(f"step {step} outside 1..{spec.n_steps}")
     return Operator(next(_unitaries(spec, [step]))[1][0], spec.h_sys.dims + (spec.d_anc,))
@@ -236,8 +237,15 @@ def collide_once(rho: DensityMatrix, eta: DensityMatrix, u: Operator) -> Density
         raise ValidationError(
             f"unitary dims {u.dims} do not match system {rho.dims} + ancilla {eta.dims}"
         )
-    k, k_dag = _kraus(u.data, bath_mod._factor(eta.data))
-    return DensityMatrix(Operator(_collide(k, k_dag, rho.data), rho.dims))
+    k = _kraus(u.data, bath_mod._factor(eta.data))
+    return DensityMatrix(Operator(_kraus_loop([(1, k[None])], rho.data, 1)[1], rho.dims))
+
+
+def _check_observables(observables: Mapping[str, Operator] | None, dims: tuple[int, ...]) -> None:
+    """ValidationError unless every observable is an ``Operator`` on ``dims``, before a run."""
+    for name, op in (observables or {}).items():
+        if not isinstance(op, Operator) or op.dims != dims:
+            raise ValidationError(f"observable {name!r} is not an operator on dims {dims}")
 
 
 def _checked_trajectory(dt: float, states: np.ndarray,
@@ -290,13 +298,14 @@ def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
     ``h_sys_table``) or d = 2, each chunk of ``_kraus_chunks`` becomes its d^2 x d^2
     superoperators, the shared map's one row or one row per step, and one ``qcore.propagate``
     call takes them chunk by chunk, so no more than one chunk's maps is held at once.  Otherwise
-    each Kraus pair is applied in turn, O(d_a r d^3) per step, which at d = 3..5 beats a
+    each step's Kraus map is applied in turn, O(d_a r d^3) per step, which at d = 3..5 beats a
     superoperator per step (see ``qcore.DENSE_MAX_DIM``)."""
     _check_bath(spec, bath, bath_mod.PRODUCT, rho0)
+    _check_observables(observables, rho0.dims)
     n, d = spec.n_steps, rho0.side
     shared = len(bath.etas) == 1 and spec.h_sys_table is None
     if d <= qcore.DENSE_MAX_DIM and (shared or d == 2):
-        chunks = ((c, _superoperator(ks)) for c, ks, _ in _kraus_chunks(spec, n, bath.etas))
+        chunks = ((c, _superoperator(ks)) for c, ks in _kraus_chunks(spec, n, bath.etas))
         states = qcore.propagate(chunks, rho0.data.reshape(-1), n)
         return _checked_trajectory(spec.dt, states.reshape(-1, d, d), observables)
 
@@ -321,16 +330,15 @@ def _run_correlated_raw(spec: CollisionSpec, n: int, phi: np.ndarray, m0: np.nda
     fs[:, 0, 0, 0] = 1.0
     fs[:, 0, 1, 1] = np.divide(r[1:], r[:-1], out=np.ones(n), where=r[:-1] > 0)  # c
     fs[:, 1, 0, 1] = np.divide(phi[:n], r[:-1], out=np.zeros(n, complex), where=r[:-1] > 0)  # s
-    regroup = lambda x, *axes: (x.reshape(len(x), d, *axes).transpose(0, 3, 1, 4, 2, 5)
-                                .reshape(len(x), 2 * d, -1))  # K and K^dag onto source (x) S
     marginals = np.empty(m0.shape[:-2] + (n + 1, d, d), dtype=complex)
     joint, lo = np.kron(np.diag([0.0, 1.0]), m0), 0
-    for c, ks, ks_dag in _kraus_chunks(spec, n, fs):
-        pair = (c, regroup(ks, d, 2, 2, 2), regroup(ks_dag, 2, 2, 2, d))
-        states = np.moveaxis(_kraus_loop([pair], joint, c), 0, -3)
+    for c, ks in _kraus_chunks(spec, n, fs):
+        # [i, (j, s, t, a)] onto source (x) S as [(s, i), (t, j, a)]
+        ks = ks.reshape(c, d, d, 2, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(c, 2 * d, -1)
+        states = np.moveaxis(_kraus_loop([(c, ks)], joint, c), 0, -3)
         np.add(states[..., :d, :d], states[..., d:, d:], out=marginals[..., lo:lo + c + 1, :, :])
         joint, lo = states[..., -1, :, :].copy(), lo + c
-        del ks, ks_dag, pair, states  # so that two chunks' blocks and states are never held at once
+        del ks, states  # so that two chunks' blocks and states are never held at once
     return marginals
 
 
@@ -339,6 +347,7 @@ def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
     """Collision stream against a single-photon bath (memory-carrying), as a product run of the
     system and a source qubit: O(d_S^3) per step, whatever the number of ancillas."""
     _check_bath(spec, bath, bath_mod.CORRELATED_PURE, rho0)
+    _check_observables(observables, rho0.dims)
     states = _run_correlated_raw(spec, spec.n_steps, bath.phi, rho0.data)
     return _checked_trajectory(spec.dt, states, observables)
 
@@ -373,6 +382,7 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
     earlier map is divided out; the result is one convention for "the"
     step map and need not be completely positive.
     """
+    step = qcore.as_int(step, "step")
     if not 1 <= step <= spec.n_steps:
         raise ValidationError(f"step {step} outside 1..{spec.n_steps}")
     d_s = spec.d_sys
@@ -380,7 +390,7 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
         raise ValidationError(f"system dimension {d_s} too large for a step map")
     _check_bath(spec, bath)
     if bath.kind == bath_mod.PRODUCT:
-        return _superoperator(_kraus(next(_unitaries(spec, [step]))[1], bath.factor(step))[0])[0]
+        return _superoperator(_kraus(next(_unitaries(spec, [step]))[1], bath.factor(step)))[0]
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
     runs = _run_correlated_raw(spec, step, bath.phi, units)[:, -2:]
     # row k of runs[:, j] is matrix unit k after step - 1 + j collisions; after = L before

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import bath as bath_mod
 from . import qcore
-from .collision import CollisionSpec, Trajectory, _checked_trajectory, _kraus, interaction_operator
+from .collision import (CollisionSpec, Trajectory, _check_observables, _checked_trajectory, _kraus,
+                        interaction_operator)
 from .errors import ValidationError
 from .qcore import DensityMatrix, Operator
 
@@ -96,8 +97,7 @@ def _blocks(v: Operator, eta: DensityMatrix) -> tuple[tuple[int, ...], np.ndarra
     s_dims = v.dims[:-n_anc]
     d_s = math.prod(s_dims)
     f = bath_mod._factor(eta.data)
-    k, _ = _kraus(v.data, f)
-    return s_dims, f, k.reshape(d_s, d_s, -1).transpose(2, 0, 1)
+    return s_dims, f, _kraus(v.data, f).reshape(d_s, d_s, -1).transpose(2, 0, 1)
 
 
 def _shift(f: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -232,12 +232,14 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     (rho + rho^dag) / 2 (``collision._checked_trajectory``); a breach of
     Hermiticity, trace or PSD beyond the run tolerances aborts.
     """
+    n_substeps = qcore.as_int(n_substeps, "n_substeps")
     if n_substeps < 1:
         raise ValidationError("n_substeps must be >= 1")
     if not t_final > 0:
         raise ValidationError("t_final must be positive")
     if gen.h_eff.dims != rho0.dims:
         raise ValidationError("generator and state act on different spaces")
+    _check_observables(observables, rho0.dims)
 
     h = t_final / n_substeps
     compiled, damping = _compile_jumps(gen.jumps)

@@ -98,6 +98,9 @@ class FieldConfig:
     def __post_init__(self):
         if self.kind not in (VACUUM, COHERENT, SINGLE_PHOTON):
             raise ValidationError(f"unknown field kind {self.kind!r}")
+        object.__setattr__(self, "n_steps", qcore.as_int(self.n_steps, "n_steps"))
+        if self.d_anc is not None:
+            object.__setattr__(self, "d_anc", qcore.as_int(self.d_anc, "d_anc"))
         if not self.gamma > 0:
             raise ValidationError("gamma must be positive")
         if not self.t_final > 0:
@@ -317,7 +320,7 @@ def single_photon_run(
 
 def step_counts(n_list: Sequence[int]) -> list[int]:
     """The step counts of a convergence study, ascending: at least 3, all distinct."""
-    n_list = sorted(int(n) for n in n_list)
+    n_list = sorted(qcore.as_int(n, "step count") for n in n_list)
     if len(n_list) < 3 or len(set(n_list)) != len(n_list):
         raise ValidationError(f"need at least 3 distinct step counts, got {n_list}")
     return n_list

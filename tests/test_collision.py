@@ -173,11 +173,11 @@ def test_run_product_reads_the_bath_arrays_directly(monkeypatch):
 
 
 def per_step_run(spec, bath, rho0):
-    """One _kraus and one _collide per step, each step's unitary formed on its own."""
+    """One _kraus and one _kraus_loop call per step, each step's unitary formed on its own."""
     states = [rho0.data]
     for step in range(1, spec.n_steps + 1):
-        k, k_dag = collision._kraus(collision_unitary(spec, step).data, bath.factor(step))
-        states.append(collision._collide(k, k_dag, states[-1]))
+        k = collision._kraus(collision_unitary(spec, step).data, bath.factor(step))
+        states.append(collision._kraus_loop([(1, k[None])], states[-1], 1)[1])
     return np.stack(states)
 
 
@@ -293,7 +293,7 @@ def test_qubit_maps_are_streamed_a_chunk_at_a_time(monkeypatch):
     bath = coherent_bath(1.5 - 0.5j, omega=0.7, dt=0.001, n=n, d=3)
     rho0 = random_density(np.random.default_rng(41), 2)
     chunks = [(c, collision._superoperator(ks))
-              for c, ks, _ in collision._kraus_chunks(spec, n, bath.etas)]
+              for c, ks in collision._kraus_chunks(spec, n, bath.etas)]
     assert len(chunks) > 60
     expected = qcore.propagate(chunks, rho0.data.reshape(-1), n).reshape(-1, 2, 2)
     expected = 0.5 * (expected + expected.conj().swapaxes(1, 2))

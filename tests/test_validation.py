@@ -1,5 +1,6 @@
 """Every input check of the Python API raises its own ValidationError: one case per check that
-no other test reaches."""
+no other test reaches, and one per value that enters as a count, dimension or step, unread bath
+field or observable on another space."""
 
 import numpy as np
 import pytest
@@ -17,17 +18,22 @@ from collisim import (
     apply_generator,
     bloch_run,
     coherent_bath,
+    collision_unitary,
     convergence_study,
     effective_hamiltonian,
     fock,
     fock_dm,
     integrate_me,
+    partial_trace,
     product_bath,
+    run_correlated,
+    run_product,
     single_photon_bath,
     single_photon_run,
     spontaneous_emission_run,
+    step_map_choi,
 )
-from collisim.bath import PRODUCT
+from collisim.bath import CORRELATED_PURE, PRODUCT
 from collisim.collision import step_map_superoperator
 from collisim.scenarios import ConvergenceRow, default_emitter
 
@@ -56,6 +62,18 @@ def row(n):
 GENERATOR = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
 H17 = Operator(np.zeros((17, 17)), (17,))
 VACUUM_BATH = product_bath(fock_dm(2, 0), 3)
+PHOTON_BATH = single_photon_bath([0.6, 0.8], 2)
+RAW_OBSERVABLE = {"z": np.diag([1.0, -1.0])}  # an array, not an Operator
+QUTRIT_OBSERVABLE = {"n": Operator(np.diag([0.0, 1.0, 2.0]), (3,))}
+
+
+def bath(kind=PRODUCT, **keys):
+    doc = dict(d=2, n_steps=1, **(dict(etas=KET) if kind == PRODUCT else dict(phi=[1.0])))
+    return BathSpec(kind=kind, **dict(doc, **keys))
+
+
+def not_integer(what, value):
+    return rf"{what} must be an integer, got {value}"
 
 CASES = {
     "bath_kind": (lambda: BathSpec(kind="thermal", d=2, n_steps=1, etas=KET),
@@ -108,6 +126,57 @@ CASES = {
                          "single_photon_run needs a single-photon configuration"),
     "convergence_on_photon": (lambda: convergence_study(field(kind="single_photon"), [10, 20, 40]),
                               "no Lindblad reference exists for single-photon fields"),
+    # a count, a dimension or a step is an integer, never truncated or used as an index
+    "unitary_step_1.5": (lambda: collision_unitary(spec(), 1.5), not_integer("step", 1.5)),
+    "step_map_choi_step_1.5": (lambda: step_map_choi(spec(), VACUUM_BATH, 1.5),
+                               not_integer("step", 1.5)),
+    "bath_factor_step_1.5": (lambda: VACUUM_BATH.factor(1.5), not_integer("step", 1.5)),
+    "photon_ancilla_step_1.5": (lambda: PHOTON_BATH.ancilla_state(1.5), not_integer("step", 1.5)),
+    "convergence_step_count_20.5": (lambda: convergence_study(field(), [10, 20.5, 40]),
+                                    not_integer("step count", 20.5)),
+    "partial_trace_keep_0.5": (lambda: partial_trace(EXCITED, [0.5]),
+                               not_integer("keep index", 0.5)),
+    "operator_dims_2.7": (lambda: Operator(np.eye(2), (2.7,)), not_integer("dimension", 2.7)),
+    "pure_state_dims_2.9": (lambda: PureState(np.array([1.0, 0.0]), (2.9,)),
+                            not_integer("dimension", 2.9)),
+    "fock_index_1.0": (lambda: fock(2, 1.0), not_integer("Fock index", 1.0)),
+    "fock_index_true": (lambda: fock(2, True), not_integer("Fock index", True)),
+    "fock_truncation_2.0": (lambda: fock(2.0, 1), not_integer("truncation dimension", 2.0)),
+    "spec_steps_2.5": (lambda: run_product(spec(n_steps=2.5), VACUUM_BATH, EXCITED),
+                       not_integer("n_steps", 2.5)),
+    "spec_d_anc_2.0": (lambda: CollisionSpec(h_sys=H2, coupling=LOWER, dt=0.1, n_steps=3,
+                                             d_anc=2.0, g=1.0), not_integer("d_anc", 2.0)),
+    "bath_d_2.0": (lambda: bath(d=2.0), not_integer("d", 2.0)),
+    "bath_steps_1.5": (lambda: bath(CORRELATED_PURE, n_steps=1.5), not_integer("n_steps", 1.5)),
+    "field_steps_10.5": (lambda: field(n_steps=10.5), not_integer("n_steps", 10.5)),
+    "field_d_anc_4.5": (lambda: field(kind="coherent", z=1.0, d_anc=4.5),
+                        not_integer("d_anc", 4.5)),
+    "photon_bath_steps_2.5": (lambda: single_photon_bath(lambda k: 1.0, 2.5),
+                              not_integer("step count", 2.5)),
+    "integrate_me_substeps_2.5": (lambda: integrate_me(GENERATOR, EXCITED, 1.0, 2.5),
+                                  not_integer("n_substeps", 2.5)),
+    # a bath keeps no field that its kind does not read
+    "bath_eta_joint": (lambda: bath(eta="junk", joint=123), "a product bath takes no eta, joint"),
+    "product_bath_phi": (lambda: bath(phi=[1.0]), "a product bath takes no phi"),
+    "photon_bath_etas": (lambda: bath(CORRELATED_PURE, etas=KET),
+                         "a correlated_pure bath takes no etas"),
+    "photon_bath_xi": (lambda: bath(CORRELATED_PURE, xi=[0.1]),
+                       "a correlated_pure bath takes no xi"),
+    "bath_xi_length": (lambda: bath(xi=[1, 2, 3]),
+                       r"need one xi per ancilla state \(1\), got shape \(3,\)"),
+    # an observable on another space fails before any step runs
+    "run_product_qutrit_observable": (
+        lambda: run_product(spec(), VACUUM_BATH, EXCITED, QUTRIT_OBSERVABLE),
+        r"observable 'n' is not an operator on dims \(2,\)"),
+    "run_product_raw_observable": (
+        lambda: run_product(spec(), VACUUM_BATH, EXCITED, RAW_OBSERVABLE),
+        r"observable 'z' is not an operator on dims \(2,\)"),
+    "run_correlated_qutrit_observable": (
+        lambda: run_correlated(spec(n_steps=2), PHOTON_BATH, EXCITED, QUTRIT_OBSERVABLE),
+        r"observable 'n' is not an operator on dims \(2,\)"),
+    "integrate_me_raw_observable": (
+        lambda: integrate_me(GENERATOR, EXCITED, 1.0, 10, RAW_OBSERVABLE),
+        r"observable 'z' is not an operator on dims \(2,\)"),
 }
 
 
