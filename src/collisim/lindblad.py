@@ -6,22 +6,20 @@ collision map itself applies: its jump operators are the blocks
 J_x = sum_b <a|v|b> F_br of the interaction, formed by ``collision._kraus``
 and so written in the ancilla's number basis, each carrying the emergent
 rate g^2 dt, and its bath-induced Hamiltonian shift is the ancilla average
-sum_x conj(F_ar) J_x = Tr_a[v (I (x) eta)].  Exact propagation with the
-Liouvillian exponential (dense, or as a Taylor series of its action on
-larger systems) provides the independent continuous-time dynamics that the
-discrete collision runs are checked against.  Up to ``qcore.DENSE_MAX_DIM`` the
-reference propagates as the collision runs do, as a linear recursion of
-d^2 x d^2 maps by ``qcore.propagate``: a static generator's one propagator raised
-by doubling, a step-dependent one's scanned.  A step-dependent generator
-holds its Hamiltonians as one (L, d, d) table.  Its trajectory is one (T, d, d)
-array, checked raw and stored Hermitian by ``collision._checked_trajectory``.
+sum_x conj(F_ar) J_x = Tr_a[v (I (x) eta)].  Every generator is a table of
+rows, each one Hamiltonian and its jumps; a static one is one row.  The
+exponential of each row's Liouvillian gives the continuous-time dynamics
+that the discrete collision runs are checked against: up to
+``qcore.DENSE_MAX_DIM`` as d^2 x d^2 maps that ``qcore.propagate`` runs as it
+runs the collision maps (one propagator raised by doubling, or a scan), above
+it as a Taylor series of its action.  The trajectory is one (T, d, d) array,
+checked raw and stored Hermitian by ``collision._checked_trajectory``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -36,53 +34,59 @@ from .qcore import DensityMatrix, Operator
 # Jump operators that vanish identically are dropped from the generator.
 ZERO_JUMP_TOL = 1e-14
 
-JumpList = tuple[tuple[Operator, float], ...]
-
-
-@dataclass(frozen=True, eq=False)
 class LindbladGenerator:
-    """Effective Hamiltonian plus (jump operator, rate) pairs.
+    """L rows, each one Hamiltonian and its jumps: ``hs`` (L, d, d) and ``ls`` (L or 1, J, d, d),
+    sqrt(rate) folded into each jump.  Row k holds over [k, k + 1) ``step_duration`` and the
+    last row from then on; a static generator is one row, with no step_duration.
 
-    A step-dependent generator also carries ``h_table``, a read-only
-    (L, d, d) stack of Hamiltonians: row k holds over [k, k + 1)
-    ``step_duration``, the last row from then on, with the same jumps.
+    It is built from ``h_eff``, row 0, or a Hermitian (L, d, d) ``h_table`` that starts with it,
+    and (operator, rate) ``jumps``, each operator an ``Operator`` or, per row, an (L, d, d)
+    stack.  ``jumps`` keeps the pairs as given; ``h_eff`` reads row 0.
     """
 
-    h_eff: Operator
-    jumps: JumpList
-    h_table: np.ndarray | None = None
-    step_duration: float | None = None
-
-    def __post_init__(self):
-        if not self.h_eff.is_hermitian():
-            raise ValidationError("effective Hamiltonian is not Hermitian")
-        for op, rate in self.jumps:
-            if not rate >= 0:  # written so that NaN fails too, here and below
-                raise ValidationError(f"jump rate must be >= 0, got {rate}")
-            if op.dims != self.h_eff.dims:
+    def __init__(self, h_eff: Operator | None = None, jumps=(), h_table=None,
+                 step_duration: float | None = None):
+        if h_eff is not None and not isinstance(h_eff, Operator):
+            raise ValidationError("h_eff must be an Operator")
+        try:
+            jumps = tuple((op, rate) for op, rate in jumps)
+        except (TypeError, ValueError):
+            raise ValidationError("jumps must be (operator, rate) pairs") from None
+        ops = [op for op in (h_eff, *(op for op, _ in jumps)) if isinstance(op, Operator)]
+        if not ops or h_eff is None and h_table is None:
+            raise ValidationError("a generator needs h_eff, or h_table and a jump Operator")
+        if not ((step_duration or 0) > 0 if h_table is not None else step_duration is None):
+            raise ValidationError(  # None with a table, NaN and <= 0 all fail
+                f"step_duration must be positive, with an h_table, got {step_duration}")
+        dims, shape = ops[0].dims, ops[0].data.shape
+        what, table = ("h_eff", h_eff.data[None]) if h_table is None else ("h_table", h_table)
+        hs = qcore.checked_stack(table, shape, what, qcore.first_non_hermitian)
+        if h_eff is not None and not np.array_equal(h_eff.data, hs[0]):
+            raise ValidationError("h_table does not start with h_eff")
+        rows = []
+        for op, rate in jumps:
+            if not 0 <= rate < math.inf:  # written so that NaN fails too, here and below
+                raise ValidationError(f"jump rate must be >= 0 and finite, got {rate}")
+            if isinstance(op, Operator) and op.dims != dims:
                 raise ValidationError("jump operator on wrong space")
-        if self.step_duration is not None or self.h_table is not None:
-            if not (self.step_duration or 0) > 0:  # None (with a table), NaN and <= 0 all fail
-                raise ValidationError(f"step_duration must be positive, got {self.step_duration}")
-        if self.h_table is not None:
-            table = qcore.checked_stack(self.h_table, (self.h_eff.side,) * 2, "h_table",
-                                        qcore.first_non_hermitian)
-            object.__setattr__(self, "h_table", table)
+            op = op.data[None] if isinstance(op, Operator) else qcore.checked_stack(
+                op, shape, "jump", lambda stack: None)
+            if len(op) not in (1, len(hs)):
+                raise ValidationError(f"a jump stack needs one row per table row, got {len(op)}")
+            rows.append(math.sqrt(rate) * op)
+        ls = np.stack(np.broadcast_arrays(*rows), 1) if rows else np.zeros((1, 0, *shape), complex)
+        ls.setflags(write=False)
+        self.hs, self.ls, self.step_duration = hs, ls, step_duration
+        self.dims, self.jumps = dims, jumps
 
-    def term_for_time(self, t: float) -> tuple[Operator, JumpList]:
-        """Generator in force at time t >= 0 (piecewise constant over the table)."""
-        if not t >= 0:
-            raise ValidationError(f"generator time must be >= 0, got {t}")
-        hs, rows = self._terms(np.array([t]))
-        return Operator(hs[rows[0]], self.h_eff.dims), self.jumps
+    @property
+    def h_eff(self) -> Operator:
+        return Operator(self.hs[0], self.dims)
 
-    def _terms(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(hs, rows): the (L, d, d) Hamiltonians, a static generator's as L = 1, and the row of
-        hs in force at each of the times >= 0, table row k over [k, k + 1) ``step_duration``."""
-        if self.h_table is None:
-            return self.h_eff.data[None], np.zeros(len(times), dtype=int)
-        rows = (times / self.step_duration).astype(int)
-        return self.h_table, np.minimum(rows, len(self.h_table) - 1)
+    def _rows(self, times: np.ndarray) -> np.ndarray:
+        """The row in force at each time >= 0, clamped to the last row before the int cast."""
+        with np.errstate(over="ignore"):  # a time far past the table: inf, then the last row
+            return np.minimum(times / (self.step_duration or math.inf), len(self.hs) - 1).astype(int)
 
 
 def _blocks(v: Operator, eta: DensityMatrix) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -108,6 +112,8 @@ def _shift(f: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 def _jumps(s_dims: tuple[int, ...], blocks: np.ndarray,
            gamma: float) -> list[tuple[Operator, float]]:
     """The blocks that do not vanish identically, each at rate gamma."""
+    if not 0 <= gamma < math.inf:  # written so that NaN fails too
+        raise ValidationError(f"jump rate must be >= 0 and finite, got {gamma}")
     nonzero = np.abs(blocks).max(axis=(1, 2)) >= ZERO_JUMP_TOL
     return [(Operator(j, s_dims), gamma) for j in blocks[nonzero]]
 
@@ -151,11 +157,17 @@ def generator_from_collision(spec: CollisionSpec, eta: DensityMatrix) -> Lindbla
     return LindbladGenerator(h_eff=h_eff, jumps=tuple(_jumps(s_dims, blocks, spec.rate)))
 
 
-def _compile_jumps(jumps: JumpList):
-    """([(l, l^dag)], (1/2) sum l^dag l) with the rates folded into l = sqrt(rate) L_j, so
-    that L(X) = G X + X G^dag + sum l X l^dag with G = -i h - (1/2) sum l^dag l for any h."""
-    compiled = [(math.sqrt(r) * op.data, math.sqrt(r) * op.data.conj().T) for op, r in jumps]
-    return compiled, 0.5 * sum(l_dag @ l for l, l_dag in compiled)
+def _damping(ls: np.ndarray) -> np.ndarray:
+    """(1/2) sum_j l_j^dag l_j of a (..., J, d, d) jump stack, by one batched matmul."""
+    return 0.5 * (ls.conj().swapaxes(-1, -2) @ ls).sum(axis=-3)
+
+
+def _compiled(gen: LindbladGenerator, row: int):
+    """(G, G^dag, [(l, l^dag)]) of one row, so that L(X) = G X + X G^dag + sum l X l^dag with
+    G = -i h - (1/2) sum l^dag l."""
+    ls = gen.ls[min(row, len(gen.ls) - 1)]
+    g = -1j * gen.hs[row] - _damping(ls)
+    return g, g.conj().T, [(l, l.conj().T) for l in ls]
 
 
 def _rhs(g: np.ndarray, g_dag: np.ndarray, compiled_jumps, m: np.ndarray) -> np.ndarray:
@@ -167,29 +179,25 @@ def _rhs(g: np.ndarray, g_dag: np.ndarray, compiled_jumps, m: np.ndarray) -> np.
 
 def apply_generator(gen: LindbladGenerator, rho: DensityMatrix,
                     t: float | None = None) -> Operator:
-    """Right-hand side -i[h,rho] + dissipator; traceless and Hermitian.
-
-    For step-dependent generators, ``t`` selects the table entry in force
-    (defaults to the static entry).
-    """
-    h, jumps = gen.term_for_time(t) if t is not None else (gen.h_eff, gen.jumps)
-    if h.dims != rho.dims:
+    """Right-hand side -i[h,rho] + dissipator of the row in force at time ``t``, row 0 when t is
+    None; traceless and Hermitian."""
+    if t is not None and not 0 <= t < math.inf:  # written so that NaN fails too
+        raise ValidationError(f"generator time must be >= 0 and finite, got {t}")
+    if gen.dims != rho.dims:
         raise ValidationError("generator and state act on different spaces")
-    compiled, damping = _compile_jumps(jumps)
-    g = -1j * h.data - damping
-    return Operator(_rhs(g, g.conj().T, compiled, rho.data), rho.dims)
+    g, g_dag, compiled = _compiled(gen, 0 if t is None else gen._rows(np.array([t]))[0])
+    return Operator(_rhs(g, g_dag, compiled, rho.data), rho.dims)
 
 
-def _liouvillian(gs: np.ndarray, compiled_jumps) -> np.ndarray:
-    """Superoperators of ``_rhs`` for a (n, d, d) stack of G, on row-major vec:
-    vec(A X B) = (A (x) B^T) vec(X), with X G^dag giving I (x) conj(G)."""
+def _liouvillian(gs: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """Superoperators of ``_rhs`` for a (n, d, d) stack of G and its (n or 1, J, d, d) jumps, on
+    row-major vec: vec(A X B) = (A (x) B^T) vec(X), with X G^dag giving I (x) conj(G) and the
+    jumps sum_j l_j (x) conj(l_j), one einsum."""
     n, d, _ = gs.shape
     eye = np.eye(d)
     out = np.einsum("nij,kl->nikjl", gs, eye) + np.einsum("ij,nkl->nikjl", eye, gs.conj())
-    out = out.reshape(n, d * d, d * d)
-    for l, l_dag in compiled_jumps:
-        out += np.kron(l, l_dag.T)
-    return out
+    out += np.einsum("njik,njlm->nilkm", ls, ls.conj())
+    return out.reshape(n, d * d, d * d)
 
 
 def _expm_series(step: float, g: np.ndarray, g_dag: np.ndarray, compiled_jumps,
@@ -220,37 +228,36 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
                  observables: Mapping[str, Operator] | None = None) -> Trajectory:
     """Exact propagation of the master equation on a uniform grid.
 
-    A step-dependent generator is sampled at the midpoint of every
-    substep and held constant over it, so rho_{k+1} = exp(h L_k) rho_k is
-    exact.  Up to ``qcore.DENSE_MAX_DIM`` the table entries in use are exponentiated
-    as d^2 x d^2 Liouvillians, batched a chunk of substeps at a time (a
-    static generator is one propagator, raised by doubling), and each chunk
-    is handed to one ``qcore.propagate`` call as it is formed, which carries
-    the state from chunk to chunk; above it exp(h L_k) rho_k is
-    summed as a Taylor series to round-off, O(d^3) work per term and O(d^2)
-    memory.  The raw states are checked once, then stored as
-    (rho + rho^dag) / 2 (``collision._checked_trajectory``); a breach of
-    Hermiticity, trace or PSD beyond the run tolerances aborts.
+    Each substep holds the row in force at its midpoint, so rho_{k+1} = exp(h L_k) rho_k is
+    exact.  Up to ``qcore.DENSE_MAX_DIM`` the rows in use are exponentiated as d^2 x d^2
+    Liouvillians, batched a chunk of substeps at a time (a static generator is one propagator,
+    raised by doubling), and each chunk is handed to one ``qcore.propagate`` call as it is
+    formed, which carries the state from chunk to chunk; above it exp(h L_k) rho_k is summed as
+    a Taylor series to round-off, O(d^3) work per term and O(d^2) memory, a row's jumps
+    compiled only when the row changes.  The raw states are checked once, then stored as
+    (rho + rho^dag) / 2 (``collision._checked_trajectory``); a breach of Hermiticity, trace or
+    PSD beyond the run tolerances aborts.
     """
     n_substeps = qcore.as_int(n_substeps, "n_substeps")
     if n_substeps < 1:
         raise ValidationError("n_substeps must be >= 1")
-    if not t_final > 0:
-        raise ValidationError("t_final must be positive")
-    if gen.h_eff.dims != rho0.dims:
+    if not 0 < t_final < math.inf:
+        raise ValidationError("t_final must be positive and finite")
+    if gen.dims != rho0.dims:
         raise ValidationError("generator and state act on different spaces")
     _check_observables(observables, rho0.dims)
 
     h = t_final / n_substeps
-    compiled, damping = _compile_jumps(gen.jumps)
-    hs, rows = gen._terms((np.arange(n_substeps) + 0.5) * h)
+    rows = gen._rows((np.arange(n_substeps) + 0.5) * h)
     d = rho0.side
     if d > qcore.DENSE_MAX_DIM:
         states = np.empty((n_substeps + 1, d, d), dtype=complex)
         states[0] = rho = rho0.data
+        last = None
         for k, row in enumerate(rows.tolist()):
-            g = -1j * hs[row] - damping
-            rho = states[k + 1] = _expm_series(h, g, g.conj().T, compiled, rho)
+            if row != last:
+                last, (g, g_dag, compiled) = row, _compiled(gen, row)
+            rho = states[k + 1] = _expm_series(h, g, g_dag, compiled, rho)
         return _checked_trajectory(h, states, observables)
 
     # rows never decrease: a chunk of substeps exponentiates the rows it uses, and a static
@@ -260,7 +267,8 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
     def chunks():
         for lo in range(0, n_substeps, chunk):
             used, inv = np.unique(rows[lo:lo + chunk], return_inverse=True)
-            props = qcore.expm_stack(h * _liouvillian(-1j * hs[used] - damping, compiled))
+            ls = gen.ls if len(gen.ls) == 1 else gen.ls[used]
+            props = qcore.expm_stack(h * _liouvillian(-1j * gen.hs[used] - _damping(ls), ls))
             yield len(inv), props if len(used) == 1 else props[inv]
 
     states = qcore.propagate(chunks(), rho0.data.reshape(-1), n_substeps)

@@ -280,7 +280,8 @@ class PureState:
 # ---------------------------------------------------------------------------
 
 def identity(*dims: int) -> Operator:
-    return Operator(np.eye(math.prod(dims), dtype=complex), tuple(dims))
+    dims = tuple(as_int(d, "dimension") for d in dims)
+    return Operator(np.eye(math.prod(dims), dtype=complex), dims)
 
 
 def fock(d: int, k: int) -> PureState:
@@ -313,13 +314,25 @@ def displacement(xi: complex, d: int) -> Operator:
 def truncation_fidelity(xi: complex, d: int) -> float:
     """Weight of an ideal coherent state of amplitude xi lost above level d-1.
 
-    |1 - <psi|psi>_truncated| with the exact Poisson photon-number weights;
-    small values certify that displacement(xi, d) is a faithful coherent
-    state preparation.
+    The Poisson tail sum_{k >= d} w_k, w_k = e^-n n^k / k! with n = |xi|^2; small values
+    certify that displacement(xi, d) is a faithful coherent state preparation.  The weights
+    are summed from level d away from the mode, where they fall: the tail itself when d > n,
+    else the head k < d, whose complement is the tail.  Each sum starts from its first weight,
+    exp(k ln n - lgamma(k + 1) - n), and stops once a weight is below round-off of the sum.
     """
-    n_mean = abs(xi) ** 2
-    kept = sum(n_mean**k / math.factorial(k) for k in range(d))
-    return abs(1.0 - math.exp(-n_mean) * kept)
+    d = as_int(d, "truncation dimension")
+    if d < 1:
+        raise ValidationError(f"truncation dimension must be >= 1, got {d}")
+    n = abs(xi) ** 2
+    if n == 0:
+        return 0.0
+    up = d > n
+    k = d if up else d - 1
+    w, total = math.exp(k * math.log(n) - math.lgamma(k + 1) - n), 0.0
+    while w > total * 2**-53:
+        total += w
+        k, w = (k + 1, w * n / (k + 1)) if up else (k - 1, w * k / n)
+    return total if up else 1.0 - total
 
 
 # ---------------------------------------------------------------------------

@@ -255,8 +255,8 @@ def _drive_hamiltonian(cfg: FieldConfig, times: np.ndarray) -> np.ndarray:
 def _driven_me_generator(cfg: FieldConfig, drive: np.ndarray, duration: float) -> LindbladGenerator:
     """Decay plus the classical drive: row k of ``drive`` held over the k-th interval of
     ``duration``, the last row from then on, so a one-row drive is static throughout."""
-    h0, jumps = Operator(drive[0], cfg.h_sys.dims), ((cfg.coupling, cfg.gamma),)
-    return LindbladGenerator(h0, jumps, h_table=drive, step_duration=duration)
+    return LindbladGenerator(jumps=((cfg.coupling, cfg.gamma),), h_table=drive,
+                             step_duration=duration)
 
 
 def bloch_run(cfg: FieldConfig) -> tuple[Trajectory, Trajectory, Trajectory]:

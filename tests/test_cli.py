@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import collisim
 from collisim import __version__, cli, qcore, scenarios
@@ -840,3 +843,53 @@ def test_validate_and_run_never_import_scipy(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "(0, 0) []"
+
+
+# ---------------------------------------------------------------------------
+# any config document
+# ---------------------------------------------------------------------------
+
+EXTREMES = st.sampled_from([1e-300, 1e-12, 0.37, 1.0, 3.0, 40.0, 1e12, 1e300])
+
+
+@st.composite
+def config_documents(draw):
+    """A config of any scenario and field kind, small step counts and extreme numbers."""
+    scenario = draw(st.sampled_from(cli.SCENARIOS))
+    kind = draw(st.sampled_from(["vacuum", "coherent", "single_photon"]))
+    field = {"kind": kind, "gamma": draw(EXTREMES), "t_final": draw(EXTREMES),
+             "n_steps": draw(st.integers(1, 8))}
+    if draw(st.booleans()):
+        field["d_anc"] = draw(st.sampled_from([2, 3, 12, 171, 172, 200]))
+    if kind == "coherent":
+        field["z"] = {"re": draw(st.sampled_from([0.0, 0.5, -3.0, 1e3, 1e150])),
+                      "im": draw(st.sampled_from([0.0, 1e-300, 2.0]))}
+        field["omega"] = draw(st.sampled_from([0.0, 0.7, -1e6, 1e300]))
+    if kind == "single_photon":
+        field["envelope"] = draw(st.sampled_from([
+            {"type": "gaussian", "center": draw(EXTREMES), "width": draw(EXTREMES)},
+            {"type": "tabulated", "omega": [-1.0, 0.0, 1.0],
+             "psi": [draw(EXTREMES), {"re": 0.0, "im": 1.0}, 1e-300]}]))
+    doc = {"scenario": scenario, "field": field, "output": draw(st.sampled_from(cli.FORMATS))}
+    if scenario == "convergence":
+        doc["n_list"] = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@example(doc={"scenario": "bloch", "output": "csv", "field": {
+    "kind": "coherent", "gamma": 1.0, "t_final": 1.0, "n_steps": 2, "z": 0.5, "d_anc": 172}})
+@given(doc=config_documents())
+def test_any_config_document_ends_in_an_exit_code(tmp_path_factory, doc):
+    # d_anc = 172 used to pass validate and then end run in an OverflowError traceback.  main
+    # runs as from the command line, where a numpy warning is a printed line, not an exception
+    work = tmp_path_factory.mktemp("doc")
+    path = write_config(work, doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("default")
+        codes = [main(["validate", "--config", path]),
+                 main(["run", "--config", path, "--out", str(work / "artifact")])]
+    assert codes[0] in (0, 1) and codes[1] in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -396,14 +396,45 @@ def test_generator_rejects_non_hermitian_table_row():
 
 @pytest.mark.parametrize("t", [-0.6, -5.0, -1e-12, math.nan])
 def test_term_for_time_rejects_negative_times(t):
-    # -0.6 used to select the last entry silently, -5 raised a bare IndexError
+    # -0.6 used to select the last entry silently, -5 raised a bare IndexError; the term in force
+    # at a time is the table row that holds then, the last one from the table's end on
     table = np.array([np.diag([0.5, -0.5]), 0.3 * np.array([[0, 1], [1, 0]])], dtype=complex)
-    gen = LindbladGenerator(h_eff=H2, jumps=((LOWER, 0.5),), h_table=table, step_duration=0.5)
+    gen = LindbladGenerator(jumps=((LOWER, 0.5),), h_table=table, step_duration=0.5)
+    rho = fock_dm(2, 1)
     with pytest.raises(ValidationError, match="time must be >= 0"):
-        apply_generator(gen, fock_dm(2, 1), t=t)
-    for time, row in [(0.0, 0), (0.49, 0), (0.5, 1), (7.0, 1)]:
-        h, jumps = gen.term_for_time(time)
-        assert np.array_equal(h.data, table[row]) and jumps == gen.jumps
+        apply_generator(gen, rho, t=t)
+    for time, row in [(0.0, 0), (0.49, 0), (0.5, 1), (7.0, 1), (1e300, 1)]:
+        static = LindbladGenerator(Operator(table[row], (2,)), ((LOWER, 0.5),))
+        assert np.array_equal(apply_generator(gen, rho, time).data,
+                              apply_generator(static, rho).data)
+
+
+def test_apply_generator_reads_row_0_when_no_time_is_given():
+    # a table's first row is h_eff, so the two readings of a generator at t = 0 agree
+    rng = np.random.default_rng(29)
+    table = np.array([_random_hermitian(rng, 2).data for _ in range(3)])
+    per_row = np.array([_random_operator(rng, 2) for _ in range(3)])
+    gen = LindbladGenerator(jumps=((per_row, 0.4), (LOWER, 1.0)), h_table=table,
+                            step_duration=0.2)
+    rho = random_density(rng, 2)
+    at_0 = apply_generator(gen, rho, t=0.0).data
+    assert np.array_equal(apply_generator(gen, rho).data, at_0)
+    expected = liouvillian(table[0], [(per_row[0], 0.4), (LOWER.data, 1.0)]) @ rho.data.reshape(-1)
+    assert np.max(np.abs(at_0 - expected.reshape(2, 2))) < 1e-14
+
+
+def test_a_time_far_past_the_table_reads_its_last_row(monkeypatch):
+    # t / step_duration of 1e300 or more (it overflows at 1e10) used to overflow the row index:
+    # a cast warning or a bare IndexError
+    table = np.array([np.diag([0.5, -0.5]), 0.3 * np.array([[0, 1], [1, 0]])], dtype=complex)
+    gen = LindbladGenerator(Operator(table[0], (2,)), ((LOWER, 0.5),), table, 1e-300)
+    last = LindbladGenerator(Operator(table[1], (2,)), ((LOWER, 0.5),))
+    rho = fock_dm(2, 1)
+    for t in (1.0, 1e10):
+        assert np.array_equal(apply_generator(gen, rho, t).data, apply_generator(last, rho).data)
+    for _ in propagations(monkeypatch):
+        assert np.array_equal(integrate_me(gen, rho, 1.0, 10).states,
+                              integrate_me(last, rho, 1.0, 10).states)
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +668,38 @@ def test_dense_scan_matches_the_series_step_by_step(monkeypatch, d, chunked):
     n, t_final = 40, 2.0
     traj = integrate_me(gen, rho0, t_final, n)
     assert np.array_equal(traj.states, traj.states.conj().swapaxes(1, 2))  # re-symmetrized
-    compiled, damping = lindblad._compile_jumps(jumps)
     rho, h = rho0.data, t_final / n
     for k in range(n):
         row = min(int((k + 0.5) * h / 0.17), len(table) - 1)
-        g = -1j * table[row] - damping
-        rho = lindblad._expm_series(h, g, g.conj().T, compiled, rho)
+        rho = lindblad._expm_series(h, *lindblad._compiled(gen, row), rho)
         assert np.max(np.abs(traj.states[k + 1] - rho)) < 1e-12
+
+
+@pytest.mark.parametrize("dense_max", [qcore.DENSE_MAX_DIM, 0])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_jump_that_changes_every_row_matches_each_rows_exponential(monkeypatch, dense_max,
+                                                                    chunked):
+    # one jump given per row beside a static one, as a cascaded source's jump changes with its
+    # coefficient: each substep holds its midpoint's row, rows finer and coarser than substeps
+    rng = np.random.default_rng(97)
+    d, n, t_final, duration = 3, 40, 2.0, 0.17
+    table = np.array([_random_hermitian(rng, d).data for _ in range(11)])
+    per_row = np.array([_random_operator(rng, d) for _ in range(11)])
+    static = Operator(_random_operator(rng, d), (d,))
+    gen = LindbladGenerator(jumps=((per_row, 0.7), (static, 0.2)), h_table=table,
+                            step_duration=duration)
+    assert gen.ls.shape == (11, 2, d, d) and gen.jumps[0][0] is per_row
+    monkeypatch.setattr(qcore, "DENSE_MAX_DIM", dense_max)
+    if chunked:  # seven propagators a chunk
+        monkeypatch.setattr(qcore, "STACK_CHUNK_BYTES", 7 * 16 * d**4)
+    rho0 = random_density(rng, d)
+    traj = integrate_me(gen, rho0, t_final, n)
+    vec, h = rho0.data.reshape(-1), t_final / n
+    for k in range(n):
+        row = min(int((k + 0.5) * h / duration), len(table) - 1)
+        lv = liouvillian(table[row], [(per_row[row], 0.7), (static.data, 0.2)])
+        vec = scipy.linalg.expm(h * lv) @ vec
+        assert np.max(np.abs(traj.states[k + 1] - vec.reshape(d, d))) < 1e-12
 
 
 def test_static_drive_needs_one_propagator(monkeypatch):

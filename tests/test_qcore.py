@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from collisim import (
     DensityMatrix,
@@ -652,6 +653,16 @@ def test_truncation_fidelity_is_poisson_tail():
     expected = 1.0 - math.exp(-xi**2) * (1.0 + xi**2)
     assert abs(truncation_fidelity(xi, 2) - expected) < 1e-15
     assert truncation_fidelity(0.1, 12) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 12, 172, 300])
+def test_truncation_fidelity_is_the_regularized_incomplete_gamma(d):
+    # sum_{k >= d} e^-n n^k / k! = P(d, n): d = 172 used to overflow math.factorial in a float,
+    # and a small tail read as the round-off of 1 - kept (1.1e-16 for 3.8e-47)
+    for xi in (1e-3, 0.1, 0.5, 1.0, 3.0, 1.0 + 2.0j, 12.0, 20.0):
+        expected = scipy.special.gammainc(d, abs(xi) ** 2)
+        assert truncation_fidelity(xi, d) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    assert truncation_fidelity(0.0, d) == 0.0
 
 
 # ---------------------------------------------------------------------------

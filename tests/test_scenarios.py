@@ -411,9 +411,8 @@ def test_convergence_reference_grid(monkeypatch, omega, n_list, row_grids):
         t = (np.arange(grid)[:, None, None] + 0.5) * cfg.t_final / grid
         drive = math.sqrt(cfg.gamma / (2 * math.pi)) * (np.exp(-1j * omega * t) * b
                                                          + np.exp(1j * omega * t) * b.conj().T)
-        assert len(gen.h_table) == (1 if omega == 0 else grid)
-        assert np.array_equal(gen.h_eff.data, gen.h_table[0])
-        assert np.max(np.abs(gen.h_table - drive[:len(gen.h_table)])) < 1e-14
+        assert len(gen.hs) == (1 if omega == 0 else grid) and len(gen.ls) == 1
+        assert np.max(np.abs(gen.hs - drive[:len(gen.hs)])) < 1e-14
     # each row reads its grid's reference at its own grid points
     for row, grid in zip(report.rows, row_grids):
         traj = run_product(*discretize_input_output(replace(cfg, n_steps=row.n_steps)), cfg.rho0)

@@ -2,6 +2,8 @@
 no other test reaches, and one per value that enters as a count, dimension or step, unread bath
 field or observable on another space."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,9 @@ from collisim import (
     effective_hamiltonian,
     fock,
     fock_dm,
+    identity,
     integrate_me,
+    jump_operators,
     partial_trace,
     product_bath,
     run_correlated,
@@ -32,9 +36,10 @@ from collisim import (
     single_photon_run,
     spontaneous_emission_run,
     step_map_choi,
+    truncation_fidelity,
 )
 from collisim.bath import CORRELATED_PURE, PRODUCT
-from collisim.collision import step_map_superoperator
+from collisim.collision import interaction_operator, step_map_superoperator
 from collisim.scenarios import ConvergenceRow, default_emitter
 
 H2, LOWER, EXCITED = default_emitter()
@@ -60,6 +65,8 @@ def row(n):
 
 
 GENERATOR = LindbladGenerator(h_eff=H2, jumps=((LOWER, 1.0),))
+TABLE_GENERATOR = LindbladGenerator(H2, ((LOWER, 1.0),), h_table=np.zeros((2, 2, 2)),
+                                    step_duration=0.5)
 H17 = Operator(np.zeros((17, 17)), (17,))
 VACUUM_BATH = product_bath(fock_dm(2, 0), 3)
 PHOTON_BATH = single_photon_bath([0.6, 0.8], 2)
@@ -155,6 +162,41 @@ CASES = {
                               not_integer("step count", 2.5)),
     "integrate_me_substeps_2.5": (lambda: integrate_me(GENERATOR, EXCITED, 1.0, 2.5),
                                   not_integer("n_substeps", 2.5)),
+    "truncation_fidelity_d_2.5": (lambda: truncation_fidelity(0.5, 2.5),
+                                  not_integer("truncation dimension", 2.5)),
+    "truncation_fidelity_d_0": (lambda: truncation_fidelity(0.5, 0),
+                                "truncation dimension must be >= 1, got 0"),
+    "identity_dims_2.5": (lambda: identity(2.5), not_integer("dimension", 2.5)),
+    # a generator's inputs fail where they enter, never later in a run
+    "generator_infinite_rate": (lambda: LindbladGenerator(H2, ((LOWER, math.inf),)),
+                                "jump rate must be >= 0 and finite, got inf"),
+    "generator_step_duration_without_table": (
+        lambda: LindbladGenerator(H2, ((LOWER, 1.0),), step_duration=0.5),
+        "step_duration must be positive, with an h_table, got 0.5"),
+    "generator_table_not_h_eff": (
+        lambda: LindbladGenerator(H2, (), np.ones((2, 2, 2)), 0.5),
+        "h_table does not start with h_eff"),
+    "generator_table_without_space": (
+        lambda: LindbladGenerator(h_table=np.zeros((2, 2, 2)), step_duration=0.5),
+        r"a generator needs h_eff, or h_table and a jump Operator"),
+    "generator_raw_h_eff": (lambda: LindbladGenerator(np.zeros((2, 2)), ((LOWER, 1.0),)),
+                            "h_eff must be an Operator"),
+    "generator_raw_jump_matrix": (lambda: LindbladGenerator(H2, ((np.zeros((2, 2)), 1.0),)),
+                                  r"jump of shape \(2, 2\) is not N x \(2, 2\)"),
+    "generator_jump_rows": (lambda: LindbladGenerator(H2, ((np.zeros((3, 2, 2)), 1.0),)),
+                            "a jump stack needs one row per table row, got 3"),
+    "generator_jump_not_pair": (lambda: LindbladGenerator(H2, (LOWER,)),
+                                r"jumps must be \(operator, rate\) pairs"),
+    "apply_generator_time_inf": (lambda: apply_generator(TABLE_GENERATOR, EXCITED, math.inf),
+                                 "generator time must be >= 0 and finite, got inf"),
+    "integrate_me_horizon_inf": (lambda: integrate_me(TABLE_GENERATOR, EXCITED, math.inf, 10),
+                                 "t_final must be positive and finite"),
+    "jump_operators_gamma_-1": (
+        lambda: jump_operators(interaction_operator(spec()), fock_dm(2, 0), gamma=-1.0),
+        "jump rate must be >= 0 and finite, got -1.0"),
+    "jump_operators_gamma_nan": (
+        lambda: jump_operators(interaction_operator(spec()), fock_dm(2, 0), gamma=math.nan),
+        "jump rate must be >= 0 and finite, got nan"),
     # a bath keeps no field that its kind does not read
     "bath_eta_joint": (lambda: bath(eta="junk", joint=123), "a product bath takes no eta, joint"),
     "product_bath_phi": (lambda: bath(phi=[1.0]), "a product bath takes no phi"),
