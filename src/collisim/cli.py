@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -267,6 +267,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"n_list: {exc}") from exc
         # every row's collision run and reference run on N or max(n_list) steps
         _check_size(field, max(n_list), "max(n_list)")
+        try:  # each row runs the field at its own N, whose last step time may round past t_final
+            for n in n_list:
+                replace(field, n_steps=n)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         if "fixed_g" in doc:
             fixed_g = _positive_number(doc["fixed_g"], "fixed_g")
     else:
@@ -473,7 +478,7 @@ def run(cfg: RunConfig, out_path: str | None = None, output: str | None = None) 
     return path
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="collisim",
                                      description="Collision-model simulation runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -483,8 +488,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_run.add_argument("--format", choices=FORMATS, help="output format (overrides config)")
     p_val = sub.add_parser("validate", help="parse and validate a config only")
     p_val.add_argument("--config", required=True, help="path to a JSON config")
-    args = parser.parse_args(argv)
+    return parser
 
+
+_PARSER = _parser()  # built once per process: each parse_args call fills a new namespace
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as handle:
             try:

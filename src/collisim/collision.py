@@ -331,7 +331,9 @@ def _run_correlated_raw(spec: CollisionSpec, n: int, phi: np.ndarray, m0: np.nda
     fs[:, 0, 1, 1] = np.divide(r[1:], r[:-1], out=np.ones(n), where=r[:-1] > 0)  # c
     fs[:, 1, 0, 1] = np.divide(phi[:n], r[:-1], out=np.zeros(n, complex), where=r[:-1] > 0)  # s
     marginals = np.empty(m0.shape[:-2] + (n + 1, d, d), dtype=complex)
-    joint, lo = np.kron(np.diag([0.0, 1.0]), m0), 0
+    # |1><1| (x) m0 by np.kron's products, so its zero blocks keep 0 * m0's signs, without its cost
+    one = np.diag([0.0, 1.0])[:, None, :, None]
+    joint, lo = (one * m0[..., None, :, None, :]).reshape(m0.shape[:-2] + (2 * d, 2 * d)), 0
     for c, ks in _kraus_chunks(spec, n, fs):
         # [i, (j, s, t, a)] onto source (x) S as [(s, i), (t, j, a)]
         ks = ks.reshape(c, d, d, 2, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(c, 2 * d, -1)

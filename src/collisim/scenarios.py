@@ -11,6 +11,7 @@ references, and a trace-distance memory witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
@@ -73,8 +74,9 @@ class TabulatedSpectrum:
 Envelope = Union[GaussianEnvelope, TabulatedSpectrum]
 
 
+@functools.cache
 def default_emitter() -> tuple[Operator, Operator, DensityMatrix]:
-    """Two-level emitter: no free Hamiltonian, lowering-operator coupling, excited start."""
+    """Two-level emitter (H = 0, coupling sigma_-, excited start): built once, shared, immutable."""
     h = Operator(np.zeros((2, 2), dtype=complex), (2,))
     return h, qcore.annihilator(2), DensityMatrix(Operator(np.diag([0.0, 1.0]), (2,)))
 
@@ -107,6 +109,10 @@ class FieldConfig:
             raise ValidationError("t_final must be positive")
         if self.n_steps < 1:
             raise ValidationError("n_steps must be >= 1")
+        t_last = max(self.t_final, self.n_steps * self.dt)  # no step time a run forms is later
+        if self.omega != 0 and not math.isfinite(self.omega * t_last):
+            raise ValidationError(f"omega * t overflows: omega {self.omega:g} at t = "
+                                  f"{float(t_last)!r}")
         if self.kind == SINGLE_PHOTON and self.envelope is None:
             raise ValidationError("single-photon configuration needs an envelope")
         if self.kind == SINGLE_PHOTON and self.d_anc not in (None, 2):

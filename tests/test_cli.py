@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import io
@@ -578,6 +579,32 @@ OVERFLOWING_CHECKS = {
 }
 
 
+# a phase omega t that overflows a double at a step time a run forms: both commands stop on the
+# input, where a run once went on through numpy warnings to a NaN state.  Row 147's last step
+# time, 147 * (10 / 147), rounds past t_final = 10, where omega t_final alone is still finite
+OVERFLOWING_PHASES = {
+    "bloch": (coherent(gamma=1e-300, t_final=1e12, n_steps=1, z=0, omega=1e300),
+              "omega * t overflows: omega 1e+300 at t = 1000000000000.0"),
+    "convergence": (config_with(scenario="convergence", n_list=[1, 2, 3], field=dict(
+        vacuum_config()["field"], kind="coherent", t_final=1e300, z=1.0, omega=1e10)),
+        "omega * t overflows: omega 1e+10 at t = 1e+300"),
+    "convergence_row": (config_with(scenario="convergence", n_list=[1, 2, 147], field=dict(
+        vacuum_config()["field"], kind="coherent", t_final=10.0, n_steps=1, z=1.0,
+        omega=1.7976931348623158e307)),
+        "omega * t overflows: omega 1.79769e+307 at t = 10.000000000000002"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_PHASES)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_phases_that_overflow_exit_one_without_a_warning(tmp_path, capsys, command, case):
+    edit, message = OVERFLOWING_PHASES[case]
+    doc = edit(vacuum_config(out_path=str(tmp_path / "x.csv")))
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("case", OVERFLOWING_CHECKS)
 def test_checks_that_overflow_exit_one_without_a_warning(tmp_path, capsys, case):
     edit, message = OVERFLOWING_CHECKS[case]
@@ -827,6 +854,39 @@ def test_format_override(tmp_path):
     out = tmp_path / "o.json"
     assert main(["run", "--config", cfg_path, "--out", str(out), "--format", "json"]) == 0
     json.loads(out.read_text())  # parses as JSON despite csv in config
+
+
+def test_the_one_parser_carries_nothing_from_call_to_call(tmp_path, capsys):
+    # one parser, built at import, parses every call in the process: no option, usage error or
+    # command of one call reaches the next
+    doc = vacuum_config(out_path=str(tmp_path / "own.csv"))
+    doc["field"]["n_steps"] = 20
+    cfg_path, out = write_config(tmp_path, doc), tmp_path / "o.json"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--format", "json"]) == 0
+    json.loads(out.read_text())
+    assert main(["validate", "--config", cfg_path]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])
+    assert exc.value.code == 2
+    assert main(["run", "--config", cfg_path]) == 0  # the config's path and format: csv
+    assert (tmp_path / "own.csv").read_text().startswith(f"# collisim {__version__}\n")
+    assert main(["validate", "--config", cfg_path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (f"wrote {out}\nconfig OK: scenario spontaneous_emission\n"
+                            f"wrote {tmp_path / 'own.csv'}\n"
+                            "config OK: scenario spontaneous_emission\n")
+    assert captured.err.endswith("error: the following arguments are required: --config\n")
+
+
+def test_a_call_builds_no_parser_and_no_emitter(tmp_path, monkeypatch):
+    # the parser and the default emitter are built once per process, not once per call
+    def refuse(*args, **kwargs):
+        raise AssertionError("a call built an argument parser")
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert main(["validate", "--config", write_config(tmp_path, vacuum_config())]) == 0
+    field = parse_config(json.dumps(vacuum_config())).field
+    assert all(a is b for a, b in zip((field.h_sys, field.coupling, field.rho0),
+                                      scenarios.default_emitter()))
 
 
 def test_validate_and_run_never_import_scipy(tmp_path):

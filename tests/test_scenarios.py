@@ -29,6 +29,15 @@ from collisim.scenarios import default_emitter
 H2, LOWER, EXCITED = default_emitter()
 
 
+def test_default_emitter_is_one_shared_frozen_value():
+    # every caller shares the values built on the first call, so none may be written into
+    first, second = default_emitter(), default_emitter()
+    assert all(a is b for a, b in zip(first, second))
+    for value in first:
+        with pytest.raises(ValueError, match="read-only"):
+            value.data[0, 0] = 1.0
+
+
 def make_cfg(kind="vacuum", gamma=1.0, t_final=1.0, n_steps=100, rho0=None, **kw):
     return FieldConfig(kind=kind, gamma=gamma, t_final=t_final, n_steps=n_steps,
                        h_sys=H2, coupling=LOWER, rho0=rho0 or EXCITED, **kw)
