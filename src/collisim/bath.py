@@ -165,10 +165,12 @@ def single_photon_bath(envelope: Envelope, n: int) -> BathSpec:
 
     ``envelope`` gives the per-step amplitudes phi_1..phi_n, either as a
     sequence or as a callable of the 1-based step index.  Amplitudes are
-    renormalized to unit total weight; the applied factor is recorded in
-    the diagnostics.  Each ancilla is a qubit (truncation d=2); the joint
-    state sum_k phi_k |1_k> is kept as its n amplitudes, which a run hands
-    out through a source qubit (``collision.run_correlated``).
+    renormalized to unit total weight, which any finite amplitudes have
+    once scaled by a power of two; the weight before is recorded in the
+    diagnostics (inf where it overflows a double).  Each ancilla is a
+    qubit (truncation d=2); the joint state sum_k phi_k |1_k> is kept as
+    its n amplitudes, which a run hands out through a source qubit
+    (``collision.run_correlated``).
     """
     n = qcore.as_int(n, "step count")
     if n < 1:
@@ -179,12 +181,22 @@ def single_photon_bath(envelope: Envelope, n: int) -> BathSpec:
         phi = np.asarray(envelope, dtype=complex)
     if phi.shape != (n,):
         raise ValidationError(f"envelope must supply {n} amplitudes, got shape {phi.shape}")
-    norm_sq = float(np.sum(np.abs(phi) ** 2))
-    if not math.isfinite(norm_sq):
-        raise ValidationError(f"envelope amplitudes must have a finite total weight, got {norm_sq}")
-    if norm_sq == 0.0:
+    parts = np.ascontiguousarray(phi).view(np.float64)  # the real and imaginary parts
+    peak = float(np.max(np.abs(parts)))
+    if not math.isfinite(peak):
+        raise ValidationError(f"envelope amplitudes must have a finite total weight, got {peak}")
+    if peak == 0.0:
         raise ValidationError("envelope is identically zero")
-    phi = phi / math.sqrt(norm_sq)
+    # scaled by 2**-e, e the binary exponent of the largest part, the weight neither overflows
+    # nor underflows, and an ordinary envelope keeps its bits: powers of two scale exactly
+    e = math.frexp(peak)[1]
+    scaled = np.ldexp(parts, -e).view(complex)
+    weight = float(np.sum(np.abs(scaled) ** 2))
+    try:
+        norm_sq = math.ldexp(weight, 2 * e)  # the unscaled weight
+    except OverflowError:
+        norm_sq = math.inf
+    phi = scaled / math.sqrt(weight)
     return BathSpec(
         kind=CORRELATED_PURE,
         d=2,

@@ -398,6 +398,86 @@ def test_constant_columns_render_as_their_per_row_reference(n):
         ("zero", "0.0")])
 
 
+def _near(x):
+    return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+
+
+# one cell of each class that the vectorized %.16e leaves to Python: signed zeros, subnormals,
+# |x| at and past 1e-280 and 1e280, powers of ten and their neighbours (where log10 is one off),
+# 17-digit carries (1e-14 lies below 10**-14 and rounds up to it), an exact tie at the 17th digit
+# ((2**53 - 1) / 4 = 2251799813685247.75), near ties (the fraction past the 17th digit is 1/2
+# + 2.2e-16, - 9.0e-17 and + 1.2e-17) and the non-finite values
+PYTHON_CELLS = ([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, math.inf,
+                 -math.inf, math.nan, 9.9999999999999999e-5, 1e-14, 1e-243, 1e98, -1e-175,
+                 2251799813685247.75, -2251799813685247.75,
+                 1.0501678632788782e-07, 2.460469286850939e-10, -6.83280278535067e-11]
+                + [v for x in (1e-280, 1e280, -1e-280, 1e-281, 1e281) for v in _near(x)]
+                + [v for k in (-300, -100, -23, -5, -1, 0, 1, 16, 17, 22, 23, 100, 300)
+                   for v in _near(10.0**k)])
+
+
+def test_vectorized_scientific_cells_are_those_of_percent_16e():
+    # a seeded sweep of raw 64-bit patterns and the pinned cells of each class left to Python,
+    # in one float column: the kernel decides most raw patterns, and every row is '%.16e' % x
+    rng = np.random.default_rng(28)
+    raw = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    assert cli._scientific(raw)[2].mean() > 0.85
+    undecided = ~cli._scientific(np.array(PYTHON_CELLS))[2]
+    assert undecided.sum() >= 45  # most pinned cells are left to Python, the rest are decided
+    column = np.concatenate([raw, PYTHON_CELLS, -raw[:1000]])
+    assert "".join(cli._csv_blocks([column])) == "".join("%.16e\n" % x for x in column.tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells=st.lists(st.floats(), min_size=cli._PYTHON_BELOW, max_size=ROW_BLOCK + 40),
+       ints=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=1))
+def test_any_doubles_and_ints_render_as_percent_16e_and_percent_d(cells, ints):
+    # blocks large enough for the vector route, any doubles beside any int64s
+    column, count = np.array(cells), np.resize(np.array(ints, dtype=np.int64), len(cells))
+    count[::7] = np.arange(len(count[::7])) - 3
+    text = "".join(cli._csv_blocks([count, column]))
+    assert text == "".join("%d,%.16e\n" % row for row in zip(count.tolist(), column.tolist()))
+
+
+@pytest.mark.parametrize("n", [2, 2 * ROW_BLOCK + 7])
+def test_cells_left_to_python_render_as_their_per_row_reference(n):
+    # every class of cell that goes to Python, at ROW_BLOCK edges, and ints past the digit
+    # routine's 10**17: int64 -2**63 and 2**63 - 1, uint64 2**64 - 1
+    cfg = parse_config(json.dumps(vacuum_config()))
+    rng = np.random.default_rng(n)
+    edges = [e for e in (0, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK, n - 1)
+             if e < n]
+    floats = rng.standard_normal((-(-len(PYTHON_CELLS) // len(edges)), n))
+    floats *= 10.0 ** rng.integers(-20, 20, floats.shape)
+    for i, cell in enumerate(PYTHON_CELLS):
+        floats[i // len(edges), edges[i % len(edges)]] = cell
+    signed = rng.integers(-10**18, 10**18, n)
+    signed[edges] = [-2**63, 2**63 - 1, -10**17, 10**17 - 1, -(10**17 - 1), 10**17][:len(edges)]
+    unsigned = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+    unsigned[edges] = [2**64 - 1, 0, 2**63, 10**17, 10**17 - 1, 1][:len(edges)]
+    pop = floats[0].astype(complex)
+    pop.imag = floats[1]
+    columns = ([("step", np.arange(n)), ("signed", signed), ("unsigned", unsigned), ("pop", pop)]
+               + [(f"x{i}", col) for i, col in enumerate(floats[2:])])
+    assert "".join(_render_csv(cfg, columns, {})).split("\n")[4:] == per_row_csv(columns, n) + [""]
+
+
+@pytest.mark.parametrize("scenario", ["convergence", "bloch"])
+def test_convergence_and_bloch_csv_artifacts_are_per_row_renders(tmp_path, scenario):
+    field = {"kind": "coherent", "gamma": 1.0, "t_final": 1.0, "n_steps": 600, "z": 1.5,
+             "omega": 0.7, "d_anc": 6}
+    doc = {"scenario": scenario, "field": field, "output": "json"}
+    if scenario == "convergence":
+        doc["n_list"] = [100, 200, 400, 800]
+    out = tmp_path / "artifact.csv"
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path, "--out", str(out), "--format", "csv"]) == 0
+    columns, _ = cli._execute(parse_config(json.dumps(doc)))
+    rows = per_row_csv(columns, len(columns[0][1]))
+    assert len(rows) == (4 if scenario == "convergence" else 601)
+    assert out.read_text().split("\n")[4:] == rows + [""]
+
+
 def test_writing_an_artifact_holds_a_block_not_the_file(tmp_path, monkeypatch):
     # rendering and writing 20,001 rows traces less than a quarter of the file they write: the
     # text of one block of rows is held at a time, not the whole artifact
@@ -778,6 +858,25 @@ def test_overflowing_photon_envelope_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "envelope amplitudes must have a finite total weight" in err
     assert "Traceback" not in err and not (tmp_path / "sp.csv").exists()
+
+
+def test_a_tabulated_envelope_times_a_power_of_two_writes_the_same_rows(tmp_path, capsys):
+    # |psi|^2 of psi * 2**700 overflows a double; its amplitudes are scaled by a power of two
+    # before their weight is formed, so the run writes psi's rows, to the bit
+    rows = []
+    for scale in (1.0, 2.0**700):
+        doc = single_photon_config(tmp_path, 12)
+        doc["field"]["envelope"] = {"type": "tabulated", "omega": [-1.0, -0.5, 0.0, 0.5],
+                                    "psi": [0.3 * scale, {"re": 0.0, "im": scale}, -0.7 * scale,
+                                            1e-3 * scale]}
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+        rows.append((tmp_path / "sp.csv").read_text().splitlines()[4:])
+    assert len(rows[0]) == 13 and rows[0] == rows[1]
+    doc["field"].update(gamma=1.0, t_final=1e12, n_steps=1)  # the amplitudes' weight is inf
+    doc["field"]["envelope"].update(omega=[-1.0, 0.0, 1.0], psi=[1e300, {"re": 0.0, "im": 1.0},
+                                                                 1e-300])
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("center, width, code", [
