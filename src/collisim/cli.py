@@ -1,18 +1,8 @@
 """Configuration ingestion, scenario dispatch, and result emission.
 
 Configs are strict JSON documents (unknown keys are rejected); results are
-written as CSV or JSON with the full config echoed for provenance.  The
-rows are rendered and written ROW_BLOCK at a time, so the memory that
-writing an artifact takes does not grow with the step count; the bytes
-are those of rendering the whole text at once.  A column whose cells all
-hold the same bits is written once into the row that every block starts
-from.  A CSV block is one uint8 array of NUL-padded cells, and its text
-is the array's bytes other than NUL: a float cell's 17 digits of %.16e
-come from an exact vectorized kernel (_scientific), an int cell's digits
-from the same digit routine, and Python's % formats only the cells the
-kernel leaves undecided, or every cell of a block too small to pay for
-the vector math.  A JSON block fills its columns into one flat list of
-cells and is formatted by one % of the row template.  All runs are
+written as CSV or JSON with the full config echoed for provenance, by the
+block writer of render.py, ROW_BLOCK rows at a time.  All runs are
 deterministic: identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or filesystem problem (or a run whose
@@ -24,32 +14,23 @@ qubit, at a cost linear in the step count.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from . import __version__, qcore, scenarios
+from . import qcore, render, scenarios
 from .errors import PropagationError, ValidationError
 from .qcore import DensityMatrix, Operator
 from .scenarios import FieldConfig, GaussianEnvelope, TabulatedSpectrum
 
 SCENARIOS = ("spontaneous_emission", "bloch", "single_photon", "convergence")
 FORMATS = ("csv", "json")
-ROW_BLOCK = 256  # rows rendered and written at a time, so the memory held does not grow with N
-_SLOT = 25  # bytes of a CSV cell: its text, at most 24 bytes, NUL-padded, then , or newline
-_PYTHON_BELOW = 160  # a block of fewer cells to fill formats them faster in Python, as measured
-_E0 = 300  # _POWERS column e + _E0 holds decimal exponent e
-_TIE = 1e-6  # a fraction this near 1/2 is left to Python: the kernel's error is below 1e-14
-_DEKKER = 134217729.0  # 2**27 + 1: splits a double into two halves of at most 26 bits
-_HEAD = np.uint64(2**64 - 2**27)  # keeps a double's sign, exponent and top 26 bits
-_INT_KEEP = np.array([10**16] * 2 + [10**j for j in range(15, 0, -1)] + [0])  # see _fill_digits
 MAX_ENTRIES = 2**59  # complex entries in an array of under 2^63 bytes, the most numpy indexes
 
 _ALLOWED_KINDS = {  # the first kind of a scenario is its default
@@ -373,267 +354,6 @@ def _execute(cfg: RunConfig) -> tuple[list[tuple[str, Sequence]], dict]:
     return columns, meta
 
 
-def _constant(col: np.ndarray) -> bool:
-    """Whether every cell of a non-empty column holds its first cell's bits: a float column is
-    compared as unsigned integers, so -0.0 beside +0.0, or NaNs of different payloads, are not
-    constant."""
-    if col.dtype.kind == "f":
-        col = col.view(f"u{col.itemsize}")
-    return len(col) > 0 and bool(col[0] == col[-1] and (col == col[0]).all())
-
-
-def _row_template(parts: list) -> tuple[str, list]:
-    """The % template of one row and the (column, cells) slots it leaves to fill, from
-    ``parts``: text, escaped for %, or a (spec, column, cells) slot.  A constant column's one
-    cell is written into the template once, as spec % cells(its first cell), escaped for %;
-    every other slot keeps its spec."""
-    row, slots = [], []
-    for part in parts:
-        if isinstance(part, str):
-            row.append(part.replace("%", "%%"))
-        elif _constant(part[1]):
-            spec, col, cells = part
-            row.append((spec % cells(col[:1])[0]).replace("%", "%%"))
-        else:
-            row.append(part[0])
-            slots.append(part[1:])
-    return "".join(row), slots
-
-
-def _row_blocks(row: str, slots: list, n: int) -> Iterator[str]:
-    """The n rows of a table, ROW_BLOCK at a time, from ``_row_template``'s row and slots: slot
-    j's cells(block of its column) fill places j, j + k, j + 2k, ... of one flat list, and a
-    block's m rows are one % of row * m.  The row count is the table's, so a row whose every
-    column is constant still renders n times."""
-    k = len(slots)
-    for lo in range(0, n, ROW_BLOCK):
-        m = min(ROW_BLOCK, n - lo)
-        flat = [None] * (k * m)
-        for j, (col, cells) in enumerate(slots):
-            flat[j::k] = cells(col[lo:lo + m])
-        yield row * m % tuple(flat)
-
-
-def _render_csv(cfg: RunConfig, columns, meta) -> Iterator[str]:
-    """Yield the CSV text, the comment and header lines first, then ROW_BLOCK rows at a time.
-    Integer cells as %d and real cells as %.16e, to the bytes that format()ting each cell's numpy
-    scalar writes; a complex column becomes two, _re and _im."""
-    header, cols = [], []
-    for name, values in columns:
-        arr = np.asarray(values)
-        parts = {"_re": arr.real, "_im": arr.imag} if np.iscomplexobj(arr) else {"": arr}
-        for suffix, col in parts.items():
-            header.append(name + suffix)
-            cols.append(col)
-    head = [f"# collisim {__version__}", "# config: " + json.dumps(cfg.echo, sort_keys=True),
-            "# meta: " + json.dumps(meta, sort_keys=True), ",".join(header)]
-    yield "\n".join(head) + "\n"
-    yield from _csv_blocks(cols)
-
-
-def _csv_blocks(cols: list[np.ndarray]) -> Iterator[str]:
-    """The rows of a table's columns, ROW_BLOCK at a time.  A block is one (rows, columns, _SLOT)
-    uint8 array whose slots hold the int columns, then the float ones, then the _constant ones;
-    it is taken into the columns' order, and its text is its bytes other than NUL.  Every block
-    starts from one row: the separators, a float slot's ".", and a constant column's one cell.
-    A block of at least _PYTHON_BELOW other cells takes their text from _fill_digits, and from
-    _python_cells only for the cells that it leaves undecided; a smaller block, where the vector
-    math costs more than it saves, takes every cell's text from _python_cells."""
-    n, k = len(cols[0]), len(cols)
-    const = [c for c in range(k) if _constant(cols[c])]
-    ints = [c for c in range(k) if cols[c].dtype.kind in "iu" and c not in const]
-    floats = [c for c in range(k) if c not in ints and c not in const]
-    order, ni, nv = ints + floats + const, len(ints), len(ints) + len(floats)
-    row = []
-    for c in order:
-        text = b"\0\0." if c in floats else b""
-        if c in const:
-            text = (b"%d" if cols[c].dtype.kind in "iu" else b"%.16e") % cols[c][:1].tolist()[0]
-        row.append(text.ljust(_SLOT - 1, b"\0") + (b"\n" if c == k - 1 else b","))
-    row = np.frombuffer(b"".join(row), np.uint8).reshape(k, _SLOT)
-    inverse = None if order == sorted(order) else [order.index(c) for c in range(k)]
-    for lo in range(0, n, ROW_BLOCK):
-        m = min(ROW_BLOCK, n - lo)
-        block = np.empty((m, k, _SLOT), np.uint8)
-        block[...] = row
-        z = [cols[c][lo:lo + m] for c in ints]
-        x = np.empty((m, len(floats)))
-        for j, c in enumerate(floats):
-            x[:, j] = cols[c][lo:lo + m]
-        if m * nv < _PYTHON_BELOW:
-            for j, v in enumerate(z):
-                _python_cells(block, slice(None), j, v, b"%-24d")
-            _python_cells(block, slice(None), slice(ni, nv), x, b"%-24.16e")
-        else:
-            todo = ~_fill_digits(block, z, x)
-            for j, v in enumerate(z):
-                i = np.flatnonzero(todo[:, j])
-                _python_cells(block, i, j, v[i], b"%-24d")
-            i, j = np.nonzero(todo[:, ni:])
-            _python_cells(block, i, ni + j, x[i, j], b"%-24.16e")
-        if inverse is not None:
-            block = block.take(inverse, axis=1)
-        yield block.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _python_cells(block: np.ndarray, rows, slots, values: np.ndarray, spec: bytes) -> None:
-    """Write spec % value, padded by spec with spaces to _SLOT - 1 bytes and the spaces made
-    NUL, into the cells block[rows, slots], one per value of the same shape, by one % for all."""
-    if values.size:
-        text = (spec * values.size) % tuple(values.ravel().tolist())
-        block[rows, slots, :_SLOT - 1] = np.frombuffer(text.replace(b" ", b"\0"), np.uint8
-                                                       ).reshape(values.shape + (_SLOT - 1,))
-
-
-def _fill_digits(block: np.ndarray, z: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Write the text of a block's cells into its first len(z) + x.shape[1] slots, from z, one
-    array per int column, and x, (rows, float columns); return the (rows, slots) mask of the
-    cells written.  A float gets its sign, digits and exponent from _scientific, an int v with
-    |v| < 10**17 its sign and digits, leading zeros NUL.  The other cells are left to the caller."""
-    (m, nf), ni = x.shape, len(z)
-    digits, negative = np.empty((m, ni + nf), np.int64), np.empty((m, ni + nf), bool)
-    good = np.empty((m, ni + nf), bool)
-    for j, v in enumerate(z):
-        good[:, j] = (v > -10**17) & (v < 10**17)
-        digits[:, j] = np.where(good[:, j], v, 0)
-        negative[:, j] = digits[:, j] < 0
-        np.abs(digits[:, j], out=digits[:, j])
-    if nf:
-        digits[:, ni:], exponent, good[:, ni:] = _scientific(x)
-        negative[:, ni:] = np.signbit(x)
-        block[:, ni:ni + nf, 19:24] = _POWERS.text.take(exponent, axis=0)
-    lead, groups = _digit_groups(digits.ravel())
-    block[:, :ni + nf, 0] = np.where(negative, ord("-"), 0)
-    block[:, :ni + nf, 1] = lead.reshape(m, -1)
-    block[:, :ni + nf, 3:19].view(np.uint32)[...] = groups.reshape(4, m, -1).transpose(1, 2, 0)
-    if ni:  # an int's leading zeros become NUL: slot byte 3 + j is its digit 10**(15 - j)
-        block[:, :ni, 1:19] *= digits[:, :ni, None] >= _INT_KEEP
-    return good
-
-
-class _PowersOfTen:
-    """Column e + _E0 of ``values`` holds 10**(16 - e) as hi + lo, hi the double nearest it and
-    lo the double nearest the rest, with hi's two Dekker halves between them; ``text[e + _E0]``
-    is the exponent's text, e+05 or e-123.  A column is computed from Python ints the first
-    time a block needs it."""
-
-    def __init__(self) -> None:
-        self.lo = self.hi = _E0  # the columns [lo, hi) are filled
-        self.values = self.text = None
-
-    def fill(self, lo: int, hi: int) -> np.ndarray:
-        if lo < self.lo or hi > self.hi:
-            if self.values is None:
-                self.values = np.zeros((4, 2 * _E0 + 1))
-                self.text = np.zeros((2 * _E0 + 1, 5), np.uint8)
-            for col in [*range(lo, self.lo), *range(self.hi, hi)]:
-                k = 16 - (col - _E0)
-                num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-                big = num / den  # int / int is correctly rounded
-                p, q = big.as_integer_ratio()
-                c = big * _DEKKER
-                head = c - (c - big)
-                self.values[:, col] = big, head, big - head, (num * q - p * den) / (den * q)
-                text = b"e%+03d" % (col - _E0)
-                self.text[col, :len(text)] = np.frombuffer(text, np.uint8)
-            self.lo, self.hi = min(lo, self.lo), max(hi, self.hi)
-        return self.values
-
-
-_POWERS = _PowersOfTen()
-
-
-def _scientific(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each double of x, the 17 digits of %.16e as one integer in [10**16, 10**17), the
-    column e + _E0 of _POWERS of its decimal exponent e, and whether the two are decided.
-
-    With e the estimate floor(log10 |x|), |x| 10**(16 - e) = |x| (hi + lo) is formed as p + r:
-    p = |x| hi, and r the exact error of that product by Dekker's split (Numer. Math. 18, 224
-    (1971)) plus |x| lo.  p is an integer, since it is at least 2**53, and r is off by under
-    1e-14, so I = p + floor(r) is the integer part, f = r - floor(r) the fraction, and I + (f >
-    1/2) the correctly rounded mantissa unless f lies within _TIE of 1/2.  A cell is undecided
-    there; where I lies outside [10**16, 10**17 - 1), as it does when e is one off, next to a
-    power of ten, or when the rounding would carry into an 18th digit; and where |x| is 0, not
-    finite, or outside 1e-280..1e280, where the product's parts could overflow or lose bits."""
-    a = np.abs(x)
-    finite = (a > 1e-280) & (a < 1e280)
-    a = np.where(finite, a, 1.0)
-    exponent = (np.log10(a) + _E0).astype(np.intp)  # positive, so truncation is floor
-    big, head, tail, lo = _POWERS.fill(int(exponent.min()), int(exponent.max()) + 1).take(
-        exponent, axis=1)
-    p = a * big
-    ah = (a.view(np.uint64) & _HEAD).view(np.float64)  # the top 26 bits of a
-    al = a - ah
-    r = ((ah * head - p) + ah * tail + al * head) + al * tail + a * lo
-    whole = np.floor(r)
-    fraction = r - whole
-    low = p.astype(np.int64) + whole.astype(np.int64)  # the integer part of |x| 10**(16 - e)
-    good = finite & (np.abs(fraction - 0.5) > _TIE)
-    good &= (low - 10**16).view(np.uint64) < 9 * 10**16 - 1
-    return low + (fraction > 0.5), exponent, good
-
-
-def _digit_groups(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 decimal digits of each integer of digits in [0, 10**17): the ASCII code of the
-    first, and the other 16 as (4, n) four-byte groups of _quads(), from integer quotients."""
-    high, low = np.divmod(digits, 10**8)
-    lead = high // 10**8
-    eights = np.stack((high - lead * 10**8, low))
-    groups = np.empty((2, 2, len(digits)), np.intp)
-    np.floor_divide(eights, 10**4, out=groups[:, 0])
-    np.subtract(eights, groups[:, 0] * 10**4, out=groups[:, 1])
-    return (lead + ord("0")).astype(np.uint8), _quads().take(groups.reshape(4, -1))
-
-
-@functools.cache
-def _quads() -> np.ndarray:
-    """The groups "0000" .. "9999", four ASCII bytes each held as one uint32, built on first use."""
-    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint8).reshape(100, 2)
-    quads = np.empty((100, 100, 4), np.uint8)
-    quads[..., :2] = pairs[:, None]
-    quads[..., 2:] = pairs
-    quads.flags.writeable = False  # one table shared by every call
-    return quads.view(np.uint32).reshape(-1)
-
-
-def _json_cells(col: np.ndarray):
-    """The cells of a real column's blocks for %s, chosen once per column: their Python scalars,
-    whose str is what json writes, or, in a column that holds a NaN or an infinity anywhere,
-    json's text of each (NaN, Infinity, -Infinity)."""
-    if col.dtype.kind == "f" and not np.isfinite(col).all():
-        return lambda block: list(map(json.dumps, block.tolist()))
-    return np.ndarray.tolist
-
-
-def _render_json(cfg: RunConfig, columns, meta) -> Iterator[str]:
-    """Yield json.dumps(doc, sort_keys=True, indent=2) + "\n" of doc = {"version", "config",
-    "meta", "rows": [{name: cell, ...} per row]}, complex cells as {"re", "im"}, to the byte,
-    ROW_BLOCK rows at a time, without building the rows: the blocks of the row template are
-    spliced into json.dumps of the rest of the document."""
-    parts = [",\n    {\n"]  # the first row drops its ",\n"
-    for name, values in sorted(columns, key=lambda column: column[0]):
-        arr = np.asarray(values)
-        parts.append(f"      {json.dumps(name)}: ")
-        if np.iscomplexobj(arr):
-            parts += ['{\n        "im": ', ("%s", arr.imag, _json_cells(arr.imag)),
-                      ',\n        "re": ', ("%s", arr.real, _json_cells(arr.real)), "\n      }"]
-        else:
-            parts.append(("%s", arr, _json_cells(arr)))
-        parts.append(",\n")
-    parts[-1] = "\n    }"
-    n = len(columns[0][1])
-    doc = {"version": __version__, "config": cfg.echo, "meta": meta, "rows": []}
-    head, empty, tail = json.dumps(doc, sort_keys=True, indent=2).rpartition('"rows": []')
-    if not n:
-        yield head + empty + tail + "\n"
-        return
-    yield head + '"rows": [\n'
-    blocks = _row_blocks(*_row_template(parts), n)
-    yield next(blocks)[2:]
-    yield from blocks
-    yield "\n  ]" + tail + "\n"
-
-
 def run(cfg: RunConfig, out_path: str | None = None, output: str | None = None) -> str:
     """Execute the configured scenario and write the artifact file.
 
@@ -649,9 +369,9 @@ def run(cfg: RunConfig, out_path: str | None = None, output: str | None = None) 
     fmt = output or cfg.output
 
     columns, meta = _execute(cfg)  # a failed run never opens, so never truncates, the file
-    render = _render_csv if fmt == "csv" else _render_json
+    write = render._render_csv if fmt == "csv" else render._render_json
     with open(path, "w", newline="\n") as handle:
-        handle.writelines(render(cfg, columns, meta))
+        handle.writelines(write(cfg, columns, meta))
     return path
 
 

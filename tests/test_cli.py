@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collisim
-from collisim import __version__, cli, qcore, scenarios
-from collisim.cli import (ROW_BLOCK, ConfigError, _render_csv, _render_json, main,
-                           parse_config)
+from collisim import __version__, cli, qcore, render, scenarios
+from collisim.cli import ConfigError, main, parse_config
+from collisim.render import ROW_BLOCK, _render_csv, _render_json
 
 
 def vacuum_config(**overrides):
@@ -365,8 +365,16 @@ def dumped_json(cfg, columns, meta):
 
 
 def templated(col):
-    # whether the column is written into the row template once instead of filled per row
-    return not cli._row_template([("%s", col, np.ndarray.tolist)])[1]
+    # whether the block writer writes the column once, into the row every block starts from,
+    # instead of into a slot per row
+    fmt = render._CSV._replace(constant=lambda col: b"once")
+    return "".join(render._blocks([col, b"\n"], len(col), fmt)) == "once\n" * len(col)
+
+
+def csv_blocks(cols):
+    # the CSV rows of real columns, through the block writer
+    parts = [part for col in cols for part in (col, b",")][:-1] + [b"\n"]
+    return "".join(render._blocks(parts, len(cols[0]), render._CSV))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, ROW_BLOCK + 1])
@@ -421,22 +429,67 @@ def test_vectorized_scientific_cells_are_those_of_percent_16e():
     # in one float column: the kernel decides most raw patterns, and every row is '%.16e' % x
     rng = np.random.default_rng(28)
     raw = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
-    assert cli._scientific(raw)[2].mean() > 0.85
-    undecided = ~cli._scientific(np.array(PYTHON_CELLS))[2]
+    assert render._scientific(raw)[2].mean() > 0.85
+    undecided = ~render._scientific(np.array(PYTHON_CELLS))[2]
     assert undecided.sum() >= 45  # most pinned cells are left to Python, the rest are decided
     column = np.concatenate([raw, PYTHON_CELLS, -raw[:1000]])
-    assert "".join(cli._csv_blocks([column])) == "".join("%.16e\n" % x for x in column.tolist())
+    assert "".join(csv_blocks([column])) == "".join("%.16e\n" % x for x in column.tolist())
 
 
 @settings(max_examples=80, deadline=None)
-@given(cells=st.lists(st.floats(), min_size=cli._PYTHON_BELOW, max_size=ROW_BLOCK + 40),
+@given(cells=st.lists(st.floats(), min_size=render._PYTHON_BELOW, max_size=ROW_BLOCK + 40),
        ints=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=1))
 def test_any_doubles_and_ints_render_as_percent_16e_and_percent_d(cells, ints):
     # blocks large enough for the vector route, any doubles beside any int64s
     column, count = np.array(cells), np.resize(np.array(ints, dtype=np.int64), len(cells))
     count[::7] = np.arange(len(count[::7])) - 3
-    text = "".join(cli._csv_blocks([count, column]))
+    text = "".join(csv_blocks([count, column]))
     assert text == "".join("%d,%.16e\n" % row for row in zip(count.tolist(), column.tolist()))
+
+
+def json_blocks(cols):
+    # the JSON cells of real columns, one row a line, through the block writer
+    parts = [part for col in cols for part in (col, b",")][:-1] + [b"\n"]
+    return "".join(render._blocks(parts, len(cols[0]), render._JSON))
+
+
+# cells of the classes that the vectorized repr leaves to Python, and of the layouts where repr
+# switches: powers of two and their neighbours (the gap below a power of two is half the gap
+# above), the fixed/scientific switches at 1e16 and 1e-4, the widest exponents and the largest
+# 16-digit mantissas, the smallest subnormal, signed zeros and the non-finite values
+JSON_PYTHON_CELLS = ([v for k in (-1022, -60, -3, -1, 0, 1, 3, 52, 53, 60, 1023)
+                      for v in _near(2.0**k)]
+                     + [1e16, 9999999999999998.0, 1e-4, 1e-5, 9.999999999999999e-05,
+                        9.999999999999999e22, 1.7976931348623157e308, 2.2250738585072014e-308,
+                        5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf, 10.0, 0.1, 123.0,
+                        9007199254740993.0, 1e15, 0.30000000000000004, -1.5e-7])
+
+
+def test_vectorized_repr_cells_are_those_of_json_dumps():
+    # a seeded sweep of raw 64-bit patterns and the pinned cells, in one float column: the
+    # kernel decides most raw patterns, and every row is json.dumps of its cell, the repr of a
+    # finite one
+    rng = np.random.default_rng(29)
+    raw = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    assert render._shortest(raw)[3].mean() > 0.85
+    decided = render._shortest(np.array(JSON_PYTHON_CELLS))[3]
+    assert 0 < decided.sum() < len(JSON_PYTHON_CELLS) - 30  # most go to Python, some are decided
+    column = np.concatenate([raw, JSON_PYTHON_CELLS, -raw[:1000]])
+    assert json_blocks([column]) == "".join(json.dumps(x) + "\n" for x in column.tolist())
+    i = JSON_PYTHON_CELLS.index(1e16)
+    assert json_blocks([np.array(JSON_PYTHON_CELLS)]).split("\n")[i:i + 4] == [
+        "1e+16", "9999999999999998.0", "0.0001", "1e-05"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells=st.lists(st.floats(), min_size=render._PYTHON_BELOW, max_size=ROW_BLOCK + 40),
+       ints=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=1))
+def test_any_doubles_and_ints_render_as_json_dumps(cells, ints):
+    # blocks large enough for the vector route, any doubles beside any int64s
+    column, count = np.array(cells), np.resize(np.array(ints, dtype=np.int64), len(cells))
+    count[::7] = np.arange(len(count[::7])) - 3
+    assert json_blocks([count, column]) == "".join(
+        f"{v},{json.dumps(x)}\n" for v, x in zip(count.tolist(), column.tolist()))
 
 
 @pytest.mark.parametrize("n", [2, 2 * ROW_BLOCK + 7])
@@ -478,10 +531,63 @@ def test_convergence_and_bloch_csv_artifacts_are_per_row_renders(tmp_path, scena
     assert out.read_text().split("\n")[4:] == rows + [""]
 
 
-def test_writing_an_artifact_holds_a_block_not_the_file(tmp_path, monkeypatch):
+@pytest.mark.parametrize("case", ["bloch", "bloch_drive", "convergence", "spontaneous_emission",
+                                  "single_photon"])
+def test_json_artifacts_are_json_dumps_of_their_columns(tmp_path, case):
+    # the real paths of every scenario, the benchmark's Bloch run among them, against json.dumps
+    # of a document built from the run's columns
+    field = {"kind": "coherent", "gamma": 1.0, "t_final": 1.0, "n_steps": 600, "z": 1.5,
+             "omega": 0.7, "d_anc": 6}
+    doc = {"scenario": case, "field": field, "output": "csv"}
+    if case == "bloch_drive":
+        doc["scenario"] = "bloch"
+        field.update(t_final=2.0, n_steps=4000, z=3.0, d_anc=12)
+        del field["omega"]
+    elif case == "convergence":
+        doc["n_list"] = [100, 200, 400, 800]
+    elif case == "spontaneous_emission":
+        doc["field"] = vacuum_config()["field"]
+    elif case == "single_photon":
+        doc = single_photon_config(tmp_path, 2_000)
+    out = tmp_path / "artifact.json"
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path, "--out", str(out), "--format", "json"]) == 0
+    cfg = parse_config(json.dumps(doc))
+    columns, meta = cli._execute(cfg)
+    assert out.read_text() == dumped_json(cfg, columns, meta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_float_columns_of_other_dtypes_render_as_their_float64_cast(fmt):
+    # a 16-byte longdouble column once raised TypeError ('u16' is no dtype); float32 and
+    # longdouble cells are written as the float64 they cast to, complex parts alike
+    cfg = parse_config(json.dumps(vacuum_config()))
+    n = 300  # past _PYTHON_BELOW cells in a block, so the kernels see them too
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    wide = values.astype(np.longdouble) / 3
+    pop = (values + 1j * values).astype(np.complex64)
+    columns = [("step", np.arange(n)), ("single", values.astype(np.float32)), ("wide", wide),
+               ("const", np.full(n, wide[0])), ("pop", pop)]
+    cast = [("step", np.arange(n)), ("single", values.astype(np.float32).astype(float)),
+            ("wide", wide.astype(float)), ("const", np.full(n, float(wide[0]))),
+            ("pop", pop.astype(complex))]
+    for rows in (n, 3):  # the kernels' route and the Python route
+        table = [(name, col[:rows]) for name, col in columns]
+        reference = [(name, col[:rows]) for name, col in cast]
+        if fmt == "csv":
+            assert "".join(_render_csv(cfg, table, {})).split("\n")[4:] == per_row_csv(
+                reference, rows) + [""]
+        else:
+            assert "".join(_render_json(cfg, table, {})) == dumped_json(cfg, reference, {})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writing_an_artifact_holds_a_block_not_the_file(tmp_path, monkeypatch, fmt):
     # rendering and writing 20,001 rows traces less than a quarter of the file they write: the
     # text of one block of rows is held at a time, not the whole artifact
     doc = single_photon_config(tmp_path, 20_000)
+    doc["output"] = fmt
     execute = cli._execute
 
     def execute_then_trace(cfg):
@@ -495,8 +601,13 @@ def test_writing_an_artifact_holds_a_block_not_the_file(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    lines = Path(path).read_text().splitlines()
-    assert len(lines) == 4 + 20_001 and lines[-1].startswith("20000,")
+    text = Path(path).read_text()
+    if fmt == "csv":
+        lines = text.splitlines()
+        assert len(lines) == 4 + 20_001 and lines[-1].startswith("20000,")
+    else:
+        rows = json.loads(text)["rows"]
+        assert len(rows) == 20_001 and rows[-1]["step"] == 20_000
     assert peak < os.path.getsize(path) / 4
 
 

@@ -1,6 +1,7 @@
 """The package's modules import each other in one direction, at module level only."""
 
 import ast
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -8,9 +9,13 @@ import pytest
 import collisim
 
 # each module imports only modules before it; the package itself may import them all
-ORDER = ["errors", "qcore", "bath", "collision", "lindblad", "scenarios", "cli"]
-ALLOWED_NAMES = {"cli": {"__version__"}}  # names other modules take from the package itself
+ORDER = ["errors", "qcore", "bath", "collision", "lindblad", "scenarios", "render", "cli"]
+ALLOWED_NAMES = {"render": {"__version__"}}  # names other modules take from the package itself
 SOURCES = {path.stem: path for path in Path(collisim.__file__).parent.glob("*.py")}
+# compiling a module peaks at ~430 bytes of memory per token, freed into a heap that a fresh
+# process does not reuse, so the largest module sets every fresh process's peak: none may grow
+# past cli.py's size when it still held the artifact writers
+MAX_TOKENS = 6_410
 
 
 def intra_package_imports(tree):
@@ -48,3 +53,10 @@ def test_imports_follow_the_layer_order(module):
     upward = [f"{module}.py:{line} imports {name}" for line, name in intra_package_imports(tree)
               if name not in below]
     assert upward == []
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_no_module_outgrows_the_token_cap(module):
+    with open(SOURCES[module], encoding="utf-8") as handle:
+        tokens = sum(1 for _ in tokenize.generate_tokens(handle.readline))
+    assert tokens <= MAX_TOKENS

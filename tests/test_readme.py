@@ -10,7 +10,7 @@ from pathlib import Path
 import collisim
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-MODULES = ("qcore", "bath", "collision", "lindblad", "scenarios", "cli")
+MODULES = ("qcore", "bath", "collision", "lindblad", "scenarios", "render", "cli")
 CLASSES = {name: value for name, value in vars(collisim).items() if inspect.isclass(value)}
 
 
