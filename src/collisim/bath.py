@@ -85,9 +85,7 @@ class BathSpec:
 
     def factor(self, step: int) -> np.ndarray:
         """F (d x r) of the product ancilla met at `step` (1-based); a one-row stack serves all."""
-        step = qcore.as_int(step, "step")
-        if not 1 <= step <= self.n_steps:
-            raise ValidationError(f"step {step} outside 1..{self.n_steps}")
+        step = qcore.as_step(step, self.n_steps)
         return self.etas[step - 1 if len(self.etas) > 1 else 0].reshape(self.d, -1)
 
     def ancilla_state(self, step: int) -> DensityMatrix:
@@ -95,9 +93,7 @@ class BathSpec:
         if self.kind == PRODUCT:
             f = self.factor(step)
             return DensityMatrix(Operator(f @ f.conj().T, (self.d,)))
-        step = qcore.as_int(step, "step")
-        if not 1 <= step <= self.n_steps:
-            raise ValidationError(f"step {step} outside 1..{self.n_steps}")
+        step = qcore.as_step(step, self.n_steps)
         p = float(np.abs(self.phi[step - 1]) ** 2)
         return DensityMatrix(Operator(np.diag([1.0 - p, p]).astype(complex), (2,)))
 

@@ -1,9 +1,9 @@
 """Configuration ingestion, scenario dispatch, and result emission.
 
 Configs are strict JSON documents (unknown keys are rejected); results are
-written as CSV or JSON with the full config echoed for provenance, by the
-block writer of render.py, ROW_BLOCK rows at a time.  All runs are
-deterministic: identical configs produce byte-identical files.
+written with the full config echoed for provenance, in a format named in
+render.WRITERS (CSV or JSON), whose writer renders ROW_BLOCK rows at a time.
+All runs are deterministic: identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or filesystem problem (or a run whose
 arrays cannot be allocated), 2 numeric or invariant failure during a run.  No
@@ -30,7 +30,6 @@ from .qcore import DensityMatrix, Operator
 from .scenarios import FieldConfig, GaussianEnvelope, TabulatedSpectrum
 
 SCENARIOS = ("spontaneous_emission", "bloch", "single_photon", "convergence")
-FORMATS = ("csv", "json")
 MAX_ENTRIES = 2**59  # complex entries in an array of under 2^63 bytes, the most numpy indexes
 
 _ALLOWED_KINDS = {  # the first kind of a scenario is its default
@@ -241,7 +240,7 @@ def parse_config(text: str) -> RunConfig:
     _check_size(field, field.n_steps, "n_steps")
 
     output = doc.get("output", "csv")
-    if output not in FORMATS:
+    if output not in render.WRITERS:
         raise ConfigError("output must be 'csv' or 'json'")
     out_path = doc.get("out_path")
     if out_path is not None and not isinstance(out_path, str):
@@ -369,9 +368,8 @@ def run(cfg: RunConfig, out_path: str | None = None, output: str | None = None) 
     fmt = output or cfg.output
 
     columns, meta = _execute(cfg)  # a failed run never opens, so never truncates, the file
-    write = render._render_csv if fmt == "csv" else render._render_json
     with open(path, "w", newline="\n") as handle:
-        handle.writelines(write(cfg, columns, meta))
+        handle.writelines(render.WRITERS[fmt](cfg, columns, meta))
     return path
 
 
@@ -382,7 +380,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     p_run.add_argument("--config", required=True, help="path to a JSON config")
     p_run.add_argument("--out", help="output file path (overrides config)")
-    p_run.add_argument("--format", choices=FORMATS, help="output format (overrides config)")
+    p_run.add_argument("--format", choices=render.WRITERS, help="output format (overrides config)")
     p_val = sub.add_parser("validate", help="parse and validate a config only")
     p_val.add_argument("--config", required=True, help="path to a JSON config")
     return parser

@@ -149,7 +149,7 @@ def _unitaries(spec: CollisionSpec, steps: Sequence[int],
     larger, or a static spec's one U as (1, D, D), formed once and yielded for every chunk."""
     table, rows = spec.h_sys_table, np.asarray(steps, dtype=int) - 1
     side = spec.d_sys * spec.d_anc
-    batch = max(1, qcore.STACK_CHUNK_BYTES // (16 * max(side * side, row)))
+    batch = qcore.chunk_rows(max(side * side, row))
     with np.errstate(invalid="ignore"):  # g = inf, where gamma / dt overflows: NaN, not a warning
         coupling = spec.coupling_strength * _interaction(spec)
     us = None
@@ -225,9 +225,7 @@ def _superoperator(k: np.ndarray) -> np.ndarray:
 
 def collision_unitary(spec: CollisionSpec, step: int = 1) -> Operator:
     """U = exp(-i (H_S (x) I + g v) dt) for the collision at `step` (1-based)."""
-    step = qcore.as_int(step, "step")
-    if not 1 <= step <= spec.n_steps:
-        raise ValidationError(f"step {step} outside 1..{spec.n_steps}")
+    step = qcore.as_step(step, spec.n_steps)
     return Operator(next(_unitaries(spec, [step]))[1][0], spec.h_sys.dims + (spec.d_anc,))
 
 
@@ -267,7 +265,7 @@ def _checked_trajectory(dt: float, states: np.ndarray,
         upper[:], lower[:] = 0.5 * (upper + lower.conj()), 0.5 * (lower + upper.conj())
         states.imag[:, (0, 1), (0, 1)] = 0.0  # 0.5 (x + conj x) of a finite x
     else:
-        chunk = max(1, qcore.STACK_CHUNK_BYTES // (16 * d * d))
+        chunk = qcore.chunk_rows(d * d)
         for lo in range(0, len(states), chunk):
             part = states[lo:lo + chunk]
             part[:] = 0.5 * (part + part.conj().swapaxes(1, 2))
@@ -384,9 +382,7 @@ def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np
     earlier map is divided out; the result is one convention for "the"
     step map and need not be completely positive.
     """
-    step = qcore.as_int(step, "step")
-    if not 1 <= step <= spec.n_steps:
-        raise ValidationError(f"step {step} outside 1..{spec.n_steps}")
+    step = qcore.as_step(step, spec.n_steps)
     d_s = spec.d_sys
     if d_s > CHOI_MAX_SYSTEM_DIM:
         raise ValidationError(f"system dimension {d_s} too large for a step map")

@@ -262,7 +262,7 @@ def integrate_me(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float,
 
     # rows never decrease: a chunk of substeps exponentiates the rows it uses, and a static
     # generator is one propagator for all substeps
-    chunk = n_substeps if rows[0] == rows[-1] else max(1, qcore.STACK_CHUNK_BYTES // (16 * d**4))
+    chunk = n_substeps if rows[0] == rows[-1] else qcore.chunk_rows(d**4)
 
     def chunks():
         for lo in range(0, n_substeps, chunk):

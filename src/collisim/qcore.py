@@ -57,6 +57,20 @@ def as_int(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def as_step(step, n_steps: int) -> int:
+    """``step`` as an int (as_int) in 1..n_steps, else a ValidationError."""
+    step = as_int(step, "step")
+    if not 1 <= step <= n_steps:
+        raise ValidationError(f"step {step} outside 1..{n_steps}")
+    return step
+
+
+def chunk_rows(entries: int) -> int:
+    """How many rows of ``entries`` complex entries make a piece of STACK_CHUNK_BYTES, at least
+    one."""
+    return max(1, STACK_CHUNK_BYTES // (16 * entries))
+
+
 def _freeze(array: np.ndarray) -> np.ndarray:
     out = np.array(array, dtype=complex, order="C")
     out.setflags(write=False)
@@ -142,7 +156,7 @@ def first_invalid_state(stack: np.ndarray, psd_tol: float = PSD_TOL) -> tuple[in
     the generic one, so the reasons do not depend on the path; every other size takes a batched
     eigvalsh.  Finite entries near the largest double may overflow a measure to inf, which
     fails too, without a warning."""
-    step = max(1, STACK_CHUNK_BYTES // (16 * stack.shape[-1] ** 2))
+    step = chunk_rows(stack.shape[-1] ** 2)
     for lo in range(0, len(stack), step):
         part = stack[lo:lo + step]
         finite = np.isfinite(part.reshape(len(part), -1).view(float))
@@ -477,7 +491,7 @@ def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValidationError(f"trace distances of stacks of shapes {a.shape} and {b.shape}")
     out = np.empty(len(a))
-    step = max(1, STACK_CHUNK_BYTES // (16 * a.shape[-1] ** 2))
+    step = chunk_rows(a.shape[-1] ** 2)
     for lo in range(0, len(a), step):
         x, y = a[lo:lo + step], b[lo:lo + step]
         if a.shape[-1] == 2:

@@ -3,11 +3,13 @@
 Both formats go through one block writer (_blocks).  A row is fixed bytes (CSV separators, JSON
 keys and indentation, and the one cell of each _constant column) with a NUL-padded slot for
 every other cell; a block of rows is one uint8 array that starts as that row repeated, and its
-text is the array's bytes other than NUL.  A cell's bytes come from exact vectorized kernels: an
-int's sign and digits from _digit_groups, a CSV float's %.16e from _scientific, a JSON float's
-shortest round-trip repr from _shortest.  Python formats only the cells a kernel leaves
-undecided, or every cell of a block too small to pay for the vector math.  The bytes are those
-of rendering the whole text at once, and the memory held does not grow with the row count.
+text is the array's bytes other than NUL.  Every cell is one of three kinds (_Format): an int,
+%d in both formats (_INT); a CSV float, %.16e (_CSV); a JSON float, json.dumps's repr (_JSON).
+A kind's exact vectorized kernel writes the cells it decides: an int's sign and digits from
+_digit_groups, %.16e from _scientific, the shortest round-trip repr from _shortest.  Python
+formats only the cells a kernel leaves undecided, or every cell of a block too small to pay for
+the vector math.  The bytes are those of rendering the whole text at once, and the memory held
+does not grow with the row count.
 """
 
 from __future__ import annotations
@@ -27,20 +29,18 @@ _TIE = 1e-6  # this near a rounding boundary, a cell goes to Python: the kernels
 _DEKKER = 134217729.0  # 2**27 + 1: splits a double into two halves of at most 26 bits
 _HEAD = np.uint64(2**64 - 2**27)  # keeps a double's sign, exponent and top 26 bits
 _FRACTION_BITS = np.uint64(2**52 - 1)  # a double's significand bits below the implicit one
-_INT_KEEP = np.array([10**16] * 2 + [10**j for j in range(15, 0, -1)] + [0])  # see _write_digits
-_INT_WIDTH = 24  # bytes of an int cell's slot: its %d is at most 20
+_INT_KEEP = np.array([10**16] * 2 + [10**j for j in range(15, 0, -1)] + [0])  # see _fill_ints
 _TENS = np.array([10**k for k in range(17)] + [2**62] * 15)  # past 10**16: no multiple in range
 
 
 class _Format(NamedTuple):
-    """What the block writer needs of one artifact format: the bytes of a float cell's slot; the
-    text of a constant column's one cell; the kernel that fills a block's cells and returns the
-    mask of those it decided; and Python's text of a list of floats, each padded with spaces to
-    the slot.  An int cell is %d in both formats, in a slot of _INT_WIDTH bytes."""
+    """One kind of cell: the bytes of its slot; the kernel that writes a block's cells of the
+    kind, from the list of their columns, into a (columns, rows, width) array and returns the
+    mask of those it decided; and Python's text of a list of values, each padded with spaces to
+    the slot."""
     width: int
-    constant: Callable[[np.ndarray], bytes]
-    fill: Callable[[np.ndarray, list, np.ndarray], np.ndarray]
-    python_floats: Callable[[list], bytes]
+    fill: Callable[[np.ndarray, list], np.ndarray]
+    python: Callable[[list], bytes]
 
 
 def _constant(col: np.ndarray) -> bool:
@@ -109,130 +109,108 @@ def _render_json(cfg, columns, meta) -> Iterator[str]:
 
 def _blocks(parts: list, n: int, fmt: _Format) -> Iterator[str]:
     """The n rows of a table, ROW_BLOCK at a time, from ``parts``: the bytes of a row's fixed
-    text, or a column.  A _constant column's one cell, fmt.constant's text, becomes fixed text;
-    every other column gets a slot, of _INT_WIDTH bytes for ints and fmt.width for floats.  A
-    block is one (rows, row bytes) uint8 array, the fixed row repeated, into which the cells are
-    copied from one (rows, columns, fmt.width) array whose slots hold the int columns, then the
-    float ones.  A block of at
-    least _PYTHON_BELOW such cells takes their text from fmt.fill, and from Python only for the
-    cells it leaves undecided; a smaller block, where the vector math costs more than it saves,
-    takes every cell's text from Python.  The row count is the table's, so a row whose every
-    column is constant still renders n times."""
-    row, cols, starts = [], [], []
+    text, or a column, whose cells are of the kind _INT if it holds ints and fmt otherwise.  A
+    _constant column's one cell, its kind's Python text, becomes fixed text; every other column
+    gets a slot of its kind's width.  A block is one (rows, row bytes) uint8 array, the fixed
+    row repeated, into which the cells of each kind are copied from one (columns, rows, width)
+    array.  A block of at least _PYTHON_BELOW such cells takes their text from each kind's fill,
+    and from Python only for the cells it leaves undecided; a smaller block, where the vector
+    math costs more than it saves, takes every cell's text from Python.  Python is given each
+    column's own values, so a bool stays a bool.  The row count is the table's, so a row whose
+    every column is constant still renders n times."""
+    row, kinds = [], {}
     for part in parts:
         if isinstance(part, bytes):
             row.append(part)
-        elif _constant(part):
-            row.append(fmt.constant(part))
+            continue
+        kind = _INT if part.dtype.kind in "iu" else fmt
+        if _constant(part):
+            row.append(kind.python(part[:1].tolist()).rstrip(b" "))
         else:
-            starts.append(sum(map(len, row)))
-            row.append(bytes(_INT_WIDTH if part.dtype.kind in "iu" else fmt.width))
-            cols.append(part)
+            kinds.setdefault(kind, {})[sum(map(len, row))] = part
+            row.append(bytes(kind.width))
     row = np.frombuffer(b"".join(row), np.uint8)
-    ints = [j for j, col in enumerate(cols) if col.dtype.kind in "iu"]
-    floats = [j for j in range(len(cols)) if j not in ints]
-    ni, k = len(ints), len(cols)
-    slots = [(starts[j], _INT_WIDTH if j in ints else fmt.width) for j in ints + floats]
+    k = sum(map(len, kinds.values()))
     for lo in range(0, n, ROW_BLOCK):
         m = min(ROW_BLOCK, n - lo)
-        cells = np.zeros((m, k, fmt.width), np.uint8)
-        z = [cols[j][lo:lo + m] for j in ints]
-        x = np.empty((m, len(floats)))
-        for i, j in enumerate(floats):
-            x[:, i] = cols[j][lo:lo + m]
-        if m * k < _PYTHON_BELOW:
-            for j, v in enumerate(z):
-                _python_cells(cells[..., :_INT_WIDTH], slice(None), j, v, _python_ints)
-            _python_cells(cells, slice(None), slice(ni, k), x, fmt.python_floats)
-        else:
-            todo = ~fmt.fill(cells, z, x)
-            for j, v in enumerate(z):
-                i = np.flatnonzero(todo[:, j])
-                _python_cells(cells[..., :_INT_WIDTH], i, j, v[i], _python_ints)
-            i, j = np.nonzero(todo[:, ni:])
-            _python_cells(cells, i, ni + j, x[i, j], fmt.python_floats)
         block = np.empty((m, len(row)), np.uint8)
         block[...] = row
-        for j, (start, width) in enumerate(slots):
-            block[:, start:start + width] = cells[:, j, :width]
+        vector = m * k >= _PYTHON_BELOW
+        for kind, slots in kinds.items():
+            cols = [col[lo:lo + m] for col in slots.values()]
+            cells = np.zeros((len(cols), m, kind.width), np.uint8)
+            todo = ~kind.fill(cells, cols) if vector else np.ones(cells.shape[:2], bool)
+            values = []
+            for col, undecided in zip(cols, todo):
+                values += col[undecided].tolist()
+            if values:
+                text = kind.python(values).replace(b" ", b"\0")
+                cells[todo] = np.frombuffer(text, np.uint8).reshape(len(values), -1)
+            for start, cell in zip(slots, cells):
+                block[:, start:start + kind.width] = cell
         yield block.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _python_cells(cells: np.ndarray, rows, slots, values: np.ndarray, text) -> None:
-    """Write text(values as a list), each cell padded with spaces to the slot and the spaces
-    made NUL, into cells[rows, slots], one per value of the same shape."""
-    if values.size:
-        padded = text(values.ravel().tolist()).replace(b" ", b"\0")
-        cells[rows, slots] = np.frombuffer(padded, np.uint8).reshape(values.shape + (-1,))
-
-
-def _int_digits(z: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For the (rows, len(z) + floats) cells of the int columns z and the doubles x: whether
-    each is negative, |v| of each int v with |v| < 10**17 (0 for the other ints; the doubles'
-    places are left to the caller), and whether each int is such a v (every double: True)."""
-    m, ni = len(x), len(z)
-    digits = np.empty((m, ni + x.shape[1]), np.int64)
-    negative, good = np.empty(digits.shape, bool), np.ones(digits.shape, bool)
-    for j, v in enumerate(z):
-        good[:, j] = (v > -10**17) & (v < 10**17)
-        digits[:, j] = np.where(good[:, j], v, 0)
-        negative[:, j] = digits[:, j] < 0
-        np.abs(digits[:, j], out=digits[:, j])
-    negative[:, ni:] = np.signbit(x)
-    return negative, digits, good
-
-
-def _fill_scientific(cells: np.ndarray, z: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Write the text of a block's cells into cells (rows, len(z) + floats, width), from z, one
-    array per int column, and x, (rows, floats); return the (rows, slots) mask of the cells
-    written.  A double gets its sign, digits and exponent of %.16e from _scientific, an int v
-    with |v| < 10**17 its sign and digits, leading zeros NUL.  The other cells are left to the
-    caller."""
-    ni = len(z)
-    negative, digits, good = _int_digits(z, x)
-    if x.size:
-        digits[:, ni:], exponent, good[:, ni:] = _scientific(x)
-        cells[:, ni:, 2] = ord(".")
-        cells[:, ni:, 19:24] = _POWERS.text.take(exponent, axis=0)
-    lead, groups = _digit_groups(digits)
-    cells[..., 0] = np.where(negative, ord("-"), 0)
-    _write_digits(cells, lead, groups, digits, ni)
+def _fill_ints(cells: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
+    """Write the %d of each int v with |v| < 10**17 of a block's int columns into cells (columns,
+    rows, 24), its sign at byte 0 and its digits at bytes 1 and 3-18, leading zeros NUL; return
+    the (columns, rows) mask of the cells written.  The other cells are left to the caller.
+    The columns are read one at a time: numpy stacks int64 beside uint64 as floats."""
+    digits = np.empty(cells.shape[:2], np.int64)
+    good = np.empty(digits.shape, bool)
+    for j, v in enumerate(cols):
+        good[j] = (v > -10**17) & (v < 10**17)
+        digits[j] = np.where(good[j], v, 0)
+    cells[..., 0] = np.where(digits < 0, ord("-"), 0)
+    np.abs(digits, out=digits)
+    _write_digits(cells, digits)
+    cells[..., 1:19] *= digits[..., None] >= _INT_KEEP  # byte 3 + j: the digit 10**(15 - j)
     return good
 
 
-def _write_digits(cells, lead, groups, digits, ni: int) -> None:
-    """Write the 17 digits of _digit_groups into bytes 1 and 3-18 of each slot of cells; those of
-    the first ni slots, ints, lose their leading zeros to NUL."""
+def _fill_scientific(cells: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
+    """Write the %.16e of each double of a block's float columns into cells (columns, rows, 24),
+    from _scientific: its sign at byte 0, its digits at bytes 1 and 3-18 about the "." at 2, its
+    exponent at 19-23; return the (columns, rows) mask of the cells written.  The other cells
+    are left to the caller."""
+    x = np.stack(cols, dtype=np.float64)
+    digits, exponent, good = _scientific(x)
+    cells[..., 0] = np.where(np.signbit(x), ord("-"), 0)
+    _write_digits(cells, digits)
+    cells[..., 2] = ord(".")
+    cells[..., 19:24] = _POWERS.text.take(exponent, axis=0)
+    return good
+
+
+def _write_digits(cells: np.ndarray, digits: np.ndarray) -> None:
+    """Write the 17 digits of each integer of digits in [0, 10**17) into bytes 1 and 3-18 of
+    its slot of cells."""
+    lead, groups = _digit_groups(digits)
     cells[..., 1] = lead
     cells[..., 3:19].view(np.uint32)[...] = _quads().take(groups).transpose(1, 2, 0)
-    cells[:, :ni, 1:19] *= digits[:, :ni, None] >= _INT_KEEP  # byte 3 + j: the digit 10**(15 - j)
 
 
-def _fill_shortest(cells: np.ndarray, z: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """As _fill_scientific, but a double gets the text of its repr, from _shortest.  Its slot
-    has fixed places for repr's every layout: byte 0 the sign, 1-5 "0.000" (the start of a
-    fixed-point |x| < 1), then the 17 digits, digit i at 6 + 2 i with a possible "." after it,
-    and at 40-44 the exponent's text.  Each byte is written, then masked by _layouts' row for
-    the cell's exponent and digit count, which also adds the "0.000" prefix and the "."."""
-    ni = len(z)
-    negative, digits, good = _int_digits(z, x)
-    if x.size:
-        digits[:, ni:], count, exponent, good[:, ni:] = _shortest(x)
+def _fill_shortest(cells: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
+    """As _fill_scientific, but a double gets the text of its repr, from _shortest: a bool
+    column's 0.0 and 1.0 (a zero, and a power-of-two significand) are never decided, so Python
+    writes json's false and true.  A slot of 48 bytes has fixed places for repr's every layout:
+    byte 0 the sign, 1-5 "0.000" (the start of a fixed-point |x| < 1), then the 17 digits, digit
+    i at 6 + 2 i with a possible "." after it, and at 40-44 the exponent's text.  Each byte is
+    written, then masked by _layouts' row for the cell's exponent and digit count, which also
+    adds the "0.000" prefix and the "."."""
+    x = np.stack(cols, dtype=np.float64)
+    digits, count, exponent, good = _shortest(x)
     lead, groups = _digit_groups(digits)
-    cells[..., 0] = np.where(negative, ord("-"), 0)
-    _write_digits(cells[:, :ni], lead[:, :ni], groups[..., :ni], digits[:, :ni], ni)
-    if x.size:
-        floats = cells[:, ni:]
-        floats[..., 6] = lead[:, ni:]
-        floats[..., 8:40].view(np.uint64)[...] = _spread_quads().take(groups[..., ni:]).transpose(
-            1, 2, 0)
-        floats[..., 40:45] = _POWERS.text.take(exponent, axis=0)
-        e = exponent - _E0
-        layout = np.where((e >= -4) & (e < 16), e + 5, 0) * 17 + count - 1
-        keep, fixed = _layouts()
-        words = floats.view(np.uint64)
-        words &= keep.take(layout, axis=0)
-        words |= fixed.take(layout, axis=0)
+    cells[..., 0] = np.where(np.signbit(x), ord("-"), 0)
+    cells[..., 6] = lead
+    cells[..., 8:40].view(np.uint64)[...] = _spread_quads().take(groups).transpose(1, 2, 0)
+    cells[..., 40:45] = _POWERS.text.take(exponent, axis=0)
+    e = exponent - _E0
+    layout = np.where((e >= -4) & (e < 16), e + 5, 0) * 17 + count - 1
+    keep, fixed = _layouts()
+    words = cells.view(np.uint64)
+    words &= keep.take(layout, axis=0)
+    words |= fixed.take(layout, axis=0)
     return good
 
 
@@ -405,20 +383,12 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     return keep.view(np.uint64).reshape(-1, 6), fixed.view(np.uint64).reshape(-1, 6)
 
 
-def _csv_constant(col: np.ndarray) -> bytes:
-    return (b"%d" if col.dtype.kind in "iu" else b"%.16e") % col[:1].tolist()[0]
-
-
-def _json_floats(values: list) -> bytes:
-    """json's text of each float, the repr of a finite one, padded with spaces to 48 bytes."""
+def _json_python(values: list) -> bytes:
+    """json's text of each value, the repr of a finite float, padded with spaces to 48 bytes."""
     return (b"%-48s" * len(values)) % tuple(json.dumps(values)[1:-1].encode().split(b", "))
 
 
-def _python_ints(values: list) -> bytes:
-    return (b"%-24d" * len(values)) % tuple(values)
-
-
-_CSV = _Format(24, _csv_constant, _fill_scientific,
-               lambda values: (b"%-24.16e" * len(values)) % tuple(values))
-_JSON = _Format(48, lambda col: json.dumps(col[:1].tolist()[0]).encode(), _fill_shortest,
-                _json_floats)
+_INT = _Format(24, _fill_ints, lambda values: (b"%-24d" * len(values)) % tuple(values))
+_CSV = _Format(24, _fill_scientific, lambda values: (b"%-24.16e" * len(values)) % tuple(values))
+_JSON = _Format(48, _fill_shortest, _json_python)
+WRITERS = {"csv": _render_csv, "json": _render_json}  # the artifact formats, by name

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -366,9 +367,24 @@ def dumped_json(cfg, columns, meta):
 
 def templated(col):
     # whether the block writer writes the column once, into the row every block starts from,
-    # instead of into a slot per row
-    fmt = render._CSV._replace(constant=lambda col: b"once")
-    return "".join(render._blocks([col, b"\n"], len(col), fmt)) == "once\n" * len(col)
+    # instead of into a slot per row: given _PYTHON_BELOW copies, cells enough for the kernels,
+    # no kernel receives a templated column, and Python only its first cell, once per copy
+    calls = []
+
+    def recording(kind):
+        def fill(cells, cols):
+            calls.append(None)
+            return kind.fill(cells, cols)
+
+        def python(values):
+            calls.append(len(values))
+            return kind.python(values)
+        return kind._replace(fill=fill, python=python)
+
+    parts = [p for c in render._real_columns(col).values() for p in (c, b",")]
+    with mock.patch.object(render, "_INT", recording(render._INT)):
+        "".join(render._blocks(parts * render._PYTHON_BELOW, len(col), recording(render._CSV)))
+    return set(calls) == {1}
 
 
 def csv_blocks(cols):
@@ -495,7 +511,8 @@ def test_any_doubles_and_ints_render_as_json_dumps(cells, ints):
 @pytest.mark.parametrize("n", [2, 2 * ROW_BLOCK + 7])
 def test_cells_left_to_python_render_as_their_per_row_reference(n):
     # every class of cell that goes to Python, at ROW_BLOCK edges, and ints past the digit
-    # routine's 10**17: int64 -2**63 and 2**63 - 1, uint64 2**64 - 1
+    # routine's 10**17: int64 -2**63 and 2**63 - 1, uint64 2**64 - 1, in both formats; the int
+    # columns stay separate arrays, as numpy stacks int64 beside uint64 as floats
     cfg = parse_config(json.dumps(vacuum_config()))
     rng = np.random.default_rng(n)
     edges = [e for e in (0, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK, n - 1)
@@ -513,6 +530,7 @@ def test_cells_left_to_python_render_as_their_per_row_reference(n):
     columns = ([("step", np.arange(n)), ("signed", signed), ("unsigned", unsigned), ("pop", pop)]
                + [(f"x{i}", col) for i, col in enumerate(floats[2:])])
     assert "".join(_render_csv(cfg, columns, {})).split("\n")[4:] == per_row_csv(columns, n) + [""]
+    assert "".join(_render_json(cfg, columns, {})) == dumped_json(cfg, columns, {})
 
 
 @pytest.mark.parametrize("scenario", ["convergence", "bloch"])
@@ -560,18 +578,20 @@ def test_json_artifacts_are_json_dumps_of_their_columns(tmp_path, case):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_float_columns_of_other_dtypes_render_as_their_float64_cast(fmt):
     # a 16-byte longdouble column once raised TypeError ('u16' is no dtype); float32 and
-    # longdouble cells are written as the float64 they cast to, complex parts alike
+    # longdouble cells are written as the float64 they cast to, complex parts alike; a bool
+    # column, varying or constant, is written as its float in CSV and as true or false in JSON
     cfg = parse_config(json.dumps(vacuum_config()))
     n = 300  # past _PYTHON_BELOW cells in a block, so the kernels see them too
     rng = np.random.default_rng(5)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
     wide = values.astype(np.longdouble) / 3
     pop = (values + 1j * values).astype(np.complex64)
+    flags = [("flag", np.arange(n) % 3 == 0), ("on", np.ones(n, bool))]
     columns = [("step", np.arange(n)), ("single", values.astype(np.float32)), ("wide", wide),
-               ("const", np.full(n, wide[0])), ("pop", pop)]
+               ("const", np.full(n, wide[0])), ("pop", pop)] + flags
     cast = [("step", np.arange(n)), ("single", values.astype(np.float32).astype(float)),
             ("wide", wide.astype(float)), ("const", np.full(n, float(wide[0]))),
-            ("pop", pop.astype(complex))]
+            ("pop", pop.astype(complex))] + flags
     for rows in (n, 3):  # the kernels' route and the Python route
         table = [(name, col[:rows]) for name, col in columns]
         reference = [(name, col[:rows]) for name, col in cast]
@@ -1140,7 +1160,8 @@ def config_documents(draw):
             {"type": "gaussian", "center": draw(EXTREMES), "width": draw(EXTREMES)},
             {"type": "tabulated", "omega": [-1.0, 0.0, 1.0],
              "psi": [draw(EXTREMES), {"re": 0.0, "im": 1.0}, 1e-300]}]))
-    doc = {"scenario": scenario, "field": field, "output": draw(st.sampled_from(cli.FORMATS))}
+    doc = {"scenario": scenario, "field": field,
+           "output": draw(st.sampled_from(sorted(render.WRITERS)))}
     if scenario == "convergence":
         doc["n_list"] = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4))
     return doc
