@@ -1,13 +1,13 @@
 """Construction of the ancilla stream the system collides with.
 
-Vacuum, thermal and coherent input fields give a product bath of uncorrelated
-ancillas, each held as a Kraus factor F (d x r, eta = F F^dag): one shared by
-every step, or one per step.  A coherent field's ancillas are displaced vacua,
-held as kets (r = 1): a static field (omega = 0) is one ket for every step, and
-only a moving one (omega != 0) stores one per step.  A single-photon field gives
-a correlated pure bath carrying exactly one excitation spread over all ancillas,
-held as its N amplitudes, never as a 2^N joint state; a run takes the ancillas not
-yet met as a source qubit (Gough, James & Nurdin, Phil. Trans. R. Soc. A 370, 5408 (2012)).
+Every bath is a source on chi levels, started in ``BathSpec.source``, that hands out its ancillas
+through a stack of per-step factors (Schoen et al., PRL 95, 110503 (2005)).  Vacuum, thermal and
+coherent fields give a product bath (chi = 1), each ancilla a Kraus factor F (d x r, eta = F F^dag):
+one shared by every step, or one per step; a coherent field's displaced vacua are kets (r = 1), one
+for every step if the field is static (omega = 0).  A single-photon field's one excitation spread
+over all ancillas is held as its N amplitudes, never as a 2^N joint state: the ancillas not yet met
+are a source qubit (chi = 2) that hands each vacuum ancilla its share (Gough, James & Nurdin, Phil.
+Trans. R. Soc. A 370, 5408 (2012)).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class BathSpec:
     M = n_steps, checked once for finite Tr F F^dag = 1 and kept as a tuple of
     its read-only rows.  ``xi`` holds a coherent field's displacement amplitudes,
     one per row of ``etas``.  ``phi`` holds the n_steps amplitudes of the
-    correlated kind's joint state sum_k phi_k |1_k>.
+    correlated kind's joint state sum_k phi_k |1_k>, whose ``etas`` are built from it.
     """
 
     kind: str
@@ -82,6 +82,21 @@ class BathSpec:
             if bad is not None:
                 raise ValidationError(f"single-excitation amplitudes: {bad[1]}")
             object.__setattr__(self, "phi", phi)
+            # the source's F[k, b, (s, t)] = <s, b|B_k|t, 0>, B_k: |1, 0> -> c |1, 0> + s |0, 1>
+            # handing ancilla k its share of the photon sum_{j>=k} phi_j |1_j> of weight w not yet
+            # met: c = sqrt(w_next / w), s = phi_k / sqrt(w), 1 and 0 once w = 0, for any total w
+            n, r = self.n_steps, np.sqrt(np.append(np.cumsum(np.abs(phi[::-1]) ** 2)[::-1], 0.0))
+            fs = np.zeros((n, 2, 4), dtype=complex)
+            fs[:, 0, 0] = 1.0
+            fs[:, 0, 3] = np.divide(r[1:], r[:-1], out=np.ones(n), where=r[:-1] > 0)  # c
+            fs[:, 1, 1] = np.divide(phi, r[:-1], out=np.zeros(n, complex), where=r[:-1] > 0)  # s
+            fs.setflags(write=False)
+            object.__setattr__(self, "etas", tuple(fs))
+
+    @property
+    def source(self) -> np.ndarray:
+        """sigma_0 of the source: [[1]] (chi = 1), or |1><1| (chi = 2) for a single photon."""
+        return np.diag([0.0, 1.0]) if self.kind == CORRELATED_PURE else np.ones((1, 1))
 
     def factor(self, step: int) -> np.ndarray:
         """F (d x r) of the product ancilla met at `step` (1-based); a one-row stack serves all."""
@@ -165,8 +180,9 @@ def single_photon_bath(envelope: Envelope, n: int) -> BathSpec:
     once scaled by a power of two; the weight before is recorded in the
     diagnostics (inf where it overflows a double).  Each ancilla is a
     qubit (truncation d=2); the joint state sum_k phi_k |1_k> is kept as
-    its n amplitudes, which a run hands out through a source qubit
-    (``collision.run_correlated``).
+    its n amplitudes, and as the per-step factors of a source qubit started
+    in ``source`` = |1><1|, which a run hands out like any other bath's
+    (``collision.run_product``).
     """
     n = qcore.as_int(n, "step count")
     if n < 1:

@@ -1,20 +1,16 @@
 """Collision dynamics: per-step unitaries, reduced evolution, CP checks.
 
-Both bath families run on one Kraus kernel, E(M) = Tr_a[U (M (x) F F^dag) U^dag] =
-sum_x K_x M K_x^dag, held only as the blocks K = [i, (j, x)] that ``_kraus`` forms: a
-product bath hands over its stack of factors F, one row shared by every step or one per
-step; a single-photon bath is one of the system and a source qubit that hands each
-vacuum ancilla its share (Gough, James & Nurdin, Phil. Trans. R. Soc. A 370, 5408 (2012)).
-``_kraus_chunks`` builds the blocks a chunk of steps at a time, with one batched
-product per chunk of unitaries, and a map shared by every step once for all steps.
-Up to ``qcore.DENSE_MAX_DIM`` a product run whose steps share one map, or any at
-d = 2, streams the d^2 x d^2 superoperators of those chunks into one call of
-``qcore.propagate``, which raises a shared map by doubling and scans a map per step;
-otherwise ``_kraus_loop``, the one routine that applies a Kraus map, does it step by step.
-Step-indexed inputs are raw read-only arrays, each checked once where it is
-built.  ``_checked_trajectory`` is the one place that stores a run's states, of
-this module and of the master equation alike: it checks them raw, once, then
-stores each as (rho + rho^dag) / 2, exactly Hermitian.
+Every bath is a source on chi levels with a stack of per-step factors F (``bath``), and ``_run``
+runs them all: a product run on source (x) S on one Kraus kernel, E(M) = Tr_a[U (M (x) F F^dag)
+U^dag] = sum_x K_x M K_x^dag, held only as the blocks K = [i, (j, x)] that ``_kraus`` forms.
+``_kraus_chunks`` builds them a chunk of steps at a time, one batched product per chunk of
+unitaries, and a map shared by every step once for all steps.  Small runs whose steps share one
+map, or of side 2, go through ``qcore.propagate``, which raises a shared map by doubling and
+scans a map per step; otherwise ``_kraus_loop``, the one routine that applies a Kraus map, does
+it step by step.  Step-indexed inputs are raw read-only arrays, each checked once where it is
+built.  ``_checked_trajectory`` is the one place that stores a run's states, of this module and
+of the master equation alike: it checks them raw, once, then stores each as (rho + rho^dag) / 2,
+exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -162,25 +158,28 @@ def _unitaries(spec: CollisionSpec, steps: Sequence[int],
         yield len(rows[lo:lo + batch]), us
 
 
-def _kraus(u: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _kraus(u: np.ndarray, f: np.ndarray, chi: int = 1) -> np.ndarray:
     """The Kraus blocks of E(M) = Tr_a[U (M (x) F F^dag) U^dag] = sum_x K_x M K_x^dag,
     K_x = sum_b <a|U|b> F_br for x = (r, a), as the stack [..., i, (j, x)] = (K_x)_ij of shape
     (..., d, d r d_a), for U of shape (..., D, D) and F of shape (..., d_a, r), stacks broadcast
-    against each other: one batched product.  This is the one form of a collision map."""
+    against each other: one batched product.  This is the one form of a collision map.  On a
+    chi-level source, r = (s, t, r'): blocks [..., (s, i), (t, j, r', a)] on source (x) S."""
     d_a = f.shape[-2]
     d = u.shape[-1] // d_a
     k = u.reshape(u.shape[:-2] + (-1, d_a)) @ f
-    k = k.reshape(k.shape[:-2] + (d, d_a, d, -1))
-    *lead, i, a, j, r = range(k.ndim)
-    return k.transpose(*lead, i, j, r, a).reshape(k.shape[:-4] + (d, -1))  # [..., i, (j, r, a)]
+    k = k.reshape(k.shape[:-2] + (d, d_a, d, chi, chi, -1))
+    *lead, i, a, j, s, t, r = range(k.ndim)
+    return k.transpose(*lead, s, i, t, j, r, a).reshape(k.shape[:-6] + (chi * d, -1))
 
 
-def _kraus_chunks(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[int, np.ndarray]]:
+def _kraus_chunks(spec: CollisionSpec, n: int, fs,
+                  chi: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (c, K) for the next c of the collisions 1..n, in order: the Kraus blocks of U_k against
-    F_k = fs[k - 1], a (d_a, r) factor or a ket per row, where a one-row ``fs`` serves every step.
-    A chunk of ``_unitaries``, sized by K and K^dag where they outgrow U_k, gives its blocks by one
-    ``_kraus`` call, one row per step; a map shared by every step (a one-row ``fs`` and no
-    ``h_sys_table``) is one row, formed once and yielded once as the chunk of all n steps."""
+    F_k = fs[k - 1], a (d_a, r) factor or a ket per row, on a ``chi``-level source, where a one-row
+    ``fs`` serves every step.  A chunk of ``_unitaries``, sized by K and K^dag where they outgrow
+    U_k, gives its blocks by one ``_kraus`` call, one row per step; a map shared by every step (a
+    one-row ``fs`` and no ``h_sys_table``) is one row, formed once and yielded once as the chunk of
+    all n steps."""
     row = 2 * spec.d_sys ** 2 * np.size(fs[0])  # the entries of a step's K and K^dag
     chunks = (_unitaries(spec, range(1, n + 1), row) if len(fs) > 1 or spec.h_sys_table is not None
               else [(n, next(_unitaries(spec, [1]))[1])])  # one map for every step
@@ -188,25 +187,22 @@ def _kraus_chunks(spec: CollisionSpec, n: int, fs) -> Iterator[tuple[int, np.nda
     for count, us in chunks:
         f = np.asarray(fs if len(fs) == 1 else fs[lo:lo + count])
         lo += count
-        yield count, _kraus(us, f.reshape(len(f), spec.d_anc, -1))
+        yield count, _kraus(us, f.reshape(len(f), spec.d_anc, -1), chi)
 
 
-def _kraus_loop(chunks, m0: np.ndarray, n: int) -> np.ndarray:
+def _kraus_loop(ks: np.ndarray, m0: np.ndarray, n: int) -> np.ndarray:
     """The (n + 1,) + m0.shape states of m0, a matrix or a stack, before and after each of n
-    collisions; the one routine that applies a Kraus map.  For each chunk (c, K) of ``chunks``,
-    blocks K = [i, (j, x)] with one row a step or one row shared by the c steps, it forms the
-    adjoint blocks K^dag = [j, (x, i)] once; each step is then sum_x K_x m K_x^dag, two products."""
+    collisions; the one routine that applies a Kraus map.  Of blocks K = [i, (j, x)] with one row
+    a step or one row shared by the n steps, it forms the adjoint blocks K^dag = [j, (x, i)]
+    once; each step is then sum_x K_x m K_x^dag, two products."""
     states = np.empty((n + 1,) + m0.shape, dtype=complex)
     states[0] = m0
     shape = m0.shape[:-2] + (-1, m0.shape[-1])
-    k = 0
-    for c, ks in chunks:
-        d = ks.shape[-2]
-        ks_dag = ks.reshape(len(ks), d, d, -1).transpose(0, 2, 3, 1).conj().reshape(len(ks), d, -1)
-        for kraus, kraus_dag in (zip(ks, ks_dag) if len(ks) == c
-                                 else itertools.repeat((ks[0], ks_dag[0]), c)):
-            np.matmul(kraus, (states[k] @ kraus_dag).reshape(shape), out=states[k + 1])
-            k += 1
+    d = ks.shape[-2]
+    ks_dag = ks.reshape(len(ks), d, d, -1).transpose(0, 2, 3, 1).conj().reshape(len(ks), d, -1)
+    pairs = zip(ks, ks_dag) if len(ks) == n else itertools.repeat((ks[0], ks_dag[0]), n)
+    for k, (kraus, kraus_dag) in enumerate(pairs):
+        np.matmul(kraus, (states[k] @ kraus_dag).reshape(shape), out=states[k + 1])
     return states
 
 
@@ -236,7 +232,7 @@ def collide_once(rho: DensityMatrix, eta: DensityMatrix, u: Operator) -> Density
             f"unitary dims {u.dims} do not match system {rho.dims} + ancilla {eta.dims}"
         )
     k = _kraus(u.data, bath_mod._factor(eta.data))
-    return DensityMatrix(Operator(_kraus_loop([(1, k[None])], rho.data, 1)[1], rho.dims))
+    return DensityMatrix(Operator(_kraus_loop(k[None], rho.data, 1)[1], rho.dims))
 
 
 def _check_observables(observables: Mapping[str, Operator] | None, dims: tuple[int, ...]) -> None:
@@ -274,82 +270,67 @@ def _checked_trajectory(dt: float, states: np.ndarray,
     return Trajectory(np.arange(len(states)) * dt, states, obs)
 
 
-def _check_bath(spec: CollisionSpec, bath: BathSpec, kind: str | None = None,
-                rho0: DensityMatrix | None = None) -> None:
-    """ValidationError unless ``bath`` (of ``kind``) and ``rho0`` (where given) fit ``spec``."""
-    if kind not in (None, bath.kind):
-        raise ValidationError(f"run needs a {kind} bath, got a {bath.kind} one")
+def _check_bath(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix | None = None) -> None:
+    """ValidationError unless ``bath`` and ``rho0`` (where given) fit ``spec``."""
     if bath.d != spec.d_anc:
         raise ValidationError(f"bath ancilla dimension {bath.d} != spec d_anc {spec.d_anc}")
-    if bath.n_steps < spec.n_steps or (bath.kind == bath_mod.CORRELATED_PURE
-                                       and bath.n_steps != spec.n_steps):
+    if bath.n_steps < spec.n_steps:
         raise ValidationError(f"bath covers {bath.n_steps} steps, spec wants {spec.n_steps}")
     if rho0 is not None and rho0.dims != spec.h_sys.dims:
         raise ValidationError("initial state on wrong space")
 
 
-def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
-                observables: Mapping[str, Operator] | None = None) -> Trajectory:
-    """Iterated collisions against a product bath, reading its factor rows.
+def _run(spec: CollisionSpec, bath: BathSpec, m0: np.ndarray, n: int) -> np.ndarray:
+    """(..., n + 1, d, d) system states of m0, one matrix or a stack, before and after each
+    collision 1..n of ``spec`` against ``bath``: linear in m0, unchecked; the one run routine.
 
-    Up to ``qcore.DENSE_MAX_DIM``, where every step shares one map (one factor row and no
-    ``h_sys_table``) or d = 2, each chunk of ``_kraus_chunks`` becomes its d^2 x d^2
-    superoperators, the shared map's one row or one row per step, and one ``qcore.propagate``
-    call takes them chunk by chunk, so no more than one chunk's maps is held at once.  Otherwise
-    each step's Kraus map is applied in turn, O(d_a r d^3) per step, which at d = 3..5 beats a
-    superoperator per step (see ``qcore.DENSE_MAX_DIM``)."""
-    _check_bath(spec, bath, bath_mod.PRODUCT, rho0)
-    _check_observables(observables, rho0.dims)
-    n, d = spec.n_steps, rho0.side
-    shared = len(bath.etas) == 1 and spec.h_sys_table is None
-    if d <= qcore.DENSE_MAX_DIM and (shared or d == 2):
-        chunks = ((c, _superoperator(ks)) for c, ks in _kraus_chunks(spec, n, bath.etas))
-        states = qcore.propagate(chunks, rho0.data.reshape(-1), n)
-        return _checked_trajectory(spec.dt, states.reshape(-1, d, d), observables)
+    A product run on source (x) S from sigma_0 (x) m0, sigma_0 = ``bath.source`` on chi levels,
+    of the blocks that ``_kraus`` forms there, traced over the source; at chi = 1 the trace is a
+    view, as a sum of one term would turn -0.0 into +0.0.  Up to ``qcore.DENSE_MAX_DIM`` of the
+    joint side chi d, where every step shares one map (one factor row, no ``h_sys_table``) or
+    chi d = 2, one ``qcore.propagate`` call takes the superoperators of the chunks of
+    ``_kraus_chunks`` for each start.  Otherwise ``_kraus_loop`` applies each chunk's blocks to
+    the whole stack, which at chi d = 3..5 beats a superoperator per step; each chunk runs from the
+    last joint state of the one before and is traced as it ends, so no run holds two chunks' maps
+    or joint states."""
+    chi, d, lead = len(bath.source), m0.shape[-1], m0.shape[:-2]
+    side = chi * d
+    # sigma_0 (x) m0 by np.kron's products, so its zero blocks keep 0 * m0's signs
+    joint = m0 if chi == 1 else (bath.source[:, None, :, None] * m0[..., None, :, None, :]).reshape(
+        lead + (side, side))
 
-    states = _kraus_loop(_kraus_chunks(spec, n, bath.etas), rho0.data, n)
-    return _checked_trajectory(spec.dt, states, observables)
+    def trace(states):  # Tr_source of (..., side, side) states
+        traced = states[..., :d, :d]
+        for s in range(d, side, d):
+            traced = traced + states[..., s:s + d, s:s + d]
+        return traced
 
-
-def _run_correlated_raw(spec: CollisionSpec, n: int, phi: np.ndarray, m0: np.ndarray) -> np.ndarray:
-    """(..., n + 1, d_S, d_S) system marginals of m0, one matrix or a stack, before and after each
-    collision 1..n of ``spec`` against the bath sum_k phi_k |1_k>: linear in m0, unchecked.
-
-    After n collisions the ancillas not yet met are one source qubit, |0> their vacuum and
-    sqrt(w_n) |1> their photon sum_{k>n} phi_k |1_k>, w_n = sum_{k>n} |phi_k|^2, which hands the
-    next ancilla its share, B: |1, 0> -> c |1, 0> + s |0, 1>, c = sqrt(w_{n+1} / w_n) and
-    s = phi_{n+1} / sqrt(w_n) (1 and 0 once w_n = 0).  The run on source (x) S from |1><1| (x) m0
-    is normalised whatever w_0 is: F[b, (s, t)] = <s, b|B|t, 0> gives blocks K_(s, t, a) on S,
-    regrouped into K_a = sum_st |s><t| (x) K_(s, t, a).  Each chunk of steps runs from the last
-    joint state of the one before, and its states are traced over the source as it ends."""
-    d = m0.shape[-1]
-    r = np.sqrt(np.append(np.cumsum(np.abs(phi[::-1]) ** 2)[::-1], 0.0)[:n + 1])  # sqrt(w_n)
-    fs = np.zeros((n, 2, 2, 2), dtype=complex)  # F[k, b, s, t]
-    fs[:, 0, 0, 0] = 1.0
-    fs[:, 0, 1, 1] = np.divide(r[1:], r[:-1], out=np.ones(n), where=r[:-1] > 0)  # c
-    fs[:, 1, 0, 1] = np.divide(phi[:n], r[:-1], out=np.zeros(n, complex), where=r[:-1] > 0)  # s
-    marginals = np.empty(m0.shape[:-2] + (n + 1, d, d), dtype=complex)
-    # |1><1| (x) m0 by np.kron's products, so its zero blocks keep 0 * m0's signs, without its cost
-    one = np.diag([0.0, 1.0])[:, None, :, None]
-    joint, lo = (one * m0[..., None, :, None, :]).reshape(m0.shape[:-2] + (2 * d, 2 * d)), 0
-    for c, ks in _kraus_chunks(spec, n, fs):
-        # [i, (j, s, t, a)] onto source (x) S as [(s, i), (t, j, a)]
-        ks = ks.reshape(c, d, d, 2, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(c, 2 * d, -1)
-        states = np.moveaxis(_kraus_loop([(c, ks)], joint, c), 0, -3)
-        np.add(states[..., :d, :d], states[..., d:, d:], out=marginals[..., lo:lo + c + 1, :, :])
+    if side <= qcore.DENSE_MAX_DIM and (side == 2 or len(bath.etas) == 1
+                                        and spec.h_sys_table is None):
+        runs = [qcore.propagate(((c, _superoperator(ks))
+                                 for c, ks in _kraus_chunks(spec, n, bath.etas, chi)), x, n)
+                for x in joint.reshape(-1, side * side)]
+        return trace((np.stack(runs) if lead else runs[0]).reshape(lead + (n + 1, side, side)))
+    out = np.empty(lead + (n + 1, d, d), dtype=complex)
+    out[..., 0, :, :] = trace(joint)
+    lo = 0
+    for c, ks in _kraus_chunks(spec, n, bath.etas, chi):
+        states = np.moveaxis(_kraus_loop(ks, joint, c), 0, -3)
+        out[..., lo + 1:lo + c + 1, :, :] = trace(states[..., 1:, :, :])
         joint, lo = states[..., -1, :, :].copy(), lo + c
         del ks, states  # so that two chunks' blocks and states are never held at once
-    return marginals
+    return out
 
 
-def run_correlated(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
-                   observables: Mapping[str, Operator] | None = None) -> Trajectory:
-    """Collision stream against a single-photon bath (memory-carrying), as a product run of the
-    system and a source qubit: O(d_S^3) per step, whatever the number of ancillas."""
-    _check_bath(spec, bath, bath_mod.CORRELATED_PURE, rho0)
+def run_product(spec: CollisionSpec, bath: BathSpec, rho0: DensityMatrix,
+                observables: Mapping[str, Operator] | None = None) -> Trajectory:
+    """Iterated collisions of rho0 against any bath, product or correlated (``_run``)."""
+    _check_bath(spec, bath, rho0)
     _check_observables(observables, rho0.dims)
-    states = _run_correlated_raw(spec, spec.n_steps, bath.phi, rho0.data)
-    return _checked_trajectory(spec.dt, states, observables)
+    return _checked_trajectory(spec.dt, _run(spec, bath, rho0.data, spec.n_steps), observables)
+
+
+run_correlated = run_product  # a public name of its own, which bench/tracer.py times as a layer
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +355,23 @@ def _choi_from_superoperator(m: np.ndarray, d: int) -> np.ndarray:
 def step_map_superoperator(spec: CollisionSpec, bath: BathSpec, step: int) -> np.ndarray:
     """The map rho_{step-1} -> rho_{step} as a row-major superoperator.
 
-    For a product bath this is the collision map of that step itself, the
-    row-major d^2 x d^2 matrix sum_x K_x (x) conj(K_x) read off the Kraus blocks
-    of the bath's factor, as vec(K m K^dag) = (K (x) conj(K)) vec(m).  For
-    a correlated bath it is reconstructed by tomography: the d_S^2 matrix
-    units are propagated through collisions 1..step in one pass, and the
-    earlier map is divided out; the result is one convention for "the"
-    step map and need not be completely positive.
+    For a bath of a one-level source (a product bath) this is the collision
+    map of that step itself, the row-major d^2 x d^2 matrix sum_x K_x (x) conj(K_x)
+    read off the Kraus blocks of the bath's factor, as vec(K m K^dag) =
+    (K (x) conj(K)) vec(m).  For a larger source (a correlated bath) it is
+    reconstructed by tomography: the d_S^2 matrix units are propagated through
+    collisions 1..step in one ``_run``, and the earlier map is divided out; the
+    result is one convention for "the" step map and need not be completely positive.
     """
     step = qcore.as_step(step, spec.n_steps)
     d_s = spec.d_sys
     if d_s > CHOI_MAX_SYSTEM_DIM:
         raise ValidationError(f"system dimension {d_s} too large for a step map")
     _check_bath(spec, bath)
-    if bath.kind == bath_mod.PRODUCT:
+    if len(bath.source) == 1:
         return _superoperator(_kraus(next(_unitaries(spec, [step]))[1], bath.factor(step)))[0]
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
-    runs = _run_correlated_raw(spec, step, bath.phi, units)[:, -2:]
+    runs = _run(spec, bath, units, step)[:, -2:]
     # row k of runs[:, j] is matrix unit k after step - 1 + j collisions; after = L before
     before, after = (runs[:, j].reshape(d_s * d_s, -1) for j in (0, 1))
     return np.linalg.solve(before, after).T

@@ -131,6 +131,7 @@ def _blocks(parts: list, n: int, fmt: _Format) -> Iterator[str]:
             row.append(bytes(kind.width))
     row = np.frombuffer(b"".join(row), np.uint8)
     k = sum(map(len, kinds.values()))
+    text = lambda kind, values: np.frombuffer(kind.python(values).replace(b" ", b"\0"), np.uint8)
     for lo in range(0, n, ROW_BLOCK):
         m = min(ROW_BLOCK, n - lo)
         block = np.empty((m, len(row)), np.uint8)
@@ -138,14 +139,15 @@ def _blocks(parts: list, n: int, fmt: _Format) -> Iterator[str]:
         vector = m * k >= _PYTHON_BELOW
         for kind, slots in kinds.items():
             cols = [col[lo:lo + m] for col in slots.values()]
-            cells = np.zeros((len(cols), m, kind.width), np.uint8)
-            todo = ~kind.fill(cells, cols) if vector else np.ones(cells.shape[:2], bool)
-            values = []
-            for col, undecided in zip(cols, todo):
-                values += col[undecided].tolist()
-            if values:
-                text = kind.python(values).replace(b" ", b"\0")
-                cells[todo] = np.frombuffer(text, np.uint8).reshape(len(values), -1)
+            if vector:
+                cells = np.zeros((len(cols), m, kind.width), np.uint8)
+                todo = ~kind.fill(cells, cols)
+                values = [v for col, undecided in zip(cols, todo) for v in col[undecided].tolist()]
+                if values:
+                    cells[todo] = text(kind, values).reshape(len(values), -1)
+            else:  # every cell from Python: its text is the cells, read in place
+                values = [v for col in cols for v in col.tolist()]
+                cells = text(kind, values).reshape(len(cols), m, -1)
             for start, cell in zip(slots, cells):
                 block[:, start:start + kind.width] = cell
         yield block.tobytes().translate(None, b"\0").decode("ascii")

@@ -312,12 +312,12 @@ def single_photon_run(
         raise ValidationError("single_photon_run needs a single-photon configuration")
     spec, field_bath = discretize_input_output(cfg)
     for rho in (rho_a, rho_b):
-        coll._check_bath(spec, field_bath, bath_mod.CORRELATED_PURE, rho)
+        coll._check_bath(spec, field_bath, rho)
     starts = [default if rho is None else rho.data
               for rho, default in zip((rho_a, rho_b), _distinguishable_pair(cfg))]
     obs = _excited_population(cfg)
-    # one source-qubit pass moves both starts; each keeps its own checked trajectory
-    runs = coll._run_correlated_raw(spec, spec.n_steps, field_bath.phi, np.stack(starts))
+    # one run of the source and the system moves both starts; each keeps its own checked trajectory
+    runs = coll._run(spec, field_bath, np.stack(starts), spec.n_steps)
     traj_a, traj_b = (coll._checked_trajectory(spec.dt, states, obs) for states in runs)
     dist = trace_distance_series(traj_a, traj_b)
     revivals = tuple(int(n) for n in np.flatnonzero(np.diff(dist) > REVIVAL_THRESHOLD))

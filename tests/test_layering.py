@@ -60,3 +60,13 @@ def test_no_module_outgrows_the_token_cap(module):
     with open(SOURCES[module], encoding="utf-8") as handle:
         tokens = sum(1 for _ in tokenize.generate_tokens(handle.readline))
     assert tokens <= MAX_TOKENS
+
+
+def test_collision_runs_every_bath_by_one_routine():
+    # a bath is a source start and a factor stack: no code of collision.py may ask which family
+    # a bath came from, so no second run path can grow back beside the one routine
+    tree = ast.parse(SOURCES["collision"].read_text(), str(SOURCES["collision"]))
+    named = [f"collision.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "CORRELATED_PURE"
+             or isinstance(node, ast.Attribute) and node.attr in ("kind", "CORRELATED_PURE")]
+    assert named == []

@@ -5,9 +5,9 @@ source qubit, which hands each vacuum ancilla its share of the photon just
 before that ancilla collides (Gough, James & Nurdin, Phil. Trans. R. Soc. A
 370, 5408 (2012)). The oracle (`oracles.dense_correlated_marginals`) builds
 the bath as an explicit vector of 2^N amplitudes and evolves the whole joint
-operator. run_correlated, the propagation of non-Hermitian matrix units (all
-of them in one batched call), and the correlated step_map_superoperator must
-all agree with it. The envelopes include exact zeros at either end, a single
+operator. run_correlated, the run routine `_run` moving non-Hermitian matrix
+units (all of them in one batched call), and the correlated
+step_map_superoperator must all agree with it. The envelopes include exact zeros at either end, a single
 nonzero bin (the source empties mid-run) and amplitudes whose squares
 underflow, where the source's weight reaches 0. Runs are cut into chunks of
 one to three steps, or left whole, so the joint state crosses chunk edges.
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from collisim import (CollisionSpec, DensityMatrix, Operator, qcore, run_correlated,
                       single_photon_bath)
-from collisim.collision import _run_correlated_raw, step_map_superoperator
+from collisim.collision import _run, step_map_superoperator
 from oracles import dense_correlated_marginals, one_photon_amplitudes
 
 TOL = 1e-12
@@ -78,7 +78,7 @@ def test_sector_path_matches_dense_joint_evolution(setup):
     with mock.patch.object(qcore, "STACK_CHUNK_BYTES", chunk_bytes):
         traj = run_correlated(spec, bath, rho0)
         units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)
-        sector_units = _run_correlated_raw(spec, n, bath.phi, units)
+        sector_units = _run(spec, bath, units, n)
         step_map = step_map_superoperator(spec, bath, n)
     oracle = dense_correlated_marginals(spec, amps, rho0.data[None])[0]
     assert np.max(np.abs(traj.states - oracle)) <= TOL
